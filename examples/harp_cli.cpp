@@ -47,10 +47,14 @@
 //                    (--data train.csv [--format csv|libsvm] |
 //                     --synth ROWS,FEATURES,DENSITY,SKEW,SEED)
 //                    [--workers N] [--rank R --world W --port P]
-//                    [--compress dense|sparse] [--quantize]
-//                    [--trees 20] [--tree-size 6] [--k 8] [--threads 1]
-//                    [--model out.model]
-//                    Sharded training over the collective layer. Default:
+//                    [--compress dense|sparse] [--trees 20]
+//                    [--tree-size 6] [--k 8] [--threads 1]
+//                    [--model out.model] [any other train flag]
+//                    Sharded training over the collective layer; it takes
+//                    train's training flags (--mode DP|MP|SYNC, --objective,
+//                    --alpha, --subtraction, --subsample, --quantize, ...)
+//                    with the defaults shown, and --threads sizes each
+//                    worker's pool. --mode ASYNC is refused. Default:
 //                    N in-process workers (threads). With --rank/--world/
 //                    --port, this process is ONE rank of a multi-process
 //                    run over loopback TCP (rank 0 must be listening on
@@ -111,8 +115,9 @@ int Usage() {
                "dist-train> [options]\n"
                "  dist-train: (--data F | --synth R,F,DENS,SKEW,SEED)\n"
                "           [--workers N | --rank R --world W --port P]\n"
-               "           [--compress dense|sparse] [--quantize]\n"
-               "           [--trees N] [--tree-size D] [--k K] [--model F]\n"
+               "           [--compress dense|sparse] [--model F]\n"
+               "           [train's training flags, e.g. --mode SYNC\n"
+               "           --subtraction --quantize --objective O]\n"
                "  predict: --data F --model F [--output F] [--raw]\n"
                "           [--threads N]  (--raw predicts on raw floats\n"
                "           instead of binning first; both report rows/sec)\n"
@@ -170,6 +175,49 @@ bool LoadData(const Args& args, const std::string& path, Dataset* out,
   return ok;
 }
 
+// Reads every training flag into `p`. Flags that are absent keep the value
+// `p` already holds, so each command sets its own defaults first. Prints
+// the offending flag and returns false on a bad value.
+bool ParseTrainParams(const Args& args, TrainParams* p) {
+  p->num_trees = args.GetInt("trees", p->num_trees);
+  p->tree_size = args.GetInt("tree-size", p->tree_size);
+  p->learning_rate = args.GetDouble("eta", p->learning_rate);
+  p->reg_lambda = args.GetDouble("lambda", p->reg_lambda);
+  p->min_split_loss = args.GetDouble("gamma", p->min_split_loss);
+  p->min_child_weight =
+      args.GetDouble("min-child-weight", p->min_child_weight);
+  p->topk = args.GetInt("k", p->topk);
+  p->num_threads = args.GetInt("threads", p->num_threads);
+  p->subsample = args.GetDouble("subsample", p->subsample);
+  p->colsample_bytree = args.GetDouble("colsample", p->colsample_bytree);
+  if (args.Has("membuf-off")) p->use_membuf = false;
+  if (args.Has("subtraction")) p->use_hist_subtraction = true;
+  if (args.Has("quantize")) p->quantize_hist = true;
+  if (args.Has("quant-stochastic")) p->quant_stochastic = true;
+  p->simd = args.Get("simd", p->simd);
+  if (args.Has("prefetch-off")) p->stream_prefetch = false;
+  p->prefetch_window_bytes =
+      int64_t{args.GetInt("prefetch-window-mb",
+                          static_cast<int>(p->prefetch_window_bytes >> 20))}
+      << 20;
+  const auto parse = [&](const char* flag, auto parser, auto* out) {
+    const auto it = args.values.find(flag);
+    if (it == args.values.end() || parser(it->second, out)) return true;
+    std::fprintf(stderr, "bad --%s\n", flag);
+    return false;
+  };
+  if (!parse("grow", ParseGrowPolicy, &p->grow_policy) ||
+      !parse("mode", ParseParallelMode, &p->mode) ||
+      !parse("objective", ParseObjectiveKind, &p->objective)) {
+    return false;
+  }
+  p->quantile_alpha = args.GetDouble("alpha", p->quantile_alpha);
+  p->max_delta_step = args.GetDouble("max-delta-step", p->max_delta_step);
+  p->ndcg_k = args.GetInt("ndcg-k", p->ndcg_k);
+  p->eval_metric = args.Get("metric", p->eval_metric);
+  return true;
+}
+
 int CmdTrain(const Args& args) {
   Dataset train;
   BinnedMatrix binned;
@@ -224,40 +272,7 @@ int CmdTrain(const Args& args) {
   }
 
   TrainParams p;
-  p.num_trees = args.GetInt("trees", 100);
-  p.tree_size = args.GetInt("tree-size", 8);
-  p.learning_rate = args.GetDouble("eta", 0.1);
-  p.reg_lambda = args.GetDouble("lambda", 1.0);
-  p.min_split_loss = args.GetDouble("gamma", 1.0);
-  p.min_child_weight = args.GetDouble("min-child-weight", 1.0);
-  p.topk = args.GetInt("k", 32);
-  p.num_threads = args.GetInt("threads", 0);
-  p.subsample = args.GetDouble("subsample", 1.0);
-  p.colsample_bytree = args.GetDouble("colsample", 1.0);
-  p.use_membuf = !args.Has("membuf-off");
-  p.use_hist_subtraction = args.Has("subtraction");
-  p.quantize_hist = args.Has("quantize");
-  p.quant_stochastic = args.Has("quant-stochastic");
-  p.simd = args.Get("simd", "auto");
-  p.stream_prefetch = !args.Has("prefetch-off");
-  p.prefetch_window_bytes =
-      static_cast<int64_t>(args.GetInt("prefetch-window-mb", 16)) << 20;
-  if (!ParseGrowPolicy(args.Get("grow", "topk"), &p.grow_policy)) {
-    std::fprintf(stderr, "bad --grow\n");
-    return 1;
-  }
-  if (!ParseParallelMode(args.Get("mode", "SYNC"), &p.mode)) {
-    std::fprintf(stderr, "bad --mode\n");
-    return 1;
-  }
-  if (!ParseObjectiveKind(args.Get("objective", "logistic"), &p.objective)) {
-    std::fprintf(stderr, "bad --objective\n");
-    return 1;
-  }
-  p.quantile_alpha = args.GetDouble("alpha", 0.5);
-  p.max_delta_step = args.GetDouble("max-delta-step", 0.7);
-  p.ndcg_k = args.GetInt("ndcg-k", 10);
-  p.eval_metric = args.Get("metric", "");
+  if (!ParseTrainParams(args, &p)) return 1;
   const std::vector<float>& train_labels =
       use_binned ? binned_labels : train.labels();
   const bool train_has_groups =
@@ -566,25 +581,6 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
-// Shared by dist-train's two launch modes: the subset of TrainParams the
-// distributed trainer honours.
-TrainParams DistParams(const Args& args) {
-  TrainParams p;
-  p.num_trees = args.GetInt("trees", 20);
-  p.tree_size = args.GetInt("tree-size", 6);
-  p.learning_rate = args.GetDouble("eta", 0.1);
-  p.reg_lambda = args.GetDouble("lambda", 1.0);
-  p.min_split_loss = args.GetDouble("gamma", 1.0);
-  p.min_child_weight = args.GetDouble("min-child-weight", 1.0);
-  p.topk = args.GetInt("k", 8);
-  p.grow_policy = GrowPolicy::kTopK;
-  p.quantize_hist = args.Has("quantize");
-  p.quant_stochastic = args.Has("quant-stochastic");
-  p.comm_compress = args.Get("compress", "dense");
-  p.simd = args.Get("simd", "auto");
-  return p;
-}
-
 // --synth ROWS,FEATURES,DENSITY,SKEW,SEED: the sparse LibSVM-like
 // synthetic, generated deterministically in every process.
 bool ParseSynthSpec(const std::string& text, SyntheticSpec* spec) {
@@ -633,6 +629,23 @@ void PrintCommStats(const char* prefix, const CommStats& s) {
 }
 
 int CmdDistTrain(const Args& args) {
+  // dist-train's own defaults: smaller trees, and --threads sizes each
+  // worker's pool (the workers are the parallelism).
+  TrainParams p;
+  p.num_trees = 20;
+  p.tree_size = 6;
+  p.topk = 8;
+  p.num_threads = 1;
+  if (!ParseTrainParams(args, &p)) return 1;
+  if (p.mode == ParallelMode::kASYNC) {
+    std::fprintf(stderr,
+                 "dist-train does not support --mode ASYNC (use DP, MP or "
+                 "SYNC)\n");
+    return 1;
+  }
+  p.comm_compress = args.Get("compress", "dense");
+  const int worker_threads = std::max(1, p.num_threads);
+
   Dataset data;
   const std::string synth = args.Get("synth", "");
   if (!synth.empty()) {
@@ -649,9 +662,11 @@ int CmdDistTrain(const Args& args) {
   }
   std::printf("loaded %u rows x %u features (S=%.2f)\n", data.num_rows(),
               data.num_features(), data.Sparseness());
-
-  const TrainParams p = DistParams(args);
-  const int worker_threads = std::max(1, args.GetInt("threads", 1));
+  if (p.objective == ObjectiveKind::kLambdaRank && !data.has_groups()) {
+    std::fprintf(stderr,
+                 "lambdarank requires qid: columns (libsvm format)\n");
+    return 1;
+  }
   const std::string model_path = args.Get("model", "");
   GbdtModel model;
 

@@ -75,7 +75,8 @@ struct TrainParams {
   // phase barriers instead of one region launch per phase. Off = the
   // region-per-phase path, kept as the bit-identity oracle (outputs are
   // identical either way). Ignored by ASYNC, which has its own one-region
-  // node-task scheduler.
+  // node-task scheduler, and by sharded training (DistributedGbdt), whose
+  // histogram reduce sits between the build and find phases.
   bool use_fused_step = true;
 
   // --- memory optimizations (Section IV-E) ---
@@ -99,8 +100,9 @@ struct TrainParams {
   // Histogram-exchange encoding: "dense" (full f64 buffers, the bit-
   // identity oracle) or "sparse" (SparseHistogram compressed frames —
   // touched-region runs, and 8-byte quantized cells when quantize_hist is
-  // on). Both produce bitwise-identical models; single-node training
-  // ignores this.
+  // on). Both produce bitwise-identical models. Only directly built
+  // histograms are exchanged, so use_hist_subtraction halves the child
+  // traffic. Single-node training ignores this.
   std::string comm_compress = "dense";
 
   // --- out-of-core streaming (only active when the bin matrix is backed

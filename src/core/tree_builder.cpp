@@ -24,10 +24,12 @@ void ScatterLeafValues(const RegTree& tree, const RowPartitioner& partitioner,
 }
 
 HarpTreeBuilder::HarpTreeBuilder(const BinnedMatrix& matrix,
-                                 const TrainParams& params, ThreadPool& pool)
+                                 const TrainParams& params, ThreadPool& pool,
+                                 HistReducer* reducer)
     : matrix_(matrix),
       params_(params.Validate()),
       pool_(pool),
+      reducer_(reducer),
       evaluator_(params),
       hists_(matrix.TotalBins()),
       partitioner_(matrix.num_rows(), params.use_membuf),
@@ -35,10 +37,14 @@ HarpTreeBuilder::HarpTreeBuilder(const BinnedMatrix& matrix,
       use_subtraction_(params.use_hist_subtraction &&
                        params.mode != ParallelMode::kASYNC),
       use_fused_(params.use_fused_step &&
-                 params.mode != ParallelMode::kASYNC),
+                 params.mode != ParallelMode::kASYNC && reducer == nullptr),
       use_quant_(params.quantize_hist &&
                  params.mode != ParallelMode::kASYNC),
       simd_level_(ResolveSimdLevel(params.simd)) {
+  HARP_CHECK(reducer == nullptr || params.mode != ParallelMode::kASYNC)
+      << "ASYNC mode cannot train sharded: its node tasks split nodes "
+         "independently, with no point at which shards agree on a "
+         "histogram; use DP, MP or SYNC";
   if (params.use_hist_subtraction && params.mode == ParallelMode::kASYNC) {
     HARP_LOG(Warning) << "histogram subtraction is not supported in ASYNC "
                          "mode (node tasks build children directly); "
@@ -64,7 +70,8 @@ HarpTreeBuilder::HarpTreeBuilder(const BinnedMatrix& matrix,
 
 size_t HarpTreeBuilder::ScratchCapacity() const {
   return split_tasks_.capacity() + batch_.capacity() + children_.capacity() +
-         build_list_.capacity() + subtract_list_.capacity() +
+         child_rows_.capacity() + build_list_.capacity() +
+         reduce_hists_.capacity() + subtract_list_.capacity() +
          found_.capacity() + find_partial_.capacity() +
          find_hist_.capacity() + find_sums_.capacity() + slots_cap_ +
          node_remaining_cap_ + build_pos_.capacity() +
@@ -130,9 +137,29 @@ void HarpTreeBuilder::ApplySplitBatch(RegTree& tree) {
   // instead of regions (or a region of serial partitions) per node, the
   // ApplySplit-phase analogue of the barriers ∝ 2^D/K argument.
   partitioner_.ApplySplitBatch(split_tasks_, matrix_, &pool_);
+  SetChildRows(tree);
+}
+
+void HarpTreeBuilder::SetChildRows(RegTree& tree) {
+  child_rows_.clear();
   for (int child : children_) {
-    tree.mutable_node(child).num_rows = partitioner_.NodeSize(child);
+    child_rows_.push_back(partitioner_.NodeSize(child));
   }
+  if (reducer_ != nullptr) {
+    reducer_->ReduceCounts(child_rows_.data(), child_rows_.size());
+  }
+  for (size_t i = 0; i < children_.size(); ++i) {
+    tree.mutable_node(children_[i]).num_rows =
+        static_cast<uint32_t>(child_rows_[i]);
+  }
+}
+
+void HarpTreeBuilder::ReduceHists(std::span<const int> nodes) {
+  reduce_hists_.clear();
+  for (int node : nodes) reduce_hists_.push_back(hists_.Get(node));
+  reducer_->ReduceHists(reduce_hists_.data(), reduce_hists_.size(),
+                        matrix_.TotalBins(),
+                        use_quant_ ? &quant_round_.scales : nullptr);
 }
 
 void HarpTreeBuilder::PrepareFind(const RegTree& tree,
@@ -243,6 +270,9 @@ void HarpTreeBuilder::BuildAndFind(RegTree& tree) {
     } else {
       mp_.Build(ctx, build_list_);
     }
+    // Only the directly built children cross the wire; the subtracted
+    // ones follow from global parent - global sibling.
+    if (reducer_ != nullptr) ReduceHists(build_list_);
 
     if (!subtract_list_.empty()) {
       pool_.ParallelForDynamic(
@@ -334,7 +364,9 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
     // varies per tree so stochastic rounding errors stay uncorrelated
     // across rounds.
     const Stopwatch quant_watch;
-    quant_round_.scales = ComputeQuantScales(gradients, &pool_);
+    QuantStats quant_stats = ComputeQuantStats(gradients, &pool_);
+    if (reducer_ != nullptr) reducer_->ReduceQuantStats(&quant_stats);
+    quant_round_.scales = QuantScalesFromStats(quant_stats);
     QuantizeGradients(gradients, quant_round_.scales,
                       params_.quant_stochastic,
                       params_.seed + static_cast<uint64_t>(trees_built_),
@@ -347,7 +379,12 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
   tree.mutable_nodes().reserve(static_cast<size_t>(max_nodes));
   TreeNode& root = tree.mutable_node(0);
   root.sum = partitioner_.NodeSum(0, &pool_);
-  root.num_rows = partitioner_.num_rows();
+  int64_t root_rows = partitioner_.num_rows();
+  if (reducer_ != nullptr) {
+    reducer_->ReduceSums(&root.sum, 1);
+    reducer_->ReduceCounts(&root_rows, 1);
+  }
+  root.num_rows = static_cast<uint32_t>(root_rows);
 
   // Root histogram + split.
   hists_.Acquire(0);
@@ -360,7 +397,8 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
     } else {
       mp_.Build(ctx, root_nodes);
     }
-    hist_updates_ += static_cast<int64_t>(root.num_rows) *
+    if (reducer_ != nullptr) ReduceHists(root_nodes);
+    hist_updates_ += static_cast<int64_t>(partitioner_.num_rows()) *
                      static_cast<int64_t>(matrix_.num_features());
     build_ns_ += watch.ElapsedNs();
   }

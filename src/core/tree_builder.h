@@ -11,6 +11,7 @@
 
 #include "core/grow_policy.h"
 #include "core/hist_builder.h"
+#include "core/hist_reducer.h"
 #include "core/histogram.h"
 #include "core/params.h"
 #include "core/row_partitioner.h"
@@ -56,8 +57,13 @@ void ScatterLeafValues(const RegTree& tree, const RowPartitioner& partitioner,
 // parallelism, MemBuf, optional histogram subtraction.
 class HarpTreeBuilder final : public TreeBuilderBase {
  public:
+  // `reducer` non-null makes this builder one shard of a sharded run (see
+  // core/hist_reducer.h): it must outlive the builder, every shard must
+  // use the same params, and ASYNC is rejected. Such a builder takes the
+  // region-per-phase step, because the fused MP overlap graph starts finds
+  // before a global histogram exists.
   HarpTreeBuilder(const BinnedMatrix& matrix, const TrainParams& params,
-                  ThreadPool& pool);
+                  ThreadPool& pool, HistReducer* reducer = nullptr);
 
   RegTree BuildTree(const std::vector<GradientPair>& gradients,
                     TrainStats* stats) override;
@@ -113,6 +119,11 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   void StageApply(RegTree& tree);
   // StageApply + batched row partition + child num_rows (fills children_).
   void ApplySplitBatch(RegTree& tree);
+  // Sets each child's num_rows from the partition (global counts with a
+  // reducer; shared with the fused path).
+  void SetChildRows(RegTree& tree);
+  // Global sum of the live histograms of `nodes` (reducer only).
+  void ReduceHists(std::span<const int> nodes);
   // Decides which children get a direct build vs. parent - sibling
   // subtraction, acquires child histograms, picks the batch's DP/MP mode
   // (fills build_list_ / subtract_list_ / plan_mode_; shared).
@@ -162,6 +173,7 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   const BinnedMatrix& matrix_;
   const TrainParams& params_;
   ThreadPool& pool_;
+  HistReducer* const reducer_;
   SplitEvaluator evaluator_;
   HistogramPool hists_;
   RowPartitioner partitioner_;
@@ -169,7 +181,7 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   HistBuilderMP mp_;
   GrowQueue queue_;
   bool use_subtraction_;  // forced off for ASYNC (see .cpp)
-  bool use_fused_;        // forced off for ASYNC (own scheduler)
+  bool use_fused_;        // forced off for ASYNC and with a reducer
   bool use_quant_;        // forced off for ASYNC (see .cpp)
   SimdLevel simd_level_;  // resolved once from params.simd
   // Per-tree quantization state (scales + packed rows); valid only while
@@ -182,7 +194,9 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   std::vector<SplitTask> split_tasks_;
   std::vector<Candidate> batch_;
   std::vector<int> children_;
+  std::vector<int64_t> child_rows_;
   std::vector<int> build_list_;
+  std::vector<GHPair*> reduce_hists_;
   struct SubtractJob {
     int child;            // large child: parent - sibling
     int sibling;          // small child (directly built)

@@ -36,9 +36,7 @@
 namespace harp {
 
 void HarpTreeBuilder::PlanAfterPartition(RegTree& tree) {
-  for (int child : children_) {
-    tree.mutable_node(child).num_rows = partitioner_.NodeSize(child);
-  }
+  SetChildRows(tree);
   PlanBuild(tree);
   if (plan_mode_ == ParallelMode::kMP) StageOverlap(tree);
 }

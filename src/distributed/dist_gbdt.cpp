@@ -1,231 +1,96 @@
 #include "distributed/dist_gbdt.h"
 
 #include <algorithm>
-#include <cmath>
-#include <memory>
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "core/grow_policy.h"
-#include "core/hist_builder.h"
-#include "core/histogram.h"
-#include "core/objective.h"
-#include "core/quantize.h"
-#include "core/row_partitioner.h"
-#include "core/simd.h"
-#include "core/split_evaluator.h"
+#include "core/hist_reducer.h"
+#include "core/tree_builder.h"
 
 namespace harp {
 namespace {
 
-// One worker's training state and loop. Determinism argument: every
-// worker sees identical global histograms (rank-ordered reduction — and
-// the sparse/quantized encodings are exact, see sparse_hist.h), identical
-// node sums, and runs the identical FindSplit / queue logic, so trees,
-// margins-per-shard and models evolve in lockstep without any decision
-// broadcast.
-class ShardWorker {
+// The grow loop's reducer over a Communicator: rank-ordered f64 sums (so
+// every rank gets the same bits), order-independent maxima and int64
+// counts, and the histogram exchange in the comm_compress encoding.
+class CommReducer final : public HistReducer {
  public:
-  ShardWorker(Communicator& comm, const Dataset& shard,
-              const QuantileCuts& cuts, const TrainParams& params,
-              int worker_threads)
-      : comm_(comm),
-        shard_(shard),
-        params_(params),
-        matrix_(BinnedMatrix::Build(shard, cuts)),
-        evaluator_(params),
-        hists_(matrix_.TotalBins()),
-        partitioner_(matrix_.num_rows(), params.use_membuf),
-        pool_(std::max(1, worker_threads)),
-        use_quant_(params.quantize_hist),
-        sparse_(params.comm_compress == "sparse"),
-        simd_level_(ResolveSimdLevel(params.simd)) {}
+  CommReducer(Communicator& comm, bool sparse) : comm_(comm), sparse_(sparse) {}
 
-  GbdtModel Run() {
-    const auto objective = Objective::Create(params_.objective);
-    const double base_margin = objective->InitialMargin(params_.base_score);
-    GbdtModel model(params_.objective, base_margin, matrix_.cuts());
-    std::vector<double> margins(shard_.num_rows(), base_margin);
-    std::vector<GradientPair> gradients;
-
-    for (int iter = 0; iter < params_.num_trees; ++iter) {
-      objective->ComputeGradients(shard_.labels(), margins, &gradients);
-      RegTree tree = BuildTree(gradients, iter);
-      // Leaf scatter on the local shard.
-      for (int id = 0; id < tree.num_nodes(); ++id) {
-        if (tree.node(id).IsLeaf()) {
-          partitioner_.AddToMargins(id, tree.node(id).leaf_value, &margins);
-        }
-      }
-      model.AddTree(std::move(tree));
-    }
-    return model;
+  void ReduceQuantStats(QuantStats* stats) override {
+    double maxima[2] = {stats->g_max, stats->h_max};
+    comm_.AllreduceMax(maxima, 2);
+    double sums[3] = {stats->g_sum, stats->h_sum, stats->rows};
+    comm_.AllreduceSum(sums, 3);
+    *stats = QuantStats{maxima[0], maxima[1], sums[0], sums[1], sums[2]};
+  }
+  void ReduceSums(GHPair* sums, size_t count) override {
+    comm_.AllreduceSum(sums, count);
+  }
+  void ReduceCounts(int64_t* counts, size_t count) override {
+    comm_.AllreduceSum(counts, count);
+  }
+  void ReduceHists(GHPair* const* hists, size_t num_hists, size_t cells,
+                   const QuantScales* quant) override {
+    Communicator::HistExchangeOpts opts;
+    opts.sparse = sparse_;
+    opts.quant = quant != nullptr;
+    if (quant != nullptr) opts.scales = *quant;
+    comm_.AllreduceHistograms(hists, static_cast<uint32_t>(num_hists),
+                              static_cast<uint32_t>(cells), opts);
   }
 
  private:
-  BuildContext Context() {
-    return BuildContext{matrix_,       params_,
-                        pool_,         partitioner_,
-                        hists_,        use_quant_ ? &quant_round_ : nullptr,
-                        simd_level_};
-  }
-
-  // Agrees on this round's quantization scales: maxima via AllreduceMax
-  // (order-independent), sums and the row count via the rank-ordered f64
-  // allreduce — every rank derives IDENTICAL scales from the agreed
-  // totals, which the exact int64 wire encoding depends on.
-  void AgreeQuantScales(const std::vector<GradientPair>& gradients,
-                        int iter) {
-    const QuantStats local = ComputeQuantStats(gradients, &pool_);
-    double maxima[2] = {local.g_max, local.h_max};
-    comm_.AllreduceMax(maxima, 2);
-    double sums[3] = {local.g_sum, local.h_sum, local.rows};
-    comm_.AllreduceSum(sums, 3);
-    QuantStats global;
-    global.g_max = maxima[0];
-    global.h_max = maxima[1];
-    global.g_sum = sums[0];
-    global.h_sum = sums[1];
-    global.rows = sums[2];
-    quant_round_.scales = QuantScalesFromStats(global);
-    QuantizeGradients(gradients, quant_round_.scales,
-                      params_.quant_stochastic,
-                      params_.seed + static_cast<uint64_t>(iter),
-                      static_cast<int>(simd_level_), &pool_,
-                      &quant_round_.packed);
-  }
-
-  // Builds global histograms for `nodes`: threaded local build on the DP
-  // kernel layer (per-thread replicas, touched-region reduce), then one
-  // histogram exchange.
-  void BuildGlobalHists(const std::vector<int>& nodes) {
-    for (const int node : nodes) hists_.Acquire(node);
-    const BuildContext ctx = Context();
-    dp_.Build(ctx, nodes);
-
-    hist_ptrs_.clear();
-    for (const int node : nodes) hist_ptrs_.push_back(hists_.Get(node));
-    Communicator::HistExchangeOpts opts;
-    opts.sparse = sparse_;
-    opts.quant = use_quant_;
-    opts.scales = quant_round_.scales;
-    comm_.AllreduceHistograms(hist_ptrs_.data(),
-                              static_cast<uint32_t>(nodes.size()),
-                              static_cast<uint32_t>(matrix_.TotalBins()),
-                              opts);
-  }
-
-  Candidate FindSplitFor(int node_id, int depth, const GHPair& sum,
-                         const GHPair* hist) {
-    Candidate cand;
-    cand.node_id = node_id;
-    cand.depth = depth;
-    cand.split = evaluator_.FindBestSplit(matrix_, hist, sum, 0,
-                                          matrix_.num_features());
-    return cand;
-  }
-
-  RegTree BuildTree(const std::vector<GradientPair>& gradients, int iter) {
-    const int64_t max_leaves = params_.MaxLeaves();
-    const int max_depth = params_.MaxDepth();
-    const int max_nodes = static_cast<int>(2 * max_leaves);
-    partitioner_.Reset(gradients, max_nodes, &pool_);
-    hists_.ReleaseAll();
-    if (use_quant_) AgreeQuantScales(gradients, iter);
-
-    RegTree tree;
-    tree.mutable_nodes().reserve(static_cast<size_t>(max_nodes));
-    // Global root sum.
-    GHPair root_sum = partitioner_.NodeSum(0, &pool_);
-    comm_.AllreduceSum(&root_sum, 1);
-    int64_t global_rows = partitioner_.num_rows();
-    comm_.AllreduceSum(&global_rows, 1);
-    tree.mutable_node(0).sum = root_sum;
-    tree.mutable_node(0).num_rows = static_cast<uint32_t>(global_rows);
-
-    GrowQueue queue(params_.grow_policy);
-    {
-      BuildGlobalHists({0});
-      const Candidate root = FindSplitFor(0, 0, root_sum, hists_.Get(0));
-      hists_.Release(0);
-      if (root.split.IsValid() && max_leaves > 1 && max_depth > 0) {
-        queue.Push(root);
-      }
-    }
-
-    int64_t leaves = 1;
-    while (!queue.Empty() && leaves < max_leaves) {
-      const std::vector<Candidate> batch = queue.PopBatch(
-          params_.EffectiveTopK(),
-          static_cast<int>(std::min<int64_t>(max_leaves - leaves, 1 << 20)));
-      if (batch.empty()) break;
-
-      // Apply splits on the local shard; gather children and their GLOBAL
-      // row counts (one int64 allreduce for the batch).
-      std::vector<int> children;
-      std::vector<int64_t> child_rows;
-      for (const Candidate& cand : batch) {
-        const float cut =
-            matrix_.cuts().CutFor(cand.split.feature, cand.split.bin);
-        const auto [left, right] =
-            tree.ApplySplit(cand.node_id, cand.split, cut);
-        partitioner_.ApplySplit(cand.node_id, left, right, matrix_,
-                                cand.split.feature, cand.split.bin,
-                                cand.split.default_left);
-        children.push_back(left);
-        children.push_back(right);
-        child_rows.push_back(partitioner_.NodeSize(left));
-        child_rows.push_back(partitioner_.NodeSize(right));
-      }
-      comm_.AllreduceSum(child_rows.data(), child_rows.size());
-      for (size_t i = 0; i < children.size(); ++i) {
-        tree.mutable_node(children[i]).num_rows =
-            static_cast<uint32_t>(child_rows[i]);
-      }
-      leaves += static_cast<int64_t>(batch.size());
-
-      BuildGlobalHists(children);
-      for (const int child : children) {
-        const Candidate cand = FindSplitFor(child, tree.node(child).depth,
-                                            tree.node(child).sum,
-                                            hists_.Get(child));
-        hists_.Release(child);
-        if (cand.split.IsValid() && cand.depth < max_depth) {
-          queue.Push(cand);
-        }
-      }
-    }
-
-    for (int id = 0; id < tree.num_nodes(); ++id) {
-      TreeNode& node = tree.mutable_node(id);
-      if (node.IsLeaf()) node.leaf_value = evaluator_.LeafValue(node.sum);
-    }
-    return tree;
-  }
-
   Communicator& comm_;
-  const Dataset& shard_;
-  const TrainParams& params_;
-  BinnedMatrix matrix_;
-  SplitEvaluator evaluator_;
-  HistogramPool hists_;
-  RowPartitioner partitioner_;
-  ThreadPool pool_;
-  HistBuilderDP dp_;
-  const bool use_quant_;
   const bool sparse_;
-  const SimdLevel simd_level_;
-  QuantRound quant_round_;
-  std::vector<GHPair*> hist_ptrs_;
 };
 
-// Contiguous shard boundaries: rank r owns rows [rows*r/W, rows*(r+1)/W).
-std::pair<uint32_t, uint32_t> ShardRange(uint32_t rows, int rank, int world) {
-  const uint32_t begin =
-      static_cast<uint32_t>(static_cast<uint64_t>(rows) * rank / world);
-  const uint32_t end =
-      static_cast<uint32_t>(static_cast<uint64_t>(rows) * (rank + 1) / world);
-  return {begin, end};
+// Contiguous shard boundaries: rank r owns rows [b(r), b(r+1)) with
+// b(r) = rows*r/W. With query groups, each boundary moves forward to the
+// first group start at or after it, so no query is split across ranks.
+std::pair<uint32_t, uint32_t> ShardRange(const Dataset& data, int rank,
+                                         int world) {
+  const auto boundary = [&](int r) {
+    const uint32_t row = static_cast<uint32_t>(
+        static_cast<uint64_t>(data.num_rows()) * r / world);
+    if (!data.has_groups()) return row;
+    const std::vector<uint32_t>& groups = data.group_ptr();
+    return *std::lower_bound(groups.begin(), groups.end(), row);
+  };
+  return {boundary(rank), boundary(rank + 1)};
+}
+
+void CheckShardable(const Dataset& data, const TrainParams& params,
+                    int world) {
+  params.Validate();
+  HARP_CHECK_GE(world, 1);
+  HARP_CHECK_LE(static_cast<uint32_t>(world), data.num_rows());
+  if (!data.has_groups()) return;
+  HARP_CHECK_LE(static_cast<uint32_t>(world), data.num_groups())
+      << "distributed training keeps each query group on one worker, so "
+         "it needs at least as many query groups as workers";
+  for (int r = 0; r < world; ++r) {
+    const auto [begin, end] = ShardRange(data, r, world);
+    HARP_CHECK_LT(begin, end)
+        << "worker " << r << " gets no rows: the query groups are too "
+           "uneven to give every worker a whole-query shard";
+  }
+}
+
+// One rank's training: slice, bin with the shared cuts, and run the
+// ordinary boosting loop with a reducer over `comm`.
+GbdtModel TrainOnShard(const Dataset& data, const QuantileCuts& cuts,
+                       Communicator& comm, const TrainParams& params,
+                       int worker_threads) {
+  const auto [begin, end] = ShardRange(data, comm.rank(), comm.world_size());
+  ThreadPool pool(std::max(1, worker_threads));
+  Dataset shard = data.Slice(begin, end);
+  const BinnedMatrix matrix = BinnedMatrix::Build(shard, cuts, &pool);
+  const std::vector<float> labels = shard.labels();
+  shard = Dataset();  // only binning needs the raw rows; free them
+  CommReducer reducer(comm, params.comm_compress == "sparse");
+  HarpTreeBuilder builder(matrix, params, pool, &reducer);
+  return RunBoosting(matrix, labels, params, pool, builder);
 }
 
 }  // namespace
@@ -234,50 +99,31 @@ GbdtModel DistributedGbdt::TrainShard(const Dataset& dataset,
                                       Communicator& comm,
                                       const TrainParams& params,
                                       int worker_threads) {
-  params.Validate();
-  const int world = comm.world_size();
-  HARP_CHECK_LE(static_cast<uint32_t>(world), dataset.num_rows());
-
-  // Global quantile cuts, computed identically in every process (a real
-  // deployment would merge distributed sketches; see GkSketch::Merge).
+  CheckShardable(dataset, params, comm.world_size());
   const QuantileCuts cuts = QuantileCuts::Compute(dataset, params.max_bins);
-  const auto [begin, end] = ShardRange(dataset.num_rows(), comm.rank(), world);
-  const Dataset shard = dataset.Slice(begin, end);
-  ShardWorker worker(comm, shard, cuts, params, worker_threads);
-  return worker.Run();
+  return TrainOnShard(dataset, cuts, comm, params, worker_threads);
 }
 
 DistributedResult DistributedGbdt::Train(const Dataset& dataset, int workers,
                                          const TrainParams& params,
                                          int worker_threads) {
-  params.Validate();
-  HARP_CHECK_GE(workers, 1);
-  HARP_CHECK_LE(static_cast<uint32_t>(workers), dataset.num_rows());
-
+  CheckShardable(dataset, params, workers);
   const QuantileCuts cuts = QuantileCuts::Compute(dataset, params.max_bins);
-  std::vector<Dataset> shards;
-  shards.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    const auto [begin, end] = ShardRange(dataset.num_rows(), w, workers);
-    shards.push_back(dataset.Slice(begin, end));
-  }
 
   DistributedResult result;
   result.workers = workers;
+  result.per_rank.resize(static_cast<size_t>(workers));
   std::vector<GbdtModel> models(static_cast<size_t>(workers));
-  std::vector<CommStats> per_rank(static_cast<size_t>(workers));
 
   const Stopwatch watch;
   SimulatedCluster cluster(workers);
   cluster.Run([&](Communicator& comm) {
-    ShardWorker worker(comm, shards[static_cast<size_t>(comm.rank())], cuts,
-                       params, worker_threads);
-    models[static_cast<size_t>(comm.rank())] = worker.Run();
-    per_rank[static_cast<size_t>(comm.rank())] = comm.stats();
+    const size_t rank = static_cast<size_t>(comm.rank());
+    models[rank] = TrainOnShard(dataset, cuts, comm, params, worker_threads);
+    result.per_rank[rank] = comm.stats();
   });
   result.seconds = watch.ElapsedSec();
   result.comm = cluster.TotalStats();
-  result.per_rank = std::move(per_rank);
   result.model = std::move(models[0]);
   return result;
 }

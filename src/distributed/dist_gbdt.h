@@ -1,15 +1,18 @@
 // Distributed GBDT training over a pluggable transport.
 //
 // Histogram-aggregation data parallelism, the design distributed XGBoost
-// and LightGBM use and the paper names as future work: rows are sharded
-// across W workers; every worker builds local histograms for the current
-// candidate batch (on the PR 1 kernel layer, threaded inside the worker),
-// one histogram exchange — dense f64 or the compressed SparseHistogram
-// format, selected by TrainParams::comm_compress — produces the global
-// histograms, and each worker then makes the identical (deterministic)
-// split decision — no split broadcast needed. The returned model is
-// bitwise identical on every worker, for both exchange encodings, and for
-// both transport backends.
+// and LightGBM use and the paper names as future work. Rows are sharded
+// across W workers, and each worker runs the ordinary single-process
+// trainer (RunBoosting + HarpTreeBuilder) on its shard with a HistReducer
+// over the Communicator (core/hist_reducer.h). The reducer turns the
+// shard-local root sums, row counts, quantization statistics and directly
+// built histograms into global ones, so every worker makes the identical
+// split decisions with no split broadcast. Every TrainParams field is
+// honoured except ASYNC mode, which is rejected. Histograms travel dense
+// f64 or in the compressed SparseHistogram format (comm_compress); with
+// use_hist_subtraction only the smaller child of each split is exchanged.
+// The returned model is bitwise identical on every worker, for both
+// exchange encodings, and for both transport backends.
 #pragma once
 
 #include <vector>
@@ -30,7 +33,8 @@ struct DistributedResult {
 class DistributedGbdt {
  public:
   // Shards `dataset` by contiguous row ranges over `workers` in-process
-  // workers (threads over an InProcessTransport) and trains
+  // workers (threads over an InProcessTransport; with query groups each
+  // range boundary moves forward to the next group start) and trains
   // params.num_trees trees. `worker_threads` sizes each worker's intra-
   // worker ThreadPool (default 1: the workers are the parallelism).
   static DistributedResult Train(const Dataset& dataset, int workers,

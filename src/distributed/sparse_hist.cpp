@@ -145,6 +145,16 @@ inline GHPair DecodeQuantCell(int64_t cell, const QuantScales& s) {
                 static_cast<double>(CellH(cell)) * s.h_inv};
 }
 
+// Payload cell `index` of a frame. The payload starts right after one
+// bitmap byte per listed region, so it has no alignment guarantee: cells
+// are copied out, never dereferenced in place.
+template <typename Cell>
+inline Cell LoadCell(const uint8_t* payload, size_t index) {
+  Cell cell;
+  std::memcpy(&cell, payload + index * sizeof(Cell), sizeof(Cell));
+  return cell;
+}
+
 // Append-only builder for the variable parts of a frame: run list, one
 // bitmap byte per listed region, and the set cells.
 struct FrameBuilder {
@@ -286,13 +296,11 @@ void ReduceSparseHist(const Transport::Frames& frames, uint32_t num_hists,
       const ParsedFrame& f = parsed[static_cast<size_t>(rank)];
       const RegionRef ref = refs[static_cast<size_t>(rank)][region];
       const uint8_t bitmap = f.bitmaps[ref.bitmap_idx];
-      const uint8_t* src =
-          f.payload + static_cast<size_t>(ref.cell_off) * cell_bytes;
+      size_t cell_idx = ref.cell_off;
       if (fmt.quant) {
-        const int64_t* src_cells = reinterpret_cast<const int64_t*>(src);
         for (uint32_t i = 0; i < kSparseRegionCells; ++i) {
           if (!(bitmap & (1u << i))) continue;
-          const int64_t cell = *src_cells++;
+          const int64_t cell = LoadCell<int64_t>(f.payload, cell_idx++);
           if (seen & (1u << i)) {
             acc_i64[i] += cell;
           } else {
@@ -300,10 +308,9 @@ void ReduceSparseHist(const Transport::Frames& frames, uint32_t num_hists,
           }
         }
       } else {
-        const GHPair* src_cells = reinterpret_cast<const GHPair*>(src);
         for (uint32_t i = 0; i < kSparseRegionCells; ++i) {
           if (!(bitmap & (1u << i))) continue;
-          const GHPair cell = *src_cells++;
+          const GHPair cell = LoadCell<GHPair>(f.payload, cell_idx++);
           if (seen & (1u << i)) {
             acc_f64[i].g += cell.g;
             acc_f64[i].h += cell.h;
@@ -348,20 +355,14 @@ void DecodeSparseHist(const uint8_t* data, size_t bytes,
       const uint32_t h = r / regions_per_hist;
       const uint32_t begin = (r % regions_per_hist) * kSparseRegionCells;
       GHPair* dst = hists[h] + begin;
-      if (fmt.quant) {
-        const int64_t* src =
-            reinterpret_cast<const int64_t*>(f.payload) + cursor;
-        for (uint32_t i2 = 0; i2 < kSparseRegionCells; ++i2) {
-          if (bitmap & (1u << i2)) dst[i2] = DecodeQuantCell(*src++, fmt.scales);
-        }
-      } else {
-        const GHPair* src =
-            reinterpret_cast<const GHPair*>(f.payload) + cursor;
-        for (uint32_t i2 = 0; i2 < kSparseRegionCells; ++i2) {
-          if (bitmap & (1u << i2)) dst[i2] = *src++;
-        }
+      for (uint32_t i2 = 0; i2 < kSparseRegionCells; ++i2) {
+        if (!(bitmap & (1u << i2))) continue;
+        dst[i2] = fmt.quant ? DecodeQuantCell(
+                                  LoadCell<int64_t>(f.payload, cursor),
+                                  fmt.scales)
+                            : LoadCell<GHPair>(f.payload, cursor);
+        ++cursor;
       }
-      cursor += static_cast<uint32_t>(std::popcount(bitmap));
     }
   }
 }

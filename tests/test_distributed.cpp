@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/metrics.h"
@@ -243,40 +244,48 @@ class SparseHistCodec : public ::testing::TestWithParam<bool> {};
 INSTANTIATE_TEST_SUITE_P(Formats, SparseHistCodec,
                          ::testing::Values(false, true));
 
-TEST_P(SparseHistCodec, EncodeReduceDecodeMatchesDenseRankOrderBitwise) {
-  const bool quant = GetParam();
-  const int world = 3;
-  const uint32_t num_hists = 2;
-  const uint32_t cells = 37;  // partial last region
-  SparseHistFormat fmt = QuantFormat();
-  fmt.quant = quant;
-
-  const auto hists = RankHists(world, num_hists, cells);
-  const std::vector<GHPair> expect = DenseRankOrderedSum(hists);
-
-  std::vector<std::vector<uint8_t>> frames(world);
+// Encodes each rank's `num_hists` x `cells` histograms, reduces the frames
+// and decodes the result, which must equal the dense rank-ordered sum bit
+// for bit. Returns the reduced frame's size.
+size_t ExpectCodecMatchesDense(const std::vector<std::vector<GHPair>>& hists,
+                               uint32_t num_hists, uint32_t cells,
+                               const SparseHistFormat& fmt) {
+  std::vector<std::vector<uint8_t>> frames(hists.size());
   Transport::Frames views;
-  for (int r = 0; r < world; ++r) {
-    const GHPair* ptrs[2] = {hists[static_cast<size_t>(r)].data(),
-                             hists[static_cast<size_t>(r)].data() + cells};
-    EncodeSparseHist(ptrs, num_hists, cells, fmt,
-                     &frames[static_cast<size_t>(r)]);
-    views.emplace_back(frames[static_cast<size_t>(r)].data(),
-                       frames[static_cast<size_t>(r)].size());
+  std::vector<const GHPair*> ptrs(num_hists);
+  for (size_t r = 0; r < hists.size(); ++r) {
+    for (uint32_t h = 0; h < num_hists; ++h) {
+      ptrs[h] = hists[r].data() + static_cast<size_t>(h) * cells;
+    }
+    EncodeSparseHist(ptrs.data(), num_hists, cells, fmt, &frames[r]);
+    views.emplace_back(frames[r].data(), frames[r].size());
   }
   std::vector<uint8_t> reduced;
   ReduceSparseHist(views, num_hists, cells, fmt, &reduced);
-  // Compression: the frame must beat the dense payload on this data.
-  EXPECT_LT(reduced.size(),
-            static_cast<size_t>(DenseHistBytes(num_hists, cells)));
 
   std::vector<GHPair> decoded(static_cast<size_t>(num_hists) * cells,
                               GHPair{1.0, 1.0});  // must be overwritten
-  GHPair* out_ptrs[2] = {decoded.data(), decoded.data() + cells};
-  DecodeSparseHist(reduced.data(), reduced.size(), out_ptrs, num_hists, cells,
-                   fmt);
-  ASSERT_EQ(0, std::memcmp(decoded.data(), expect.data(),
+  std::vector<GHPair*> out_ptrs(num_hists);
+  for (uint32_t h = 0; h < num_hists; ++h) {
+    out_ptrs[h] = decoded.data() + static_cast<size_t>(h) * cells;
+  }
+  DecodeSparseHist(reduced.data(), reduced.size(), out_ptrs.data(), num_hists,
+                   cells, fmt);
+  const std::vector<GHPair> expect = DenseRankOrderedSum(hists);
+  EXPECT_EQ(0, std::memcmp(decoded.data(), expect.data(),
                            decoded.size() * sizeof(GHPair)));
+  return reduced.size();
+}
+
+TEST_P(SparseHistCodec, EncodeReduceDecodeMatchesDenseRankOrderBitwise) {
+  SparseHistFormat fmt = QuantFormat();
+  fmt.quant = GetParam();
+  const uint32_t num_hists = 2;
+  const uint32_t cells = 37;  // partial last region
+  const size_t reduced = ExpectCodecMatchesDense(
+      RankHists(/*world=*/3, num_hists, cells), num_hists, cells, fmt);
+  // Compression: the frame must beat the dense payload on this data.
+  EXPECT_LT(reduced, static_cast<size_t>(DenseHistBytes(num_hists, cells)));
 }
 
 TEST_P(SparseHistCodec, AllZeroHistogramsShipHeaderOnlyFrames) {
@@ -305,6 +314,23 @@ TEST_P(SparseHistCodec, AllZeroHistogramsShipHeaderOnlyFrames) {
     EXPECT_EQ(cell.g, 0.0);
     EXPECT_EQ(cell.h, 0.0);
   }
+}
+
+// Payload cells follow one bitmap byte per listed region, so a frame that
+// lists an odd number of regions leaves every payload cell misaligned; the
+// codec must load them bytewise (the UBSan job traps misaligned loads).
+TEST_P(SparseHistCodec, OddListedRegionCountRoundTrips) {
+  SparseHistFormat fmt = QuantFormat();
+  fmt.quant = GetParam();
+  const double g = fmt.scales.g_inv;
+  const double h = fmt.scales.h_inv;
+  const uint32_t cells = 24;  // three regions
+  std::vector<std::vector<GHPair>> hists(2, std::vector<GHPair>(cells));
+  hists[0][1] = GHPair{3 * g, 2 * h};    // rank 0 lists region 0 only
+  hists[1][1] = GHPair{-1 * g, 5 * h};   // rank 1 lists all three
+  hists[1][12] = GHPair{7 * g, 1 * h};
+  hists[1][23] = GHPair{-2 * g, 4 * h};
+  ExpectCodecMatchesDense(hists, 1, cells, fmt);
 }
 
 TEST(SparseHistCodecEdge, NegativeZeroCountsAsTouched) {
@@ -452,31 +478,193 @@ TEST(DistributedGbdt, WorkerCountDoesNotChangeTheModel) {
   }
 }
 
-TEST(DistributedGbdt, MatchesSingleNodeTrainerStructure) {
-  // The distributed histogram-aggregation must reproduce the single-node
-  // HarpGBDT trees (same algorithm, different plumbing).
-  const Dataset data = TrainData(2500);
-  TrainParams p = DistParams(3);
-  const DistributedResult dist = DistributedGbdt::Train(data, 3, p);
+// ---------- one grow loop: byte identity ----------
+//
+// Sharded training is the single-process HarpTreeBuilder plus a reducer,
+// so one worker must reproduce GbdtTrainer bit for bit (SerializeModel
+// emits hex floats), and with quantized histograms — exact integer sums —
+// so must every worker count.
 
-  p.mode = ParallelMode::kDP;
-  p.num_threads = 1;
-  GbdtTrainer trainer(p);
-  const GbdtModel local = trainer.Train(data);
-  ASSERT_EQ(local.NumTrees(), dist.model.NumTrees());
-  for (size_t t = 0; t < local.NumTrees(); ++t) {
-    const RegTree& a = local.tree(t);
-    const RegTree& b = dist.model.tree(t);
-    ASSERT_EQ(a.num_nodes(), b.num_nodes()) << "tree " << t;
-    for (int i = 0; i < a.num_nodes(); ++i) {
-      if (!a.node(i).IsLeaf()) {
-        EXPECT_EQ(a.node(i).split_feature, b.node(i).split_feature);
-        EXPECT_EQ(a.node(i).split_bin, b.node(i).split_bin);
-      } else {
-        EXPECT_NEAR(a.node(i).leaf_value, b.node(i).leaf_value, 1e-9);
+constexpr int kWorkerThreads = 2;
+
+TrainParams IdentityParams(ParallelMode mode, bool subtraction, bool quant) {
+  TrainParams p = DistParams(3);
+  p.tree_size = 5;
+  p.mode = mode;
+  p.use_hist_subtraction = subtraction;
+  p.quantize_hist = quant;
+  return p;
+}
+
+std::string SingleProcessModel(const Dataset& data, TrainParams p) {
+  p.num_threads = kWorkerThreads;
+  return SerializeModel(GbdtTrainer(p).Train(data));
+}
+
+std::string ShardedModel(const Dataset& data, int workers,
+                         const TrainParams& p) {
+  return SerializeModel(
+      DistributedGbdt::Train(data, workers, p, kWorkerThreads).model);
+}
+
+std::string CaseName(const TrainParams& p) {
+  return ToString(p.mode) + " sub=" + std::to_string(p.use_hist_subtraction) +
+         " quant=" + std::to_string(p.quantize_hist);
+}
+
+TEST(DistributedGbdt, OneWorkerMatchesGbdtTrainerBytewise) {
+  const Dataset data = TrainData(2500);
+  for (ParallelMode mode :
+       {ParallelMode::kDP, ParallelMode::kMP, ParallelMode::kSYNC}) {
+    for (bool subtraction : {false, true}) {
+      for (bool quant : {false, true}) {
+        const TrainParams p = IdentityParams(mode, subtraction, quant);
+        EXPECT_EQ(SingleProcessModel(data, p), ShardedModel(data, 1, p))
+            << CaseName(p);
       }
     }
   }
+}
+
+TEST(DistributedGbdt, OneWorkerMatchesGbdtTrainerWithSampling) {
+  const Dataset data = TrainData(2500);
+  const TrainParams base =
+      IdentityParams(ParallelMode::kSYNC, /*subtraction=*/true, false);
+  TrainParams rows = base;
+  rows.subsample = 0.8;
+  TrainParams cols = base;
+  cols.colsample_bytree = 0.7;
+  for (const TrainParams* p : {&rows, &cols}) {
+    const std::string model = ShardedModel(data, 1, *p);
+    EXPECT_EQ(SingleProcessModel(data, *p), model);
+    // Sampling is honoured, not ignored.
+    EXPECT_NE(ShardedModel(data, 1, base), model);
+    EXPECT_NE(ShardedModel(data, 2, base), ShardedModel(data, 2, *p));
+  }
+}
+
+Dataset RegressionData(uint32_t rows) {
+  SyntheticSpec spec;
+  spec.rows = rows;
+  spec.features = 10;
+  spec.label = LabelKind::kRegression;
+  spec.margin_scale = 2.0;
+  spec.seed = 411;
+  return GenerateSynthetic(spec);
+}
+
+TEST(DistributedGbdt, OneWorkerMatchesGbdtTrainerForQuantile) {
+  const Dataset data = RegressionData(2500);
+  TrainParams p = IdentityParams(ParallelMode::kSYNC, false, false);
+  p.objective = ObjectiveKind::kQuantile;
+  p.quantile_alpha = 0.9;
+  p.base_score = 0.0;
+  EXPECT_EQ(SingleProcessModel(data, p), ShardedModel(data, 1, p));
+}
+
+TEST(DistributedGbdt, QuantizedModelIsWorkerCountInvariant) {
+  const Dataset data = TrainData(2500);
+  for (ParallelMode mode :
+       {ParallelMode::kDP, ParallelMode::kMP, ParallelMode::kSYNC}) {
+    for (bool subtraction : {false, true}) {
+      TrainParams p = IdentityParams(mode, subtraction, /*quant=*/true);
+      const std::string one = ShardedModel(data, 1, p);
+      for (int workers : {2, 3}) {
+        for (const char* compress : {"dense", "sparse"}) {
+          p.comm_compress = compress;
+          EXPECT_EQ(one, ShardedModel(data, workers, p))
+              << CaseName(p) << " workers=" << workers << " " << compress;
+        }
+      }
+    }
+  }
+}
+
+// The sharded trainer builds its objective from every TrainParams field:
+// an alpha=0.9 fit must cover ~90% of the labels, not the median's 50%.
+TEST(DistributedGbdt, QuantileCoverageMatchesAlpha) {
+  const Dataset data = RegressionData(6000);
+  TrainParams p = DistParams(80);
+  p.tree_size = 8;
+  p.objective = ObjectiveKind::kQuantile;
+  p.quantile_alpha = 0.9;
+  p.base_score = 0.0;
+  const GbdtModel model =
+      DistributedGbdt::Train(data, 2, p, kWorkerThreads).model;
+  EXPECT_EQ(model.quantile_alpha(), 0.9);
+  const std::vector<double> preds = model.Predict(data);
+  double covered = 0.0;
+  for (size_t i = 0; i < preds.size(); ++i) {
+    if (static_cast<double>(data.labels()[i]) <= preds[i]) covered += 1.0;
+  }
+  EXPECT_NEAR(covered / static_cast<double>(preds.size()), 0.9, 0.02);
+}
+
+// With subtraction only the directly built child of each split crosses the
+// wire: 1 + splits histograms per tree instead of 1 + 2 * splits. Under
+// quantization the subtraction is exact, so the model does not change.
+TEST(DistributedGbdt, SubtractionExchangesOneChildPerSplit) {
+  const Dataset data = TrainData(2500);
+  const int64_t cells =
+      BinnedMatrix::Build(data, QuantileCuts::Compute(data, 256)).TotalBins();
+  // Each exchanged histogram counts once sent and once received.
+  const int64_t per_hist =
+      2 * DenseHistBytes(1, static_cast<uint32_t>(cells));
+  std::string models[2];
+  for (bool subtraction : {false, true}) {
+    const TrainParams p =
+        IdentityParams(ParallelMode::kSYNC, subtraction, /*quant=*/true);
+    const DistributedResult result =
+        DistributedGbdt::Train(data, 2, p, kWorkerThreads);
+    int64_t hists = 0;
+    for (const RegTree& tree : result.model.trees()) {
+      const int64_t splits = tree.num_nodes() / 2;
+      hists += 1 + (subtraction ? 1 : 2) * splits;
+    }
+    for (const CommStats& rank : result.per_rank) {
+      EXPECT_EQ(rank.hist_dense_bytes, hists * per_hist)
+          << "subtraction=" << subtraction;
+    }
+    models[subtraction] = SerializeModel(result.model);
+  }
+  EXPECT_EQ(models[0], models[1]);
+}
+
+// Query groups are never split across workers, so LambdaRank sees whole
+// queries on every shard and trains the same model at any worker count.
+TEST(DistributedGbdt, LambdaRankShardsWholeQueries) {
+  RankingSpec spec;
+  spec.num_queries = 60;
+  spec.seed = 101;
+  const Dataset data = GenerateRankingSynthetic(spec);
+  TrainParams p = DistParams(4);
+  p.objective = ObjectiveKind::kLambdaRank;
+  p.quantize_hist = true;
+  EXPECT_EQ(ShardedModel(data, 1, p), ShardedModel(data, 2, p));
+}
+
+TEST(DistributedGbdtDeath, FewerQueriesThanWorkers) {
+  RankingSpec spec;
+  spec.num_queries = 2;
+  const Dataset data = GenerateRankingSynthetic(spec);
+  TrainParams p = DistParams(1);
+  p.objective = ObjectiveKind::kLambdaRank;
+  EXPECT_DEATH(DistributedGbdt::Train(data, 3, p),
+               "at least as many query groups as workers");
+
+  // Enough queries, but the middle worker's boundaries both snap to the
+  // start of the one large query.
+  Dataset uneven = TrainData(100);
+  uneven.SetGroupPtr({0, 1, 2, 100});
+  EXPECT_DEATH(DistributedGbdt::Train(uneven, 3, DistParams(1)),
+               "worker 1 gets no rows");
+}
+
+TEST(DistributedGbdtDeath, AsyncModeRejected) {
+  TrainParams p = DistParams(1);
+  p.mode = ParallelMode::kASYNC;
+  EXPECT_DEATH(DistributedGbdt::Train(TrainData(200), 2, p),
+               "ASYNC mode cannot train sharded");
 }
 
 TEST(DistributedGbdt, CommunicationVolumeScalesWithWorkers) {

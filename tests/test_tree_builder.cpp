@@ -250,5 +250,71 @@ TEST(TreeBuilder, StatsArePopulated) {
   EXPECT_GT(stats.hist_peak_bytes, 0u);
 }
 
+// ---------- histogram-reduce seam ----------
+
+// A one-shard reducer: leaves every value as it is and counts what a real
+// reducer would put on the wire.
+class CountingReducer final : public HistReducer {
+ public:
+  void ReduceQuantStats(QuantStats*) override { ++quant_stats; }
+  void ReduceSums(GHPair*, size_t count) override { sums += count; }
+  void ReduceCounts(int64_t*, size_t count) override { counts += count; }
+  void ReduceHists(GHPair* const*, size_t num_hists, size_t,
+                   const QuantScales* quant) override {
+    hists += num_hists;
+    quant_hists = quant != nullptr;
+  }
+  int64_t quant_stats = 0, sums = 0, counts = 0, hists = 0;
+  bool quant_hists = false;
+};
+
+TEST(TreeBuilder, IdentityReducerSeesOneExchangePerBuiltHistogram) {
+  const Env env = MakeEnv();
+  for (ParallelMode mode :
+       {ParallelMode::kDP, ParallelMode::kMP, ParallelMode::kSYNC}) {
+    for (bool subtraction : {false, true}) {
+      for (bool quant : {false, true}) {
+        TrainParams p = BaseParams(GrowPolicy::kTopK);
+        p.mode = mode;
+        p.use_hist_subtraction = subtraction;
+        p.quantize_hist = quant;
+        const RegTree expect = BuildWith(env, p, 3);
+
+        ThreadPool pool(3);
+        CountingReducer reducer;
+        HarpTreeBuilder builder(env.matrix, p, pool, &reducer);
+        TrainStats stats;
+        const RegTree tree = builder.BuildTree(env.gh, &stats);
+        const std::string where = ToString(mode) + " sub=" +
+                                  std::to_string(subtraction) +
+                                  " quant=" + std::to_string(quant);
+        EXPECT_TRUE(TreesEqual(expect, tree)) << where;
+        // A reducer forces the region-per-phase step.
+        EXPECT_EQ(stats.grow_phase_barriers, 0) << where;
+
+        // Root histogram, then both children of every split — or, with
+        // subtraction, only the directly built one.
+        const int64_t splits = tree.num_nodes() / 2;
+        ASSERT_GT(splits, 0) << where;
+        EXPECT_EQ(reducer.hists, 1 + (subtraction ? 1 : 2) * splits) << where;
+        EXPECT_EQ(reducer.counts, 1 + 2 * splits) << where;
+        EXPECT_EQ(reducer.sums, 1) << where;
+        EXPECT_EQ(reducer.quant_stats, quant ? 1 : 0) << where;
+        EXPECT_EQ(reducer.quant_hists, quant) << where;
+      }
+    }
+  }
+}
+
+TEST(TreeBuilderDeath, ReducerRejectsAsync) {
+  const Env env = MakeEnv(200, 4);
+  TrainParams p = BaseParams(GrowPolicy::kTopK);
+  p.mode = ParallelMode::kASYNC;
+  ThreadPool pool(2);
+  CountingReducer reducer;
+  EXPECT_DEATH(HarpTreeBuilder(env.matrix, p, pool, &reducer),
+               "ASYNC mode cannot train sharded");
+}
+
 }  // namespace
 }  // namespace harp
