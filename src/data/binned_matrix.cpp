@@ -38,15 +38,19 @@ BinnedMatrix BinnedMatrix::Build(const Dataset& dataset, QuantileCuts cuts,
   matrix.storage_ = BinMatrixStorage::Heap(std::vector<uint8_t>(
       static_cast<size_t>(matrix.num_rows_) * matrix.num_features_, 0));
 
+  // BinFor's clamp keeps every bin <= NumCuts(f) < max_bins <= 256, so it
+  // fits a byte. The cut arrays are read through locals: the byte stores
+  // below may alias any object, which would otherwise reload them per cell.
   uint8_t* bins = matrix.storage_.MutableHeap();
+  const float* cut_values = matrix.cuts_.cuts().data();
+  const uint32_t* cut_ptr = matrix.cuts_.cut_ptr().data();
+  const size_t num_features = matrix.num_features_;
   auto bin_rows = [&](int64_t begin, int64_t end, int) {
     for (int64_t r = begin; r < end; ++r) {
-      uint8_t* row_bins =
-          bins + static_cast<size_t>(r) * matrix.num_features_;
+      uint8_t* row_bins = bins + static_cast<size_t>(r) * num_features;
       dataset.ForEachInRow(static_cast<uint32_t>(r), [&](uint32_t f, float v) {
-        const uint32_t bin = matrix.cuts_.BinFor(f, v);
-        HARP_CHECK_LT(bin, matrix.cuts_.NumBins(f));
-        row_bins[f] = static_cast<uint8_t>(bin);
+        row_bins[f] = static_cast<uint8_t>(QuantileCuts::BinFor(
+            cut_values + cut_ptr[f], cut_ptr[f + 1] - cut_ptr[f], v));
       });
     }
   };

@@ -1,9 +1,7 @@
 #include "data/quantile.h"
 
-#include "data/quantile_sketch.h"
-
 #include <algorithm>
-#include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 #include "parallel/thread_pool.h"
@@ -11,13 +9,137 @@
 namespace harp {
 namespace {
 
-// Cuts for one feature given its sorted present values.
-void CutsForFeature(std::vector<float>& values, int max_cuts,
+// Below this many values a comparison sort beats the radix passes, whose
+// four 256-bucket histograms cost about as much as the values themselves.
+constexpr size_t kRadixMinValues = 512;
+
+// Order-preserving uint32 image of a non-NaN float: unsigned order of the
+// keys is float order, with -0.0 below +0.0 (the gather canonicalises -0.0
+// away). Negative floats flip every bit, positive floats only the sign.
+uint32_t SortKey(float value) {
+  uint32_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits ^ ((bits >> 31) != 0 ? 0xFFFFFFFFu : 0x80000000u);
+}
+
+float FromSortKey(uint32_t key) {
+  const uint32_t bits = key ^ ((key >> 31) != 0 ? 0x80000000u : 0xFFFFFFFFu);
+  float value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+// Sorts keys[0, n) ascending and drops duplicates; returns the distinct
+// count. LSD radix over 8-bit digits, skipping any digit all keys share
+// (low-cardinality and integer-valued features skip most passes).
+// `scratch` holds at least n keys.
+size_t SortUnique(uint32_t* keys, size_t n, uint32_t* scratch) {
+  if (n < kRadixMinValues) {
+    std::sort(keys, keys + n);
+  } else {
+    uint32_t counts[4][256] = {};
+    for (size_t i = 0; i < n; ++i) {
+      for (int d = 0; d < 4; ++d) ++counts[d][(keys[i] >> (8 * d)) & 0xFF];
+    }
+    uint32_t* src = keys;
+    uint32_t* dst = scratch;
+    for (int d = 0; d < 4; ++d) {
+      const int shift = 8 * d;
+      if (counts[d][(keys[0] >> shift) & 0xFF] == n) continue;
+      uint32_t offset[256];
+      uint32_t sum = 0;
+      for (int b = 0; b < 256; ++b) {
+        offset[b] = sum;
+        sum += counts[d][b];
+      }
+      for (size_t i = 0; i < n; ++i) {
+        dst[offset[(src[i] >> shift) & 0xFF]++] = src[i];
+      }
+      std::swap(src, dst);
+    }
+    if (src != keys) std::memcpy(keys, src, n * sizeof(uint32_t));
+  }
+  return static_cast<size_t>(std::unique(keys, keys + n) - keys);
+}
+
+// One row chunk's present values as sort keys, one vector per feature.
+struct Chunk {
+  std::vector<uint32_t> counts;             // present values per feature
+  std::vector<std::vector<uint32_t>> keys;  // reserved to counts exactly
+  std::vector<uint32_t> scratch;            // radix scratch: max(counts)
+};
+
+// The row loops below update only thread-local arrays: the chunks' own
+// arrays sit side by side in memory, and writing them per cell would
+// bounce shared cache lines between threads.
+void CountChunk(const Dataset& dataset, uint32_t begin, uint32_t end,
+                Chunk* chunk) {
+  std::vector<uint32_t> counts(dataset.num_features(), 0);
+  for (uint32_t r = begin; r < end; ++r) {
+    dataset.ForEachInRow(r, [&](uint32_t f, float v) {
+      if (!IsMissing(v)) ++counts[f];
+    });
+  }
+  chunk->counts = std::move(counts);
+}
+
+// Gathers the present values of rows [begin, end) into the exactly
+// reserved key vectors, then sorts and dedupes each.
+void GatherChunk(const Dataset& dataset, uint32_t begin, uint32_t end,
+                 Chunk* chunk) {
+  std::vector<uint32_t*> cursor(dataset.num_features());
+  for (size_t f = 0; f < cursor.size(); ++f) {
+    chunk->keys[f].resize(chunk->counts[f]);  // within the reservation
+    cursor[f] = chunk->keys[f].data();
+  }
+  for (uint32_t r = begin; r < end; ++r) {
+    dataset.ForEachInRow(r, [&](uint32_t f, float v) {
+      // -0.0 == +0.0, and only one of them may survive the dedupe.
+      if (!IsMissing(v)) *cursor[f]++ = SortKey(v == 0.0f ? 0.0f : v);
+    });
+  }
+  for (std::vector<uint32_t>& keys : chunk->keys) {
+    keys.resize(SortUnique(keys.data(), keys.size(), chunk->scratch.data()));
+  }
+}
+
+// Merges every chunk's sorted distinct keys for `feature` into one sorted
+// distinct float list.
+void MergeFeature(const std::vector<Chunk>& chunks, uint32_t feature,
+                  std::vector<float>* values) {
+  struct Run {
+    const uint32_t* it;
+    const uint32_t* end;
+  };
+  std::vector<Run> runs;
+  size_t total = 0;
+  for (const Chunk& chunk : chunks) {
+    const std::vector<uint32_t>& keys = chunk.keys[feature];
+    if (!keys.empty()) runs.push_back({keys.data(), keys.data() + keys.size()});
+    total += keys.size();
+  }
+  values->clear();
+  values->reserve(total);
+  while (!runs.empty()) {
+    uint32_t next = *runs[0].it;
+    for (const Run& run : runs) next = std::min(next, *run.it);
+    values->push_back(FromSortKey(next));
+    for (size_t i = 0; i < runs.size();) {
+      if (*runs[i].it == next && ++runs[i].it == runs[i].end) {
+        runs[i] = runs.back();
+        runs.pop_back();
+      } else {
+        ++i;
+      }
+    }
+  }
+}
+
+// Cuts for one feature given its sorted distinct present values.
+void CutsForFeature(const std::vector<float>& values, int max_cuts,
                     std::vector<float>* out) {
   out->clear();
   if (values.empty()) return;
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
   const size_t distinct = values.size();
 
   if (distinct <= static_cast<size_t>(max_cuts)) {
@@ -52,6 +174,10 @@ void CutsForFeature(std::vector<float>& values, int max_cuts,
 
 }  // namespace
 
+// Each pool thread counts, gathers and sorts/dedupes its own row chunk;
+// then a per-feature merge joins the chunks' distinct lists. The merged
+// list is the data's set of distinct values whatever the chunking, so the
+// cuts do not depend on the thread count.
 QuantileCuts QuantileCuts::Compute(const Dataset& dataset, int max_bins,
                                    ThreadPool* pool) {
   HARP_CHECK_GE(max_bins, 2);
@@ -59,25 +185,58 @@ QuantileCuts QuantileCuts::Compute(const Dataset& dataset, int max_bins,
   const uint32_t num_features = dataset.num_features();
   const int max_cuts = max_bins - 1;
 
-  // Gather per-feature value lists (one pass over the data).
-  std::vector<std::vector<float>> feature_values(num_features);
-  for (uint32_t r = 0; r < dataset.num_rows(); ++r) {
-    dataset.ForEachInRow(r, [&](uint32_t f, float v) {
-      feature_values[f].push_back(v);
-    });
+  // One chunk per thread, the same rows in both ParallelFor regions (a
+  // static schedule); a thread left without rows keeps empty vectors.
+  std::vector<Chunk> chunks(
+      static_cast<size_t>(pool != nullptr ? pool->num_threads() : 1));
+  for (Chunk& chunk : chunks) {
+    chunk.counts.assign(num_features, 0);
+    chunk.keys.resize(num_features);
   }
+  const int64_t num_rows = dataset.num_rows();
+  auto for_each_chunk = [&](const ThreadPool::RangeFn& fn) {
+    if (pool != nullptr) {
+      pool->ParallelFor(num_rows, fn);
+    } else {
+      fn(0, num_rows, 0);
+    }
+  };
+  for_each_chunk([&](int64_t begin, int64_t end, int thread_id) {
+    CountChunk(dataset, static_cast<uint32_t>(begin),
+               static_cast<uint32_t>(end),
+               &chunks[static_cast<size_t>(thread_id)]);
+  });
+  // The key buffers are allocated here, on the calling thread, so they come
+  // from its malloc arena, which later work reuses. Allocated on the pool
+  // threads, they would stay resident in those threads' arenas after Compute
+  // frees them.
+  for (Chunk& chunk : chunks) {
+    for (uint32_t f = 0; f < num_features; ++f) {
+      chunk.keys[f].reserve(chunk.counts[f]);
+    }
+    if (num_features > 0) {
+      chunk.scratch.resize(
+          *std::max_element(chunk.counts.begin(), chunk.counts.end()));
+    }
+  }
+  for_each_chunk([&](int64_t begin, int64_t end, int thread_id) {
+    GatherChunk(dataset, static_cast<uint32_t>(begin),
+                static_cast<uint32_t>(end),
+                &chunks[static_cast<size_t>(thread_id)]);
+  });
 
   std::vector<std::vector<float>> feature_cuts(num_features);
-  auto compute_range = [&](int64_t begin, int64_t end, int) {
+  auto merge = [&](int64_t begin, int64_t end, int) {
+    std::vector<float> values;
     for (int64_t f = begin; f < end; ++f) {
-      CutsForFeature(feature_values[static_cast<size_t>(f)], max_cuts,
-                     &feature_cuts[static_cast<size_t>(f)]);
+      MergeFeature(chunks, static_cast<uint32_t>(f), &values);
+      CutsForFeature(values, max_cuts, &feature_cuts[static_cast<size_t>(f)]);
     }
   };
   if (pool != nullptr) {
-    pool->ParallelForDynamic(num_features, 8, compute_range);
+    pool->ParallelForDynamic(num_features, 8, merge);
   } else {
-    compute_range(0, num_features, 0);
+    merge(0, num_features, 0);
   }
 
   QuantileCuts cuts;
@@ -93,80 +252,6 @@ QuantileCuts QuantileCuts::Compute(const Dataset& dataset, int max_bins,
                       feature_cuts[f].end());
   }
   return cuts;
-}
-
-QuantileCuts QuantileCuts::ComputeSketch(const Dataset& dataset,
-                                         int max_bins, double eps,
-                                         ThreadPool* pool) {
-  HARP_CHECK_GE(max_bins, 2);
-  HARP_CHECK_LE(max_bins, 256);
-  const uint32_t num_features = dataset.num_features();
-  const uint32_t num_rows = dataset.num_rows();
-  const int max_cuts = max_bins - 1;
-  if (eps <= 0.0) eps = 1.0 / (8.0 * max_bins);
-
-  const int threads = pool != nullptr ? pool->num_threads() : 1;
-  // per_thread[t][f]: sketch of feature f over thread t's row chunk.
-  std::vector<std::vector<GkSketch>> per_thread(
-      static_cast<size_t>(threads),
-      std::vector<GkSketch>(num_features, GkSketch(eps)));
-
-  auto feed = [&](int64_t begin, int64_t end, int thread_id) {
-    auto& sketches = per_thread[static_cast<size_t>(thread_id)];
-    for (int64_t r = begin; r < end; ++r) {
-      dataset.ForEachInRow(static_cast<uint32_t>(r),
-                           [&](uint32_t f, float v) { sketches[f].Add(v); });
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(num_rows, feed);
-  } else {
-    feed(0, num_rows, 0);
-  }
-
-  // One-level merge per feature, then even-quantile cuts.
-  std::vector<std::vector<float>> feature_cuts(num_features);
-  auto finalize = [&](int64_t begin, int64_t end, int) {
-    for (int64_t f = begin; f < end; ++f) {
-      GkSketch& merged = per_thread[0][static_cast<size_t>(f)];
-      for (int t = 1; t < threads; ++t) {
-        merged.Merge(per_thread[static_cast<size_t>(t)][static_cast<size_t>(f)]);
-      }
-      if (merged.count() > 0) {
-        feature_cuts[static_cast<size_t>(f)] =
-            merged.EvenQuantiles(max_cuts);
-      }
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelForDynamic(num_features, 8, finalize);
-  } else {
-    finalize(0, num_features, 0);
-  }
-
-  QuantileCuts cuts;
-  cuts.max_bins_ = max_bins;
-  cuts.cut_ptr_.resize(num_features + 1, 0);
-  for (uint32_t f = 0; f < num_features; ++f) {
-    cuts.cut_ptr_[f + 1] =
-        cuts.cut_ptr_[f] + static_cast<uint32_t>(feature_cuts[f].size());
-  }
-  cuts.cuts_.reserve(cuts.cut_ptr_.back());
-  for (uint32_t f = 0; f < num_features; ++f) {
-    cuts.cuts_.insert(cuts.cuts_.end(), feature_cuts[f].begin(),
-                      feature_cuts[f].end());
-  }
-  return cuts;
-}
-
-uint32_t QuantileCuts::BinFor(uint32_t feature, float value) const {
-  if (IsMissing(value)) return 0;
-  const float* begin = cuts_.data() + cut_ptr_[feature];
-  const float* end = cuts_.data() + cut_ptr_[feature + 1];
-  if (begin == end) return 0;  // feature never present at training time
-  const float* it = std::lower_bound(begin, end, value);
-  if (it == end) --it;  // clamp values above the last cut
-  return static_cast<uint32_t>(it - begin) + 1;
 }
 
 float QuantileCuts::CutFor(uint32_t feature, uint32_t bin) const {

@@ -4,11 +4,13 @@
 // equivalent. Each feature's present values are reduced to at most
 // (max_bins - 1) cut points placed at evenly spaced quantiles of the
 // distinct values, so features with few distinct values get exactly one bin
-// per value. Bin 0 is reserved for missing entries; value bins are
-// 1..num_cuts. A value x falls into the first bin whose cut is >= x
-// (cuts are upper bounds, inclusive).
+// per value. The distinct values are exact, not sketched: the result depends
+// only on the data, never on the thread count. Bin 0 is reserved for missing
+// entries; value bins are 1..num_cuts. A value x falls into the first bin
+// whose cut is >= x (cuts are upper bounds, inclusive).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -22,17 +24,9 @@ class QuantileCuts {
  public:
   // max_bins counts the missing bin, i.e. at most (max_bins - 1) cuts per
   // feature; max_bins <= 256 so bin ids fit in one byte (Section IV-E).
+  // -0.0 is read as +0.0, so a zero cut is always +0.0.
   static QuantileCuts Compute(const Dataset& dataset, int max_bins,
                               ThreadPool* pool = nullptr);
-
-  // Streaming variant using Greenwald-Khanna sketches (per-thread sketches
-  // merged per feature): O(M x 1/eps) memory instead of materializing all
-  // values. Cut placement is eps-approximate, and — unlike Compute — it
-  // depends on the thread count (chunk boundaries feed different
-  // sketches). eps <= 0 picks 1 / (8 x max_bins).
-  static QuantileCuts ComputeSketch(const Dataset& dataset, int max_bins,
-                                    double eps = 0.0,
-                                    ThreadPool* pool = nullptr);
 
   uint32_t num_features() const {
     return static_cast<uint32_t>(cut_ptr_.size()) - 1;
@@ -49,7 +43,26 @@ class QuantileCuts {
 
   // Bin id for a raw value: 0 for missing, otherwise in [1, NumCuts].
   // Values above the last cut clamp into the last bin.
-  uint32_t BinFor(uint32_t feature, float value) const;
+  uint32_t BinFor(uint32_t feature, float value) const {
+    return BinFor(cuts_.data() + cut_ptr_[feature], NumCuts(feature), value);
+  }
+
+  // The same search over one feature's ascending `cuts[0, num_cuts)`, for
+  // loops that hoist the feature's cut pointer and count. A branch-free
+  // lower bound: the step count depends only on num_cuts, and each step
+  // narrows the range with a select instead of a jump.
+  static uint32_t BinFor(const float* cuts, uint32_t num_cuts, float value) {
+    if (IsMissing(value) || num_cuts == 0) return 0;
+    const float* base = cuts;
+    for (uint32_t n = num_cuts; n > 1;) {
+      const uint32_t half = n / 2;
+      base = base[half] < value ? base + half : base;
+      n -= half;
+    }
+    const uint32_t lower_bound =
+        static_cast<uint32_t>(base - cuts) + (*base < value ? 1u : 0u);
+    return std::min(lower_bound, num_cuts - 1) + 1;
+  }
 
   // Upper-bound cut value of `bin` (1-based) for `feature`: every row
   // routed left by "bin <= split_bin" satisfies value <= CutFor(split_bin).

@@ -81,9 +81,8 @@ void CheckShardable(const Dataset& data, const TrainParams& params,
 // ordinary boosting loop with a reducer over `comm`.
 GbdtModel TrainOnShard(const Dataset& data, const QuantileCuts& cuts,
                        Communicator& comm, const TrainParams& params,
-                       int worker_threads) {
+                       ThreadPool& pool) {
   const auto [begin, end] = ShardRange(data, comm.rank(), comm.world_size());
-  ThreadPool pool(std::max(1, worker_threads));
   Dataset shard = data.Slice(begin, end);
   const BinnedMatrix matrix = BinnedMatrix::Build(shard, cuts, &pool);
   const std::vector<float> labels = shard.labels();
@@ -100,15 +99,22 @@ GbdtModel DistributedGbdt::TrainShard(const Dataset& dataset,
                                       const TrainParams& params,
                                       int worker_threads) {
   CheckShardable(dataset, params, comm.world_size());
-  const QuantileCuts cuts = QuantileCuts::Compute(dataset, params.max_bins);
-  return TrainOnShard(dataset, cuts, comm, params, worker_threads);
+  ThreadPool pool(std::max(1, worker_threads));
+  const QuantileCuts cuts =
+      QuantileCuts::Compute(dataset, params.max_bins, &pool);
+  return TrainOnShard(dataset, cuts, comm, params, pool);
 }
 
 DistributedResult DistributedGbdt::Train(const Dataset& dataset, int workers,
                                          const TrainParams& params,
                                          int worker_threads) {
   CheckShardable(dataset, params, workers);
-  const QuantileCuts cuts = QuantileCuts::Compute(dataset, params.max_bins);
+  QuantileCuts cuts;
+  {
+    // The ranks have not started yet, so the cut pass gets all their threads.
+    ThreadPool pool(std::max(1, workers * worker_threads));
+    cuts = QuantileCuts::Compute(dataset, params.max_bins, &pool);
+  }
 
   DistributedResult result;
   result.workers = workers;
@@ -119,7 +125,8 @@ DistributedResult DistributedGbdt::Train(const Dataset& dataset, int workers,
   SimulatedCluster cluster(workers);
   cluster.Run([&](Communicator& comm) {
     const size_t rank = static_cast<size_t>(comm.rank());
-    models[rank] = TrainOnShard(dataset, cuts, comm, params, worker_threads);
+    ThreadPool pool(std::max(1, worker_threads));
+    models[rank] = TrainOnShard(dataset, cuts, comm, params, pool);
     result.per_rank[rank] = comm.stats();
   });
   result.seconds = watch.ElapsedSec();

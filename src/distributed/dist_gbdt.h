@@ -36,7 +36,9 @@ class DistributedGbdt {
   // workers (threads over an InProcessTransport; with query groups each
   // range boundary moves forward to the next group start) and trains
   // params.num_trees trees. `worker_threads` sizes each worker's intra-
-  // worker ThreadPool (default 1: the workers are the parallelism).
+  // worker ThreadPool (default 1: the workers are the parallelism); the
+  // quantile cut pass before the workers start uses workers x
+  // worker_threads threads.
   static DistributedResult Train(const Dataset& dataset, int workers,
                                  const TrainParams& params,
                                  int worker_threads = 1);

@@ -1,6 +1,11 @@
 // Unit tests for BinnedMatrix: bin correctness, offsets, layouts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <memory>
+
 #include "common/random.h"
 #include "data/binned_matrix.h"
 #include "data/synthetic.h"
@@ -135,6 +140,71 @@ TEST(BinnedMatrix, OneBytePerEntry) {
   // Row-major bins dominate: ~1 byte per (row, feature) — the paper's
   // 1/4-of-float32 footprint claim.
   EXPECT_LT(matrix.MemoryBytes(), static_cast<size_t>(128 * 16 * 2));
+}
+
+// std::lower_bound plus the clamp of values above the last cut.
+uint32_t OracleBin(const std::vector<float>& cuts, float value) {
+  if (IsMissing(value) || cuts.empty()) return 0;
+  auto it = std::lower_bound(cuts.begin(), cuts.end(), value);
+  if (it == cuts.end()) --it;
+  return static_cast<uint32_t>(it - cuts.begin()) + 1;
+}
+
+TEST(BinFor, MatchesLowerBoundOracleForEveryCutCount) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(QuantileCuts::BinFor(nullptr, 0, 1.0f), 0u);
+  Rng rng(31);
+  for (uint32_t n = 1; n <= 255; ++n) {
+    // Strictly ascending cuts with uneven gaps.
+    std::vector<float> cuts(n);
+    float next = static_cast<float>(rng.Normal() * 10.0);
+    for (float& cut : cuts) {
+      cut = next;
+      next += static_cast<float>(0.01 + rng.NextDouble() * 3.0);
+    }
+    std::vector<float> probes{cuts.front() - 1.0f, cuts.back() + 1.0f,
+                              -kInf, kInf, kMissingValue};
+    for (uint32_t i = 0; i < n; ++i) {
+      probes.push_back(cuts[i]);
+      probes.push_back(std::nextafter(cuts[i], -kInf));
+      probes.push_back(std::nextafter(cuts[i], kInf));
+      if (i + 1 < n) probes.push_back(cuts[i] + (cuts[i + 1] - cuts[i]) * 0.5f);
+    }
+    for (float v : probes) {
+      const uint32_t bin = QuantileCuts::BinFor(cuts.data(), n, v);
+      ASSERT_EQ(bin, OracleBin(cuts, v)) << "cuts " << n << " value " << v;
+      ASSERT_LE(bin, n);
+    }
+  }
+}
+
+TEST(BinnedMatrix, BuildMatchesPerCellBinForAcrossThreadCounts) {
+  SyntheticSpec spec;
+  spec.rows = 1500;
+  spec.features = 40;
+  spec.density = 0.3;
+  spec.seed = 5;
+  spec.sparse_storage = true;
+  const Dataset csr = GenerateSynthetic(spec);
+  const Dataset dense = RandomDataset(1500, 13, 0.8, 29);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (int threads : {1, 2, 3, 4, 7}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (const Dataset* ds : {&dense, &csr}) {
+    const QuantileCuts cuts = QuantileCuts::Compute(*ds, 64);
+    for (const auto& pool : pools) {
+      const BinnedMatrix matrix = BinnedMatrix::Build(*ds, cuts, pool.get());
+      for (uint32_t r = 0; r < ds->num_rows(); ++r) {
+        for (uint32_t f = 0; f < ds->num_features(); ++f) {
+          ASSERT_EQ(matrix.Bin(r, f), cuts.BinFor(f, ds->At(r, f)))
+              << "row " << r << " feature " << f << " threads "
+              << (pool ? pool->num_threads() : 0);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
