@@ -7,15 +7,19 @@
 //      numbers from a wrong exchange are worthless, so the bench aborts
 //      on any mismatch.
 //   B. Exchange sweep on a sparse LibSVM-like synthetic: workers x
-//      {dense,sparse} x {f64,quant}, reporting wall time, wire bytes and
+//      {dense,sparse} x {f64,quant} x subtraction {off,on}, reporting wall
+//      time, the per-rank time inside the histogram exchange
+//      (CommStats::hist_exchange_ns, averaged over ranks), wire bytes and
 //      the compression ratio vs the dense f64 payload. The acceptance
 //      criterion is ratio >= 5x for the sparse encodings on this dataset.
+//      Each worker's pool gets threads/workers threads (at least one).
 //   C. Sparsity sweep: exchange bytes and ratio vs dataset density at a
 //      fixed worker count (the EXPERIMENTS.md table).
 //
-// BENCH_JSON names: exchange rows are "w<W>_<compress>[_quant]"
-// (throughput = compression ratio); sparsity rows are
-// "sparsity_<density>[_quant]".
+// BENCH_JSON names: exchange rows are "w<W>_<compress>[_quant][_sub]"
+// (ns = wall per tree, throughput = compression ratio), each followed by
+// "<config>_exchange" (ns = per-rank exchange time per tree); sparsity
+// rows are "sparsity_<density>[_quant]".
 #include "bench_common.h"
 
 #include "distributed/dist_gbdt.h"
@@ -64,11 +68,14 @@ struct RunOutcome {
   double ratio = 1.0;
 };
 
-RunOutcome Run(const Dataset& data, int workers, bool sparse, bool quant) {
+RunOutcome Run(const Dataset& data, int workers, bool sparse, bool quant,
+               bool subtraction = false) {
   TrainParams params = DistParams(quant);
   params.comm_compress = sparse ? "sparse" : "dense";
+  params.use_hist_subtraction = subtraction;
   RunOutcome out;
-  out.result = DistributedGbdt::Train(data, workers, params);
+  out.result = DistributedGbdt::Train(data, workers, params,
+                                      std::max(1, Threads() / workers));
   out.serialized = SerializeModel(out.result.model);
   const CommStats& c = out.result.comm;
   out.ratio = c.hist_wire_bytes > 0
@@ -78,9 +85,16 @@ RunOutcome Run(const Dataset& data, int workers, bool sparse, bool quant) {
   return out;
 }
 
-std::string ConfigName(int workers, bool sparse, bool quant) {
-  return StrFormat("w%d_%s%s", workers, sparse ? "sparse" : "dense",
-                   quant ? "_quant" : "");
+std::string ConfigName(int workers, bool sparse, bool quant,
+                       bool subtraction) {
+  return StrFormat("w%d_%s%s%s", workers, sparse ? "sparse" : "dense",
+                   quant ? "_quant" : "", subtraction ? "_sub" : "");
+}
+
+// Mean over ranks of the time each spent inside the histogram exchange.
+double ExchangeNsPerRank(const DistributedResult& result) {
+  return static_cast<double>(result.comm.hist_exchange_ns) /
+         std::max(1, result.workers);
 }
 
 }  // namespace
@@ -118,26 +132,37 @@ int main() {
 
   // ---- Part B: exchange sweep ----
   std::printf("B. exchange sweep (%d trees)\n", Trees());
-  std::printf("%8s %8s %6s %10s %12s %12s %10s %8s\n", "workers", "comm",
-              "quant", "time", "wire", "dense f64", "ratio", "AUC");
+  std::printf("%8s %8s %6s %4s %10s %12s %12s %12s %10s %8s\n", "workers",
+              "comm", "quant", "sub", "time", "exch/rank", "wire",
+              "dense f64", "ratio", "AUC");
   bool met_5x = true;
   for (const int workers : {2, 4}) {
-    for (const bool sparse : {false, true}) {
-      for (const bool quant : {false, true}) {
-        const RunOutcome out = Run(data, workers, sparse, quant);
-        const CommStats& c = out.result.comm;
-        const double auc =
-            Auc(data.labels(), out.result.model.Predict(data));
-        std::printf("%8d %8s %6s %9.2fs %12s %12s %9.2fx %8.4f\n", workers,
-                    sparse ? "sparse" : "dense", quant ? "on" : "off",
-                    out.result.seconds,
-                    HumanBytes(static_cast<double>(c.hist_wire_bytes)).c_str(),
-                    HumanBytes(static_cast<double>(c.hist_dense_bytes)).c_str(),
-                    out.ratio, auc);
-        ReportResult("dist", ConfigName(workers, sparse, quant), Trees(),
-                     out.result.seconds * 1e9 / std::max(1, Trees()),
-                     out.ratio, auc);
-        if (sparse && quant && out.ratio < 5.0) met_5x = false;
+    for (const bool subtraction : {false, true}) {
+      for (const bool sparse : {false, true}) {
+        for (const bool quant : {false, true}) {
+          const RunOutcome out =
+              Run(data, workers, sparse, quant, subtraction);
+          const CommStats& c = out.result.comm;
+          const double auc =
+              Auc(data.labels(), out.result.model.Predict(data));
+          const double exchange_ns = ExchangeNsPerRank(out.result);
+          std::printf(
+              "%8d %8s %6s %4s %9.2fs %10.1fms %12s %12s %9.2fx %8.4f\n",
+              workers, sparse ? "sparse" : "dense", quant ? "on" : "off",
+              subtraction ? "on" : "off", out.result.seconds,
+              exchange_ns * 1e-6,
+              HumanBytes(static_cast<double>(c.hist_wire_bytes)).c_str(),
+              HumanBytes(static_cast<double>(c.hist_dense_bytes)).c_str(),
+              out.ratio, auc);
+          const std::string name =
+              ConfigName(workers, sparse, quant, subtraction);
+          ReportResult("dist", name, Trees(),
+                       out.result.seconds * 1e9 / std::max(1, Trees()),
+                       out.ratio, auc);
+          ReportResult("dist", name + "_exchange", Trees(),
+                       exchange_ns / std::max(1, Trees()), out.ratio);
+          if (sparse && quant && out.ratio < 5.0) met_5x = false;
+        }
       }
     }
   }

@@ -620,10 +620,10 @@ void PrintCommStats(const char* prefix, const CommStats& s) {
                                     static_cast<double>(s.hist_wire_bytes)
                               : 0.0;
     std::printf(
-        "%s: %lld hist exchanges, wire %lld B vs dense %lld B "
+        "%s: %lld hist exchanges in %.1f ms, wire %lld B vs dense %lld B "
         "(compression %.2fx)\n",
         prefix, static_cast<long long>(s.hist_exchanges),
-        static_cast<long long>(s.hist_wire_bytes),
+        NsToMs(s.hist_exchange_ns), static_cast<long long>(s.hist_wire_bytes),
         static_cast<long long>(s.hist_dense_bytes), ratio);
   }
 }

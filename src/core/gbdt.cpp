@@ -19,7 +19,8 @@ GbdtModel RunBoosting(const BinnedMatrix& matrix,
                       const std::vector<float>& labels,
                       const TrainParams& params, ThreadPool& pool,
                       TreeBuilderBase& builder, TrainStats* stats,
-                      const IterCallback& callback, EvalSet* eval) {
+                      const IterCallback& callback, EvalSet* eval,
+                      uint64_t first_row) {
   HARP_CHECK_EQ(labels.size(), static_cast<size_t>(matrix.num_rows()));
   params.Validate();
 
@@ -98,14 +99,15 @@ GbdtModel RunBoosting(const BinnedMatrix& matrix,
       if (row_sampling) {
         // Rows outside the sample contribute nothing to this tree's
         // statistics; zeroed gradients keep every partitioner code path
-        // unchanged. Deterministic per (seed, iteration, row).
+        // unchanged. Deterministic per (seed, iteration, global row).
         pool.ParallelFor(
             static_cast<int64_t>(gradients.size()),
             [&](int64_t begin, int64_t end, int) {
               for (int64_t r = begin; r < end; ++r) {
+                const uint64_t row = first_row + static_cast<uint64_t>(r);
                 Rng rng(params.seed ^
                         (0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(iter)) ^
-                        static_cast<uint64_t>(r) * 0xD1B54A32D192ED03ULL);
+                        row * 0xD1B54A32D192ED03ULL);
                 if (!rng.Bernoulli(params.subsample)) {
                   gradients[static_cast<size_t>(r)] = GradientPair{};
                 }

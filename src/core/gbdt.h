@@ -60,13 +60,15 @@ struct EvalSet {
 // with phase times, tree stats and the pool's synchronization delta for the
 // training interval. Honours params.subsample / colsample_bytree (the
 // latter only for builders implementing SetColumnMask) and optional early
-// stopping on `eval`.
+// stopping on `eval`. `first_row` is the global index of the matrix's
+// first row when it holds one shard of a larger training set: row sampling
+// hashes the global index, so every sharding draws the same sample.
 GbdtModel RunBoosting(const BinnedMatrix& matrix,
                       const std::vector<float>& labels,
                       const TrainParams& params, ThreadPool& pool,
                       TreeBuilderBase& builder, TrainStats* stats = nullptr,
                       const IterCallback& callback = {},
-                      EvalSet* eval = nullptr);
+                      EvalSet* eval = nullptr, uint64_t first_row = 0);
 
 // HarpGBDT's user-facing trainer: binning + boosting with HarpTreeBuilder.
 class GbdtTrainer {

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "common/timer.h"
 #include "distributed/inprocess_transport.h"
 #include "distributed/sparse_hist.h"
 
@@ -59,9 +60,10 @@ void Communicator::AllreduceHistograms(GHPair* const* hists,
                                        const HistExchangeOpts& opts) {
   if (num_hists == 0) return;
   ++stats_.hist_exchanges;
-  const bool communicates = world_size() > 1;
+  if (world_size() == 1) return;  // the sum over one rank is the input
+  const Stopwatch watch;
   const int64_t dense_bytes = DenseHistBytes(num_hists, cells);
-  if (communicates) stats_.hist_dense_bytes += 2 * dense_bytes;
+  stats_.hist_dense_bytes += 2 * dense_bytes;
 
   if (!opts.sparse) {
     // Dense oracle: concatenate the batch and run one rank-ordered f64
@@ -78,26 +80,30 @@ void Communicator::AllreduceHistograms(GHPair* const* hists,
                   dense_scratch_.data() + static_cast<size_t>(h) * cells,
                   static_cast<size_t>(cells) * sizeof(GHPair));
     }
-    if (communicates) stats_.hist_wire_bytes += 2 * dense_bytes;
+    stats_.hist_wire_bytes += 2 * dense_bytes;
+    stats_.hist_exchange_ns += watch.ElapsedNs();
     return;
   }
 
   SparseHistFormat fmt;
   fmt.quant = opts.quant;
   fmt.scales = opts.scales;
-  EncodeSparseHist(hists, num_hists, cells, fmt, &send_frame_);
+  EncodeSparseHist(hists, num_hists, cells, fmt, &send_frame_, opts.pool);
+  // The reduce runs on whichever rank reduces (the last arrival in
+  // process, rank 0 over sockets), on that rank's own thread, so that
+  // rank's pool is idle and takes the split.
   transport_->ReduceBlobs(
       send_frame_.data(), send_frame_.size(),
       [&](const Transport::Frames& frames, std::vector<uint8_t>* out) {
-        ReduceSparseHist(frames, num_hists, cells, fmt, out);
+        ReduceSparseHist(frames, num_hists, cells, fmt, out, opts.pool);
       },
       &recv_frame_);
-  if (communicates) {
-    stats_.hist_wire_bytes +=
-        static_cast<int64_t>(send_frame_.size() + recv_frame_.size());
-  }
+  stats_.hist_wire_bytes +=
+      static_cast<int64_t>(send_frame_.size() + recv_frame_.size());
+  // hists still hold what this rank encoded, so only touched cells change.
   DecodeSparseHist(recv_frame_.data(), recv_frame_.size(), hists, num_hists,
-                   cells, fmt);
+                   cells, fmt, opts.pool, /*zero_untouched=*/false);
+  stats_.hist_exchange_ns += watch.ElapsedNs();
 }
 
 SimulatedCluster::SimulatedCluster(int world_size) : world_(world_size) {

@@ -20,6 +20,8 @@
 
 namespace harp {
 
+class ThreadPool;
+
 struct CommStats {
   int64_t allreduce_calls = 0;
   int64_t allreduce_bytes = 0;  // payload size x (world - 1), per call
@@ -30,10 +32,13 @@ struct CommStats {
   // are what this rank physically moved — sent frame + received result —
   // and dense bytes are what the uncompressed f64 exchange would have
   // moved, so wire/dense is the measured compression ratio. Both are 0 at
-  // world == 1 (no communication happens).
+  // world == 1 (no communication happens). hist_exchange_ns is the wall
+  // time spent inside AllreduceHistograms with world > 1: encode,
+  // transport, reduce and decode, including the wait for the slowest rank.
   int64_t hist_exchanges = 0;
   int64_t hist_wire_bytes = 0;
   int64_t hist_dense_bytes = 0;
+  int64_t hist_exchange_ns = 0;
 
   CommStats& operator+=(const CommStats& o) {
     allreduce_calls += o.allreduce_calls;
@@ -44,6 +49,7 @@ struct CommStats {
     hist_exchanges += o.hist_exchanges;
     hist_wire_bytes += o.hist_wire_bytes;
     hist_dense_bytes += o.hist_dense_bytes;
+    hist_exchange_ns += o.hist_exchange_ns;
     return *this;
   }
 };
@@ -77,10 +83,14 @@ class Communicator {
   // compressed SparseHistogram wire format; opts.quant additionally ships
   // 8-byte int64 cells using the round's agreed scales. Every combination
   // produces bitwise-identical histograms (sparse_hist.h documents why).
+  // opts.pool, when set, is this rank's pool, idle during the exchange:
+  // the sparse codec splits its encode, reduce and decode over it. With
+  // one rank the global sum is the input, so nothing is touched.
   struct HistExchangeOpts {
     bool sparse = false;
     bool quant = false;
     QuantScales scales;
+    ThreadPool* pool = nullptr;
   };
   void AllreduceHistograms(GHPair* const* hists, uint32_t num_hists,
                            uint32_t cells, const HistExchangeOpts& opts);

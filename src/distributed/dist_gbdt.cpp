@@ -15,7 +15,8 @@ namespace {
 // counts, and the histogram exchange in the comm_compress encoding.
 class CommReducer final : public HistReducer {
  public:
-  CommReducer(Communicator& comm, bool sparse) : comm_(comm), sparse_(sparse) {}
+  CommReducer(Communicator& comm, bool sparse, ThreadPool& pool)
+      : comm_(comm), sparse_(sparse), pool_(pool) {}
 
   void ReduceQuantStats(QuantStats* stats) override {
     double maxima[2] = {stats->g_max, stats->h_max};
@@ -36,6 +37,7 @@ class CommReducer final : public HistReducer {
     opts.sparse = sparse_;
     opts.quant = quant != nullptr;
     if (quant != nullptr) opts.scales = *quant;
+    opts.pool = &pool_;
     comm_.AllreduceHistograms(hists, static_cast<uint32_t>(num_hists),
                               static_cast<uint32_t>(cells), opts);
   }
@@ -43,6 +45,7 @@ class CommReducer final : public HistReducer {
  private:
   Communicator& comm_;
   const bool sparse_;
+  ThreadPool& pool_;
 };
 
 // Contiguous shard boundaries: rank r owns rows [b(r), b(r+1)) with
@@ -87,9 +90,10 @@ GbdtModel TrainOnShard(const Dataset& data, const QuantileCuts& cuts,
   const BinnedMatrix matrix = BinnedMatrix::Build(shard, cuts, &pool);
   const std::vector<float> labels = shard.labels();
   shard = Dataset();  // only binning needs the raw rows; free them
-  CommReducer reducer(comm, params.comm_compress == "sparse");
+  CommReducer reducer(comm, params.comm_compress == "sparse", pool);
   HarpTreeBuilder builder(matrix, params, pool, &reducer);
-  return RunBoosting(matrix, labels, params, pool, builder);
+  return RunBoosting(matrix, labels, params, pool, builder, nullptr, {},
+                     nullptr, begin);
 }
 
 }  // namespace

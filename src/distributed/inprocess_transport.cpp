@@ -138,18 +138,21 @@ void InProcessTransport::ReduceBlobs(const uint8_t* send, size_t send_bytes,
   Slot slot{send, send_bytes};
   r.buffers[static_cast<size_t>(rank_)] = &slot;
   cluster_->Arrive([&] {
-    // Last arrival reduces all frames in rank order into the shared result
-    // blob, under the lock, so released peers see the finished bytes.
+    // Last arrival reduces all frames in rank order straight into its own
+    // result, under the lock, so released peers see the finished bytes.
     Frames frames;
     frames.reserve(static_cast<size_t>(world_));
     for (int t = 0; t < world_; ++t) {
       const Slot* s = static_cast<const Slot*>(r.buffers[static_cast<size_t>(t)]);
       frames.emplace_back(s->data, s->bytes);
     }
-    r.blob_result.clear();
-    reduce(frames, &r.blob_result);
+    reduce(frames, result);
+    r.blob_result = result;
   });
-  result->assign(r.blob_result.begin(), r.blob_result.end());
+  // The reducing rank's result stays put until everyone departed.
+  if (r.blob_result != result) {
+    result->assign(r.blob_result->begin(), r.blob_result->end());
+  }
   cluster_->Depart();
 }
 

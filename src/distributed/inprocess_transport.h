@@ -91,9 +91,9 @@ class InProcessCluster {
     alignas(64) std::atomic<int64_t> cursor{0};
     alignas(64) std::atomic<int64_t> chunks_done{0};
     int64_t num_chunks = 0;
-    // ReduceBlobs scratch: the reducing rank's output, copied by everyone
+    // ReduceBlobs: the reducing rank's result, copied by every other rank
     // during the work phase.
-    std::vector<uint8_t> blob_result;
+    const std::vector<uint8_t>* blob_result = nullptr;
   };
 
   // Blocks until all ranks arrived; the last arrival runs `stage` (under

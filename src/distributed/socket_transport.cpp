@@ -375,7 +375,6 @@ void SocketTransport::ReduceBlobs(const uint8_t* send, size_t send_bytes,
       const auto& blob = blobs[static_cast<size_t>(r)];
       frames.emplace_back(blob.data(), blob.size());
     }
-    result->clear();
     reduce(frames, result);
     for (int r = 1; r < world_; ++r) {
       SendFrame(peer_fds_[static_cast<size_t>(r)], kOpResult, 0, seq,

@@ -1,57 +1,143 @@
 #include "distributed/sparse_hist.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
-#include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "common/logging.h"
-#include "parallel/touched_regions.h"
+#include "parallel/thread_pool.h"
 
 namespace harp {
 namespace {
 
 static_assert(kSparseRegionCells == 8,
               "region occupancy bitmap is one byte per region");
+static_assert(std::endian::native == std::endian::little,
+              "the frame layout and the occupancy-word scans assume "
+              "little-endian byte order");
 
-inline uint32_t RegionsPerHist(uint32_t cells) {
-  return (cells + kSparseRegionCells - 1) / kSparseRegionCells;
-}
+// Region of a cursor that has moved past the frame's last listed region.
+constexpr uint32_t kNoRegion = std::numeric_limits<uint32_t>::max();
 
-// Cells in region `region` of the virtual concatenation (the last region of
-// each histogram may be partial).
-inline uint32_t CellsInRegion(uint32_t region, uint32_t regions_per_hist,
-                              uint32_t cells) {
-  const uint32_t local = region % regions_per_hist;
-  const uint32_t begin = local * kSparseRegionCells;
-  return std::min(kSparseRegionCells, cells - begin);
-}
+// Regions of one exchange's virtual concatenation of histograms.
+struct Geometry {
+  uint32_t regions_per_hist = 0;
+  uint32_t total_regions = 0;
+};
 
-inline bool CellNonZero(const GHPair& cell) {
-  uint64_t bits[2];
-  std::memcpy(bits, &cell, sizeof(bits));
-  return (bits[0] | bits[1]) != 0;
+// The geometry comes from the caller, never from a frame, so a CHECK (not
+// a parse error) guards the 32-bit region and cell indices.
+Geometry MakeGeometry(uint32_t num_hists, uint32_t cells) {
+  HARP_CHECK_GT(cells, 0);
+  Geometry g;
+  g.regions_per_hist = (cells + kSparseRegionCells - 1) / kSparseRegionCells;
+  HARP_CHECK_LT(static_cast<uint64_t>(num_hists) * cells,
+                static_cast<uint64_t>(kNoRegion));
+  g.total_regions = num_hists * g.regions_per_hist;
+  return g;
 }
 
 [[noreturn]] void Malformed(const std::string& what) {
   throw std::runtime_error("SparseHistogram: malformed frame: " + what);
 }
 
+// Set bits of a bitmap byte. The library is built without -mpopcnt, where
+// std::popcount is a libgcc call; the codec counts one byte per region.
+inline uint32_t BitsSet(uint8_t bitmap) {
+  static constexpr std::array<uint8_t, 256> kBits = [] {
+    std::array<uint8_t, 256> bits{};
+    for (int b = 1; b < 256; ++b) bits[b] = (b & 1) + bits[b / 2];
+    return bits;
+  }();
+  return kBits[bitmap];
+}
+
+// Bit k is set when occ[k] is nonzero, for k < width <= 8.
+inline uint32_t NonzeroMask(const uint8_t* occ, uint32_t width) {
+  if (width < 8) {
+    uint32_t mask = 0;
+    for (uint32_t k = 0; k < width; ++k) mask |= (occ[k] != 0u) << k;
+    return mask;
+  }
+  uint64_t word;
+  std::memcpy(&word, occ, sizeof(word));
+  word |= word >> 4;
+  word |= word >> 2;
+  word |= word >> 1;  // bit 8k: byte k is nonzero; gather those bits
+  return static_cast<uint32_t>(
+      ((word & 0x0101010101010101ull) * 0x0102040810204080ull) >> 56);
+}
+
+// Calls fn(index, byte) for every nonzero byte of occ[0, n) in ascending
+// order, skipping eight zero bytes per word test.
+template <typename Fn>
+inline void ForEachListed(const uint8_t* occ, uint32_t n, Fn&& fn) {
+  for (uint32_t i = 0; i < n; i += 8) {
+    for (uint32_t mask = NonzeroMask(occ + i, std::min(8u, n - i));
+         mask != 0; mask &= mask - 1) {
+      const uint32_t k = i + static_cast<uint32_t>(std::countr_zero(mask));
+      fn(k, occ[k]);
+    }
+  }
+}
+
+// Set cells of n listed bitmaps; throws if one is empty (an empty region
+// must not be listed).
+uint64_t CountListedCells(const uint8_t* bitmaps, uint32_t n) {
+  uint64_t cells = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (bitmaps[i] == 0) Malformed("empty region bitmap");
+    cells += BitsSet(bitmaps[i]);
+  }
+  return cells;
+}
+
+// A position among a frame's listed regions: the region, the run holding
+// it (and where that run ends), its bitmap byte, and the payload index of
+// its first set cell.
+struct Cursor {
+  uint32_t run = 0;
+  uint32_t region = kNoRegion;
+  uint32_t run_end = kNoRegion;
+  uint32_t bitmap = 0;
+  uint32_t cell = 0;
+};
+
 struct ParsedFrame {
   SparseHistHeader header;
   const SparseHistRun* runs = nullptr;
   const uint8_t* bitmaps = nullptr;  // one byte per listed region
   const uint8_t* payload = nullptr;
-  uint32_t listed_regions = 0;
-  size_t cell_bytes = 0;
+  // Cursor at each histogram's first listed region (or, for a histogram
+  // with none, at the next listed region after it).
+  std::vector<Cursor> hist_start;
+
+  // Moves c to the next listed region.
+  void Advance(Cursor* c) const {
+    c->cell += BitsSet(bitmaps[c->bitmap]);
+    ++c->bitmap;
+    if (++c->region == c->run_end) {
+      if (++c->run < header.num_runs) {
+        c->region = runs[c->run].first_region;
+        c->run_end = c->region + runs[c->run].num_regions;
+      } else {
+        c->region = kNoRegion;
+      }
+    }
+  }
 };
 
 // Validates the full frame layout against the expected geometry/format and
 // returns typed views into it. Frames can arrive from a real socket, so
 // every derived size is checked before it is trusted.
 ParsedFrame ParseFrame(const uint8_t* data, size_t bytes, uint32_t num_hists,
-                       uint32_t cells, const SparseHistFormat& fmt) {
+                       uint32_t cells, const Geometry& geo,
+                       const SparseHistFormat& fmt) {
   ParsedFrame f;
   if (bytes < sizeof(SparseHistHeader)) Malformed("short header");
   std::memcpy(&f.header, data, sizeof(SparseHistHeader));
@@ -64,11 +150,8 @@ ParsedFrame ParseFrame(const uint8_t* data, size_t bytes, uint32_t num_hists,
   if (h.num_hists != num_hists || h.cells_per_hist != cells) {
     Malformed("geometry mismatch");
   }
-  const uint32_t regions_per_hist = RegionsPerHist(cells);
-  const uint64_t total_regions =
-      static_cast<uint64_t>(num_hists) * regions_per_hist;
-  if (h.num_runs > total_regions) Malformed("too many runs");
-  f.cell_bytes = quant ? sizeof(int64_t) : sizeof(GHPair);
+  if (h.num_runs > geo.total_regions) Malformed("too many runs");
+  const size_t cell_bytes = quant ? sizeof(int64_t) : sizeof(GHPair);
   const size_t runs_bytes = static_cast<size_t>(h.num_runs) *
                             sizeof(SparseHistRun);
 
@@ -85,58 +168,82 @@ ParsedFrame ParseFrame(const uint8_t* data, size_t bytes, uint32_t num_hists,
     if (i > 0 && run.first_region <= next_region) Malformed("unsorted runs");
     const uint64_t end =
         static_cast<uint64_t>(run.first_region) + run.num_regions;
-    if (end > total_regions) Malformed("run out of range");
+    if (end > geo.total_regions) Malformed("run out of range");
     listed += run.num_regions;
     next_region = end;
   }
-  f.listed_regions = static_cast<uint32_t>(listed);
   const size_t want = sizeof(SparseHistHeader) + runs_bytes + listed +
-                      static_cast<size_t>(h.payload_cells) * f.cell_bytes;
+                      static_cast<size_t>(h.payload_cells) * cell_bytes;
   if (bytes != want) Malformed("size mismatch");
   f.bitmaps = data + sizeof(SparseHistHeader) + runs_bytes;
   f.payload = f.bitmaps + listed;
 
-  // Second pass: every listed region's bitmap must be nonzero (empty
-  // regions must not be listed), must not set bits past a partial
-  // region's end, and the total popcount must match the payload.
-  uint64_t payload_cells = 0;
+  // Second pass, one histogram's slice of a run at a time: no listed
+  // bitmap is empty, no bit is set past a partial region's end, the set
+  // bits add up to the payload, and each histogram's first listed region
+  // is recorded. (A cell count past 32 bits is stored only when the total
+  // mismatches, which throws.)
+  const uint32_t rph = geo.regions_per_hist;
+  const uint32_t tail = cells % kSparseRegionCells;
+  const uint32_t past_tail = tail == 0 ? 0u : 0xFFu & ~((1u << tail) - 1);
+  f.hist_start.resize(num_hists);
+  uint32_t next_hist = 0;  // histograms below it have a recorded start
+  uint32_t hist = 0;       // histogram of region r
+  uint32_t hist_end = rph;
   uint32_t bitmap_idx = 0;
+  uint64_t payload_cells = 0;
   for (uint32_t i = 0; i < h.num_runs; ++i) {
-    const SparseHistRun& run = f.runs[i];
-    const uint64_t end =
-        static_cast<uint64_t>(run.first_region) + run.num_regions;
-    for (uint64_t r = run.first_region; r < end; ++r, ++bitmap_idx) {
-      const uint8_t bitmap = f.bitmaps[bitmap_idx];
-      if (bitmap == 0) Malformed("empty region bitmap");
-      const uint32_t n = CellsInRegion(static_cast<uint32_t>(r),
-                                       regions_per_hist, cells);
-      if (n < kSparseRegionCells &&
-          (bitmap >> n) != 0) {
+    const uint32_t end = f.runs[i].first_region + f.runs[i].num_regions;
+    for (uint32_t r = f.runs[i].first_region; r < end;) {
+      while (r >= hist_end) {
+        ++hist;
+        hist_end += rph;
+      }
+      const uint32_t slice_end = std::min(end, hist_end);
+      while (next_hist <= hist) {
+        f.hist_start[next_hist++] = Cursor{
+            i, r, end, bitmap_idx, static_cast<uint32_t>(payload_cells)};
+      }
+      const uint32_t n = slice_end - r;
+      payload_cells += CountListedCells(f.bitmaps + bitmap_idx, n);
+      bitmap_idx += n;
+      if (slice_end == hist_end && (f.bitmaps[bitmap_idx - 1] & past_tail)) {
         Malformed("bitmap past region end");
       }
-      payload_cells += std::popcount(bitmap);
+      r = slice_end;
     }
+  }
+  while (next_hist < num_hists) {
+    f.hist_start[next_hist++] =
+        Cursor{h.num_runs, kNoRegion, kNoRegion, bitmap_idx,
+               static_cast<uint32_t>(payload_cells)};
   }
   if (payload_cells != h.payload_cells) Malformed("payload count mismatch");
   return f;
 }
 
-// Appends a region range to a merged run list.
-void PushRegion(std::vector<SparseHistRun>* runs, uint32_t region) {
-  if (!runs->empty() &&
-      runs->back().first_region + runs->back().num_regions == region) {
-    ++runs->back().num_regions;
-  } else {
-    runs->push_back(SparseHistRun{region, 1});
+// Runs fn(i) for every i < n, spread over `pool` when it has threads to
+// spare. The codec's tasks are histograms (each writes only its own share
+// of the output) and, when parsing a reduce's inputs, frames.
+template <typename Fn>
+void ForEachIndex(ThreadPool* pool, uint32_t n, Fn&& fn) {
+  if (pool == nullptr || pool->num_threads() == 1 || n < 2) {
+    for (uint32_t i = 0; i < n; ++i) fn(i);
+    return;
   }
+  pool->ParallelForDynamic(n, 1, [&](int64_t begin, int64_t end, int) {
+    for (int64_t i = begin; i < end; ++i) fn(static_cast<uint32_t>(i));
+  });
 }
 
 // Quantized wire cell from an f64 histogram cell. With power-of-two scales
-// the f64 value is exactly k * 2^-s, so the product is the integer k with
-// no rounding (llround only resolves the representation, never the value).
+// the f64 value is exactly k * 2^-s, so the product is the integer k and
+// the conversion is exact.
 inline int64_t EncodeQuantCell(const GHPair& cell, const QuantScales& s) {
-  const int64_t g = std::llround(cell.g * static_cast<double>(s.g_scale));
-  const int64_t h = std::llround(cell.h * static_cast<double>(s.h_scale));
+  const int64_t g =
+      static_cast<int64_t>(cell.g * static_cast<double>(s.g_scale));
+  const int64_t h =
+      static_cast<int64_t>(cell.h * static_cast<double>(s.h_scale));
   return (g << 32) + h;
 }
 
@@ -155,216 +262,280 @@ inline Cell LoadCell(const uint8_t* payload, size_t index) {
   return cell;
 }
 
-// Append-only builder for the variable parts of a frame: run list, one
-// bitmap byte per listed region, and the set cells.
-struct FrameBuilder {
-  std::vector<SparseHistRun> runs;
-  std::vector<uint8_t> bitmaps;
-  std::vector<uint8_t> payload;
-  size_t num_cells = 0;
+template <typename Cell>
+inline void StoreCell(uint8_t* dst, const Cell& cell) {
+  std::memcpy(dst, &cell, sizeof(Cell));
+}
 
-  void AddRegion(uint32_t region, uint8_t bitmap) {
-    PushRegion(&runs, region);
-    bitmaps.push_back(bitmap);
-    num_cells += static_cast<size_t>(std::popcount(bitmap));
+// Occupancy bitmap of n <= 8 cells: bit i is set when cell i has any
+// nonzero bit (so -0.0 counts as touched).
+inline uint8_t RegionBitmap(const GHPair* cells, uint32_t n) {
+  uint32_t bitmap = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    uint64_t bits[2];
+    std::memcpy(bits, cells + i, sizeof(bits));
+    bitmap |= static_cast<uint32_t>((bits[0] | bits[1]) != 0) << i;
+  }
+  return static_cast<uint8_t>(bitmap);
+}
+
+// Listed regions and set cells of one histogram of a frame being written.
+struct HistCounts {
+  uint32_t listed = 0;
+  uint32_t cells = 0;
+
+  void Add(uint8_t bitmap) {
+    listed += bitmap != 0;
+    cells += BitsSet(bitmap);
   }
 };
 
-void WriteFrame(const FrameBuilder& b, uint32_t num_hists, uint32_t cells,
-                const SparseHistFormat& fmt, std::vector<uint8_t>* out) {
+// Writes the run list of occ[0, n) — its maximal ranges of nonzero bytes —
+// to dst (when non-null) and returns the number of runs. A run starts or
+// ends wherever the nonzero-byte mask changes, eight regions per step.
+uint32_t WriteRuns(const uint8_t* occ, uint32_t n, uint8_t* dst) {
+  uint32_t num_runs = 0;
+  uint32_t start = 0;
+  uint32_t open = 0;  // 1 while a run is open
+  const auto close = [&](uint32_t end) {
+    if (dst != nullptr) {
+      const SparseHistRun run{start, end - start};
+      std::memcpy(dst + num_runs * sizeof(run), &run, sizeof(run));
+    }
+    ++num_runs;
+  };
+  for (uint32_t i = 0; i < n; i += 8) {
+    const uint32_t width = std::min(8u, n - i);
+    const uint32_t mask = NonzeroMask(occ + i, width);
+    for (uint32_t changes = (mask ^ ((mask << 1) | open)) &
+                            ((1u << width) - 1);
+         changes != 0; changes &= changes - 1) {
+      const uint32_t k = static_cast<uint32_t>(std::countr_zero(changes));
+      if ((mask >> k) & 1) {
+        start = i + k;
+      } else {
+        close(i + k);
+      }
+    }
+    open = (mask >> (width - 1)) & 1;
+  }
+  if (open) close(n);
+  return num_runs;
+}
+
+// Writes the frame whose region occupancy is `occ` (one byte per region)
+// into *out, resized once to its exact size. emit(h, bitmaps, payload)
+// writes histogram h's listed bitmaps and set cells from those pointers.
+// Histograms are emitted in parallel at prefix offsets; the run list is
+// written serially because a run may cross a histogram boundary. Every
+// byte's position follows from `occ` alone, so the frame does not depend
+// on the thread count.
+template <typename EmitFn>
+void WriteFrame(const std::vector<uint8_t>& occ,
+                const std::vector<HistCounts>& counts, uint32_t num_hists,
+                uint32_t cells, const SparseHistFormat& fmt, ThreadPool* pool,
+                std::vector<uint8_t>* out, EmitFn&& emit) {
+  const size_t cell_bytes = fmt.quant ? sizeof(int64_t) : sizeof(GHPair);
+  std::vector<size_t> bitmap_off(num_hists + 1, 0);
+  std::vector<size_t> cell_off(num_hists + 1, 0);
+  for (uint32_t h = 0; h < num_hists; ++h) {
+    bitmap_off[h + 1] = bitmap_off[h] + counts[h].listed;
+    cell_off[h + 1] = cell_off[h] + counts[h].cells;
+  }
+  const uint32_t total = static_cast<uint32_t>(occ.size());
   SparseHistHeader header;
   header.flags = fmt.quant ? kSparseHistFlagQuant : 0;
   header.num_hists = num_hists;
   header.cells_per_hist = cells;
-  header.num_runs = static_cast<uint32_t>(b.runs.size());
-  header.payload_cells = static_cast<uint32_t>(b.num_cells);
-  out->resize(sizeof(header) + b.runs.size() * sizeof(SparseHistRun) +
-              b.bitmaps.size() + b.payload.size());
+  header.num_runs = WriteRuns(occ.data(), total, nullptr);
+  header.payload_cells = static_cast<uint32_t>(cell_off[num_hists]);
+  const size_t runs_bytes = header.num_runs * sizeof(SparseHistRun);
+  out->resize(sizeof(header) + runs_bytes + bitmap_off[num_hists] +
+              cell_off[num_hists] * cell_bytes);
   uint8_t* p = out->data();
   std::memcpy(p, &header, sizeof(header));
   p += sizeof(header);
-  if (!b.runs.empty()) {
-    std::memcpy(p, b.runs.data(), b.runs.size() * sizeof(SparseHistRun));
-    p += b.runs.size() * sizeof(SparseHistRun);
+  WriteRuns(occ.data(), total, p);
+  uint8_t* bitmaps = p + runs_bytes;
+  uint8_t* payload = bitmaps + bitmap_off[num_hists];
+  ForEachIndex(pool, num_hists, [&](uint32_t h) {
+    emit(h, bitmaps + bitmap_off[h], payload + cell_off[h] * cell_bytes);
+  });
+}
+
+// Encodes one histogram's listed regions (per `occ`): bitmaps and set
+// cells.
+template <typename Cell>
+void EncodeRegions(const GHPair* hist, const uint8_t* occ, uint32_t rph,
+                   const QuantScales& scales, uint8_t* bitmaps,
+                   uint8_t* payload) {
+  ForEachListed(occ, rph, [&](uint32_t lr, uint8_t bitmap) {
+    *bitmaps++ = bitmap;
+    const GHPair* region = hist + lr * kSparseRegionCells;
+    for (uint32_t bits = bitmap; bits != 0; bits &= bits - 1) {
+      const GHPair& cell = region[std::countr_zero(bits)];
+      if constexpr (std::is_same_v<Cell, GHPair>) {
+        StoreCell(payload, cell);
+      } else {
+        StoreCell(payload, EncodeQuantCell(cell, scales));
+      }
+      payload += sizeof(Cell);
+    }
+  });
+}
+
+// Sums every frame's cells of `region` (where cursor w points at it) in
+// ascending rank order, advances those cursors, and stores the union's
+// set cells at dst. Each cell starts at the identity of addition and
+// every contributing rank adds to it, which is bit for bit "the first
+// contributor assigns, later ones add": for f64 the identity is -0.0, not
+// +0.0, since -0.0 + x == x for every x, -0.0 included.
+template <typename Cell>
+uint8_t* MergeRegion(const std::vector<ParsedFrame>& frames,
+                     Cursor* cursors, uint32_t region, uint8_t bitmap,
+                     uint8_t* dst) {
+  Cell acc[kSparseRegionCells];
+  if constexpr (std::is_same_v<Cell, GHPair>) {
+    std::fill(acc, acc + kSparseRegionCells, GHPair{-0.0, -0.0});
+  } else {
+    std::fill(acc, acc + kSparseRegionCells, 0);
   }
-  if (!b.bitmaps.empty()) {
-    std::memcpy(p, b.bitmaps.data(), b.bitmaps.size());
-    p += b.bitmaps.size();
+  for (size_t w = 0; w < frames.size(); ++w) {
+    Cursor& c = cursors[w];
+    if (c.region != region) continue;
+    const ParsedFrame& f = frames[w];
+    uint32_t index = c.cell;
+    for (uint32_t bits = f.bitmaps[c.bitmap]; bits != 0; bits &= bits - 1) {
+      acc[std::countr_zero(bits)] += LoadCell<Cell>(f.payload, index++);
+    }
+    f.Advance(&c);
   }
-  if (!b.payload.empty()) {
-    std::memcpy(p, b.payload.data(), b.payload.size());
+  for (uint32_t bits = bitmap; bits != 0; bits &= bits - 1) {
+    StoreCell(dst, acc[std::countr_zero(bits)]);
+    dst += sizeof(Cell);
   }
+  return dst;
 }
 
 }  // namespace
 
 void EncodeSparseHist(const GHPair* const* hists, uint32_t num_hists,
                       uint32_t cells, const SparseHistFormat& fmt,
-                      std::vector<uint8_t>* out) {
-  HARP_CHECK_GT(cells, 0);
-  const uint32_t regions_per_hist = RegionsPerHist(cells);
-  FrameBuilder b;
-  for (uint32_t h = 0; h < num_hists; ++h) {
+                      std::vector<uint8_t>* out, ThreadPool* pool) {
+  const Geometry geo = MakeGeometry(num_hists, cells);
+  const uint32_t rph = geo.regions_per_hist;
+  const uint32_t full = cells / kSparseRegionCells;
+  // Pass 1: one occupancy byte per region, and the per-histogram counts
+  // that size the frame.
+  std::vector<uint8_t> occ(geo.total_regions);
+  std::vector<HistCounts> counts(num_hists);
+  ForEachIndex(pool, num_hists, [&](uint32_t h) {
     const GHPair* hist = hists[h];
-    for (uint32_t lr = 0; lr < regions_per_hist; ++lr) {
-      const uint32_t begin = lr * kSparseRegionCells;
-      const uint32_t n = std::min(kSparseRegionCells, cells - begin);
-      uint8_t bitmap = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        if (CellNonZero(hist[begin + i])) {
-          bitmap |= static_cast<uint8_t>(1u << i);
-        }
-      }
-      if (bitmap == 0) continue;
-      b.AddRegion(h * regions_per_hist + lr, bitmap);
-      const size_t off = b.payload.size();
-      if (fmt.quant) {
-        b.payload.resize(off + std::popcount(bitmap) * sizeof(int64_t));
-        int64_t* cells_out =
-            reinterpret_cast<int64_t*>(b.payload.data() + off);
-        for (uint32_t i = 0; i < n; ++i) {
-          if (bitmap & (1u << i)) {
-            *cells_out++ = EncodeQuantCell(hist[begin + i], fmt.scales);
-          }
-        }
-      } else {
-        b.payload.resize(off + std::popcount(bitmap) * sizeof(GHPair));
-        GHPair* cells_out = reinterpret_cast<GHPair*>(b.payload.data() + off);
-        for (uint32_t i = 0; i < n; ++i) {
-          if (bitmap & (1u << i)) *cells_out++ = hist[begin + i];
-        }
-      }
+    uint8_t* o = occ.data() + static_cast<size_t>(h) * rph;
+    HistCounts c;
+    for (uint32_t lr = 0; lr < full; ++lr) {
+      o[lr] = RegionBitmap(hist + lr * kSparseRegionCells, kSparseRegionCells);
+      c.Add(o[lr]);
     }
-  }
-  WriteFrame(b, num_hists, cells, fmt, out);
+    if (full < rph) {
+      o[full] = RegionBitmap(hist + full * kSparseRegionCells,
+                             cells - full * kSparseRegionCells);
+      c.Add(o[full]);
+    }
+    counts[h] = c;
+  });
+  // Pass 2: bitmaps and set cells, straight into the frame.
+  WriteFrame(occ, counts, num_hists, cells, fmt, pool, out,
+             [&](uint32_t h, uint8_t* bitmaps, uint8_t* payload) {
+               const uint8_t* o = occ.data() + static_cast<size_t>(h) * rph;
+               if (fmt.quant) {
+                 EncodeRegions<int64_t>(hists[h], o, rph, fmt.scales, bitmaps,
+                                        payload);
+               } else {
+                 EncodeRegions<GHPair>(hists[h], o, rph, fmt.scales, bitmaps,
+                                       payload);
+               }
+             });
 }
 
 void ReduceSparseHist(const Transport::Frames& frames, uint32_t num_hists,
                       uint32_t cells, const SparseHistFormat& fmt,
-                      std::vector<uint8_t>* out) {
-  HARP_CHECK_GT(cells, 0);
-  const int world = static_cast<int>(frames.size());
-  const uint32_t regions_per_hist = RegionsPerHist(cells);
-  const uint32_t total_regions = num_hists * regions_per_hist;
+                      std::vector<uint8_t>* out, ThreadPool* pool) {
+  const Geometry geo = MakeGeometry(num_hists, cells);
+  const uint32_t rph = geo.regions_per_hist;
+  // Frames are validated independently, so one per task.
+  std::vector<ParsedFrame> parsed(frames.size());
+  ForEachIndex(pool, static_cast<uint32_t>(frames.size()), [&](uint32_t w) {
+    parsed[w] = ParseFrame(frames[w].first, frames[w].second, num_hists,
+                           cells, geo, fmt);
+  });
 
-  std::vector<ParsedFrame> parsed;
-  parsed.reserve(frames.size());
-  for (const auto& frame : frames) {
-    parsed.push_back(ParseFrame(frame.first, frame.second, num_hists, cells,
-                                fmt));
-  }
-
-  // Per-rank region -> (bitmap index, payload cell offset), and the union
-  // touched map. TouchedRegions (PR 1) gives the cache-line-isolated
-  // per-rank rows and the per-region contributor query.
-  TouchedRegions touched;
-  touched.Reset(world, static_cast<int>(total_regions));
-  struct RegionRef {
-    uint32_t bitmap_idx = 0;
-    uint32_t cell_off = 0;
-  };
-  std::vector<std::vector<RegionRef>> refs(
-      frames.size(), std::vector<RegionRef>(total_regions));
-  for (int rank = 0; rank < world; ++rank) {
-    const ParsedFrame& f = parsed[static_cast<size_t>(rank)];
-    uint32_t bitmap_idx = 0;
-    uint32_t cursor = 0;
-    for (uint32_t i = 0; i < f.header.num_runs; ++i) {
-      const SparseHistRun& run = f.runs[i];
-      for (uint32_t r = run.first_region;
-           r < run.first_region + run.num_regions; ++r, ++bitmap_idx) {
-        touched.Mark(rank, static_cast<int>(r));
-        refs[static_cast<size_t>(rank)][r] = RegionRef{bitmap_idx, cursor};
-        cursor += static_cast<uint32_t>(std::popcount(f.bitmaps[bitmap_idx]));
+  // Pass 1: the union occupancy is the OR of every rank's bitmaps.
+  std::vector<uint8_t> occ(geo.total_regions);
+  std::vector<HistCounts> counts(num_hists);
+  ForEachIndex(pool, num_hists, [&](uint32_t h) {
+    const uint32_t base = h * rph;
+    uint8_t* o = occ.data() + base;
+    for (const ParsedFrame& f : parsed) {
+      for (Cursor c = f.hist_start[h]; c.region < base + rph; f.Advance(&c)) {
+        o[c.region - base] |= f.bitmaps[c.bitmap];
       }
     }
-  }
+    HistCounts c;
+    for (uint32_t lr = 0; lr < rph; ++lr) c.Add(o[lr]);
+    counts[h] = c;
+  });
 
-  // Sweep regions in ascending order; within each touched region sum the
-  // contributing ranks' cells in ascending rank order (the first
-  // contributor of each CELL assigns, later ones add) — the same per-cell
-  // addition order as the dense rank-ordered reduction, hence bitwise
-  // identical where both paths touch.
-  FrameBuilder b;
-  const size_t cell_bytes = fmt.quant ? sizeof(int64_t) : sizeof(GHPair);
-  GHPair acc_f64[kSparseRegionCells];
-  int64_t acc_i64[kSparseRegionCells];
-  for (uint32_t region = 0; region < total_regions; ++region) {
-    uint8_t seen = 0;  // bits already assigned in the accumulator
-    for (int rank = 0; rank < world; ++rank) {
-      if (!touched.Touched(rank, static_cast<int>(region))) continue;
-      const ParsedFrame& f = parsed[static_cast<size_t>(rank)];
-      const RegionRef ref = refs[static_cast<size_t>(rank)][region];
-      const uint8_t bitmap = f.bitmaps[ref.bitmap_idx];
-      size_t cell_idx = ref.cell_off;
-      if (fmt.quant) {
-        for (uint32_t i = 0; i < kSparseRegionCells; ++i) {
-          if (!(bitmap & (1u << i))) continue;
-          const int64_t cell = LoadCell<int64_t>(f.payload, cell_idx++);
-          if (seen & (1u << i)) {
-            acc_i64[i] += cell;
-          } else {
-            acc_i64[i] = cell;
-          }
-        }
-      } else {
-        for (uint32_t i = 0; i < kSparseRegionCells; ++i) {
-          if (!(bitmap & (1u << i))) continue;
-          const GHPair cell = LoadCell<GHPair>(f.payload, cell_idx++);
-          if (seen & (1u << i)) {
-            acc_f64[i].g += cell.g;
-            acc_f64[i].h += cell.h;
-          } else {
-            acc_f64[i] = cell;
-          }
-        }
-      }
-      seen |= bitmap;
-    }
-    if (seen == 0) continue;  // no rank touched this region
-    b.AddRegion(region, seen);
-    const size_t off = b.payload.size();
-    b.payload.resize(off + std::popcount(seen) * cell_bytes);
-    uint8_t* dst = b.payload.data() + off;
-    for (uint32_t i = 0; i < kSparseRegionCells; ++i) {
-      if (!(seen & (1u << i))) continue;
-      const void* src = fmt.quant ? static_cast<const void*>(&acc_i64[i])
-                                  : static_cast<const void*>(&acc_f64[i]);
-      std::memcpy(dst, src, cell_bytes);
-      dst += cell_bytes;
-    }
-  }
-  WriteFrame(b, num_hists, cells, fmt, out);
+  // Pass 2: a cursor merge. Each rank's cursor walks its listed regions of
+  // histogram h in step with the union's, so a rank contributes to a
+  // union region exactly when its cursor stands on it.
+  WriteFrame(occ, counts, num_hists, cells, fmt, pool, out,
+             [&](uint32_t h, uint8_t* bitmaps, uint8_t* payload) {
+               std::vector<Cursor> cursors;
+               cursors.reserve(parsed.size());
+               for (const ParsedFrame& f : parsed) {
+                 cursors.push_back(f.hist_start[h]);
+               }
+               const uint32_t base = h * rph;
+               ForEachListed(
+                   occ.data() + base, rph, [&](uint32_t lr, uint8_t bitmap) {
+                     *bitmaps++ = bitmap;
+                     payload =
+                         fmt.quant
+                             ? MergeRegion<int64_t>(parsed, cursors.data(),
+                                                    base + lr, bitmap, payload)
+                             : MergeRegion<GHPair>(parsed, cursors.data(),
+                                                   base + lr, bitmap, payload);
+                   });
+             });
 }
 
 void DecodeSparseHist(const uint8_t* data, size_t bytes,
                       GHPair* const* hists, uint32_t num_hists,
-                      uint32_t cells, const SparseHistFormat& fmt) {
-  const ParsedFrame f = ParseFrame(data, bytes, num_hists, cells, fmt);
-  const uint32_t regions_per_hist = RegionsPerHist(cells);
-  for (uint32_t h = 0; h < num_hists; ++h) {
-    std::fill(hists[h], hists[h] + cells, GHPair{});
-  }
-  uint32_t bitmap_idx = 0;
-  uint32_t cursor = 0;
-  for (uint32_t i = 0; i < f.header.num_runs; ++i) {
-    const SparseHistRun& run = f.runs[i];
-    for (uint32_t r = run.first_region; r < run.first_region + run.num_regions;
-         ++r, ++bitmap_idx) {
-      const uint8_t bitmap = f.bitmaps[bitmap_idx];
-      const uint32_t h = r / regions_per_hist;
-      const uint32_t begin = (r % regions_per_hist) * kSparseRegionCells;
-      GHPair* dst = hists[h] + begin;
-      for (uint32_t i2 = 0; i2 < kSparseRegionCells; ++i2) {
-        if (!(bitmap & (1u << i2))) continue;
-        dst[i2] = fmt.quant ? DecodeQuantCell(
-                                  LoadCell<int64_t>(f.payload, cursor),
-                                  fmt.scales)
-                            : LoadCell<GHPair>(f.payload, cursor);
-        ++cursor;
+                      uint32_t cells, const SparseHistFormat& fmt,
+                      ThreadPool* pool, bool zero_untouched) {
+  const Geometry geo = MakeGeometry(num_hists, cells);
+  const uint32_t rph = geo.regions_per_hist;
+  const ParsedFrame f = ParseFrame(data, bytes, num_hists, cells, geo, fmt);
+  ForEachIndex(pool, num_hists, [&](uint32_t h) {
+    GHPair* hist = hists[h];
+    if (zero_untouched) {
+      // All-zero bits are +0.0, the value of every untouched cell.
+      std::memset(static_cast<void*>(hist), 0,
+                  static_cast<size_t>(cells) * sizeof(GHPair));
+    }
+    const uint32_t base = h * rph;
+    for (Cursor c = f.hist_start[h]; c.region < base + rph; f.Advance(&c)) {
+      GHPair* dst = hist + (c.region - base) * kSparseRegionCells;
+      uint32_t index = c.cell;
+      for (uint32_t bits = f.bitmaps[c.bitmap]; bits != 0; bits &= bits - 1) {
+        dst[std::countr_zero(bits)] =
+            fmt.quant ? DecodeQuantCell(LoadCell<int64_t>(f.payload, index++),
+                                        fmt.scales)
+                      : LoadCell<GHPair>(f.payload, index++);
       }
     }
-  }
+  });
 }
 
 }  // namespace harp

@@ -24,16 +24,23 @@
 // region. Cells are raw f64 GHPairs (16 B) or — when the round's
 // gradients are quantized — the int64 fixed-point cells of
 // core/quantize.h (8 B). Quantized cells are EXACT re-encodings: power-
-// of-two scales
-// make the f64 histogram value k*2^-s, so multiplying by 2^s recovers the
-// integer k bit for bit, and the integer sums dequantize back exactly.
+// of-two scales make the f64 histogram value k*2^-s, so multiplying by 2^s
+// recovers the integer k bit for bit, and the integer sums dequantize back
+// exactly.
 //
-// Determinism: ReduceSparseHist combines rank frames per cell in ascending
-// rank order (the ranks touching each region are tracked with PR 1's
-// TouchedRegions bookkeeping), so the reduced result is bitwise identical
-// to the dense rank-ordered reduction whenever skipped cells are exact
-// +0.0 — which this pipeline guarantees (cells with -0.0 bits count as
-// touched and are shipped).
+// Determinism: ReduceSparseHist merges the rank frames with one cursor per
+// rank over its sorted run list and combines each cell in ascending rank
+// order (the first contributor assigns, later ones add), so the reduced
+// result is bitwise identical to the dense rank-ordered reduction whenever
+// skipped cells are exact +0.0 — which this pipeline guarantees (cells
+// with -0.0 bits count as touched and are shipped).
+//
+// Cost: every entry point writes its output once at its exact size. Encode
+// and reduce first compute one occupancy byte per region, then size the
+// frame, then write it; all three functions split their work by histogram
+// over an optional ThreadPool. Each histogram's bytes land at offsets that
+// follow from the occupancy alone, so frames are byte-identical for every
+// thread count.
 //
 // All parsing entry points validate the frame (magic, version, geometry,
 // run monotonicity, payload size) and throw std::runtime_error on
@@ -49,6 +56,8 @@
 #include "distributed/transport.h"
 
 namespace harp {
+
+class ThreadPool;
 
 // Cells per touched-region flag. Exactly 8 so a region's occupancy bitmap
 // is one byte; small enough that a deep node's handful of touched bins
@@ -84,24 +93,35 @@ struct SparseHistFormat {
   QuantScales scales;
 };
 
+// Every codec function runs serially when `pool` is null, and otherwise
+// splits its work by histogram over the pool; the caller must not be
+// inside one of the pool's parallel regions.
+
 // Encodes `num_hists` histograms of `cells` GHPair slots each into *out.
 void EncodeSparseHist(const GHPair* const* hists, uint32_t num_hists,
                       uint32_t cells, const SparseHistFormat& fmt,
-                      std::vector<uint8_t>* out);
+                      std::vector<uint8_t>* out, ThreadPool* pool = nullptr);
 
 // Reduces every rank's frame (in rank order) into the union frame *out.
 // All frames must describe the same geometry/format; throws
 // std::runtime_error on malformed or inconsistent frames.
 void ReduceSparseHist(const Transport::Frames& frames, uint32_t num_hists,
                       uint32_t cells, const SparseHistFormat& fmt,
-                      std::vector<uint8_t>* out);
+                      std::vector<uint8_t>* out, ThreadPool* pool = nullptr);
 
 // Decodes a frame into dense histograms: untouched cells are zeroed,
 // touched cells are copied (or exactly dequantized). Throws
 // std::runtime_error on malformed frames.
+//
+// With zero_untouched = false the untouched cells are left as they are.
+// That is the same result when `hists` still hold what this rank encoded
+// into one of the frames reduced into `data`: every cell with a nonzero
+// bit is touched in the reduced frame, so every untouched cell already
+// holds +0.0. The exchange decodes this way and skips a dense zero-fill.
 void DecodeSparseHist(const uint8_t* data, size_t bytes,
                       GHPair* const* hists, uint32_t num_hists,
-                      uint32_t cells, const SparseHistFormat& fmt);
+                      uint32_t cells, const SparseHistFormat& fmt,
+                      ThreadPool* pool = nullptr, bool zero_untouched = true);
 
 // Bytes a dense f64 exchange of the same histograms would ship one way.
 inline int64_t DenseHistBytes(uint32_t num_hists, uint32_t cells) {

@@ -53,7 +53,8 @@ class Transport {
   // socket backend, the last arrival in process) over all ranks' frames
   // presented in rank order, and fills the result frame, which every rank
   // then receives in *result. `reduce` must be a pure function of the
-  // frames so the result is identical no matter which rank runs it.
+  // frames so the result is identical no matter which rank runs it, and
+  // must overwrite all of its output, which may hold an earlier result.
   using Frames = std::vector<std::pair<const uint8_t*, size_t>>;
   using BlobReduceFn =
       std::function<void(const Frames&, std::vector<uint8_t>*)>;

@@ -7,12 +7,17 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "core/metrics.h"
 #include "core/model_io.h"
@@ -21,6 +26,7 @@
 #include "distributed/inprocess_transport.h"
 #include "distributed/socket_transport.h"
 #include "distributed/sparse_hist.h"
+#include "parallel/thread_pool.h"
 #include "test_util.h"
 
 namespace harp {
@@ -239,6 +245,62 @@ std::vector<GHPair> DenseRankOrderedSum(
   return acc;
 }
 
+// With one rank the global sum is the input: both encodings leave every
+// bit alone (-0.0 included), count the exchange, and ship nothing.
+TEST(Communicator, OneRankHistogramExchangeIsIdentity) {
+  SimulatedCluster cluster(1);
+  cluster.Run([&](Communicator& comm) {
+    for (const bool sparse : {false, true}) {
+      std::vector<GHPair> hist(24);
+      hist[3].g = -0.0;
+      hist[7] = GHPair{1.5, 2.0};
+      const std::vector<GHPair> before = hist;
+      GHPair* ptrs[1] = {hist.data()};
+      Communicator::HistExchangeOpts opts;
+      opts.sparse = sparse;
+      comm.AllreduceHistograms(ptrs, 1, 24, opts);
+      EXPECT_EQ(0, std::memcmp(hist.data(), before.data(),
+                               hist.size() * sizeof(GHPair)))
+          << "sparse=" << sparse;
+    }
+  });
+  const CommStats stats = cluster.TotalStats();
+  EXPECT_EQ(stats.hist_exchanges, 2);
+  EXPECT_EQ(stats.hist_wire_bytes, 0);
+  EXPECT_EQ(stats.hist_dense_bytes, 0);
+}
+
+// The pooled sparse exchange sums like the dense one, and each rank times
+// its exchanges.
+TEST(Communicator, PooledSparseExchangeMatchesDense) {
+  const uint32_t num_hists = 3;
+  const uint32_t cells = 37;
+  const int world = 3;
+  const auto hists = RankHists(world, num_hists, cells);
+  const std::vector<GHPair> expect = DenseRankOrderedSum(hists);
+  for (const bool sparse : {false, true}) {
+    SimulatedCluster cluster(world);
+    cluster.Run([&](Communicator& comm) {
+      ThreadPool pool(2);
+      std::vector<GHPair> mine = hists[static_cast<size_t>(comm.rank())];
+      std::vector<GHPair*> ptrs(num_hists);
+      for (uint32_t h = 0; h < num_hists; ++h) {
+        ptrs[h] = mine.data() + static_cast<size_t>(h) * cells;
+      }
+      Communicator::HistExchangeOpts opts;
+      opts.sparse = sparse;
+      opts.quant = true;
+      opts.scales = QuantFormat().scales;
+      opts.pool = &pool;
+      comm.AllreduceHistograms(ptrs.data(), num_hists, cells, opts);
+      EXPECT_EQ(0, std::memcmp(mine.data(), expect.data(),
+                               mine.size() * sizeof(GHPair)))
+          << "sparse=" << sparse << " rank " << comm.rank();
+      EXPECT_GT(comm.stats().hist_exchange_ns, 0);
+    });
+  }
+}
+
 class SparseHistCodec : public ::testing::TestWithParam<bool> {};
 
 INSTANTIATE_TEST_SUITE_P(Formats, SparseHistCodec,
@@ -422,6 +484,494 @@ TEST(SparseHistCodecEdge, MalformedFramesRejected) {
   }
 }
 
+// ---------- codec oracle ----------
+//
+// The serial codec the pooled one replaced, kept as the oracle: a per-cell
+// encode with llround, a reduce that indexes every rank's listed regions in
+// a full region table, and a zero-fill-then-scatter decode. Frames are
+// trusted here; validation is tested above and below.
+namespace oracle {
+
+uint32_t RegionsPerHist(uint32_t cells) {
+  return (cells + kSparseRegionCells - 1) / kSparseRegionCells;
+}
+
+struct Frame {
+  SparseHistHeader header;
+  std::vector<SparseHistRun> runs;
+  std::vector<uint8_t> bitmaps;
+  std::vector<uint8_t> payload;
+
+  void AddRegion(uint32_t region, uint8_t bitmap) {
+    if (!runs.empty() &&
+        runs.back().first_region + runs.back().num_regions == region) {
+      ++runs.back().num_regions;
+    } else {
+      runs.push_back(SparseHistRun{region, 1});
+    }
+    bitmaps.push_back(bitmap);
+    header.payload_cells += static_cast<uint32_t>(std::popcount(bitmap));
+  }
+  template <typename Cell>
+  void AddCell(const Cell& cell) {
+    const size_t off = payload.size();
+    payload.resize(off + sizeof(Cell));
+    std::memcpy(payload.data() + off, &cell, sizeof(Cell));
+  }
+};
+
+std::vector<uint8_t> Serialize(Frame f, uint32_t num_hists, uint32_t cells,
+                               const SparseHistFormat& fmt) {
+  f.header.flags = fmt.quant ? kSparseHistFlagQuant : 0;
+  f.header.num_hists = num_hists;
+  f.header.cells_per_hist = cells;
+  f.header.num_runs = static_cast<uint32_t>(f.runs.size());
+  const size_t runs_bytes = f.runs.size() * sizeof(SparseHistRun);
+  std::vector<uint8_t> out(sizeof(f.header) + runs_bytes + f.bitmaps.size() +
+                           f.payload.size());
+  uint8_t* p = out.data();
+  std::memcpy(p, &f.header, sizeof(f.header));
+  p += sizeof(f.header);
+  if (runs_bytes > 0) std::memcpy(p, f.runs.data(), runs_bytes);
+  std::copy(f.bitmaps.begin(), f.bitmaps.end(), p + runs_bytes);
+  std::copy(f.payload.begin(), f.payload.end(),
+            p + runs_bytes + f.bitmaps.size());
+  return out;
+}
+
+Frame Parse(const std::vector<uint8_t>& bytes, const SparseHistFormat& fmt) {
+  Frame f;
+  std::memcpy(&f.header, bytes.data(), sizeof(f.header));
+  const uint8_t* p = bytes.data() + sizeof(f.header);
+  f.runs.resize(f.header.num_runs);
+  if (!f.runs.empty()) {
+    std::memcpy(f.runs.data(), p, f.runs.size() * sizeof(SparseHistRun));
+  }
+  p += f.runs.size() * sizeof(SparseHistRun);
+  size_t listed = 0;
+  for (const SparseHistRun& run : f.runs) listed += run.num_regions;
+  f.bitmaps.assign(p, p + listed);
+  p += listed;
+  const size_t cell_bytes = fmt.quant ? sizeof(int64_t) : sizeof(GHPair);
+  f.payload.assign(p, p + f.header.payload_cells * cell_bytes);
+  return f;
+}
+
+template <typename Cell>
+Cell LoadCell(const std::vector<uint8_t>& payload, size_t index) {
+  Cell cell;
+  std::memcpy(&cell, payload.data() + index * sizeof(Cell), sizeof(Cell));
+  return cell;
+}
+
+std::vector<uint8_t> Encode(const std::vector<GHPair>& hists,
+                            uint32_t num_hists, uint32_t cells,
+                            const SparseHistFormat& fmt) {
+  const uint32_t rph = RegionsPerHist(cells);
+  Frame f;
+  for (uint32_t h = 0; h < num_hists; ++h) {
+    const GHPair* hist = hists.data() + static_cast<size_t>(h) * cells;
+    for (uint32_t lr = 0; lr < rph; ++lr) {
+      const uint32_t begin = lr * kSparseRegionCells;
+      const uint32_t n = std::min(kSparseRegionCells, cells - begin);
+      uint8_t bitmap = 0;
+      for (uint32_t i = 0; i < n; ++i) {
+        uint64_t bits[2];
+        std::memcpy(bits, &hist[begin + i], sizeof(bits));
+        if ((bits[0] | bits[1]) != 0) {
+          bitmap |= static_cast<uint8_t>(1u << i);
+        }
+      }
+      if (bitmap == 0) continue;
+      f.AddRegion(h * rph + lr, bitmap);
+      for (uint32_t i = 0; i < n; ++i) {
+        if (!(bitmap & (1u << i))) continue;
+        const GHPair& cell = hist[begin + i];
+        if (fmt.quant) {
+          const int64_t g = std::llround(
+              cell.g * static_cast<double>(fmt.scales.g_scale));
+          const int64_t hh = std::llround(
+              cell.h * static_cast<double>(fmt.scales.h_scale));
+          f.AddCell<int64_t>((g << 32) + hh);
+        } else {
+          f.AddCell(cell);
+        }
+      }
+    }
+  }
+  return Serialize(std::move(f), num_hists, cells, fmt);
+}
+
+template <typename Cell>
+void ReduceRegion(const std::vector<Frame>& frames,
+                  const std::vector<std::vector<int64_t>>& bitmap_of,
+                  const std::vector<std::vector<uint32_t>>& cell_of,
+                  uint32_t region, Frame* out) {
+  Cell acc[kSparseRegionCells];
+  uint8_t seen = 0;
+  for (size_t rank = 0; rank < frames.size(); ++rank) {
+    const int64_t b = bitmap_of[rank][region];
+    if (b < 0) continue;
+    const uint8_t bitmap = frames[rank].bitmaps[static_cast<size_t>(b)];
+    size_t cell_idx = cell_of[rank][region];
+    for (uint32_t i = 0; i < kSparseRegionCells; ++i) {
+      if (!(bitmap & (1u << i))) continue;
+      const Cell cell = LoadCell<Cell>(frames[rank].payload, cell_idx++);
+      if (seen & (1u << i)) {
+        acc[i] += cell;
+      } else {
+        acc[i] = cell;
+      }
+    }
+    seen |= bitmap;
+  }
+  if (seen == 0) return;
+  out->AddRegion(region, seen);
+  for (uint32_t i = 0; i < kSparseRegionCells; ++i) {
+    if (seen & (1u << i)) out->AddCell(acc[i]);
+  }
+}
+
+std::vector<uint8_t> Reduce(const std::vector<std::vector<uint8_t>>& frames,
+                            uint32_t num_hists, uint32_t cells,
+                            const SparseHistFormat& fmt) {
+  const uint32_t total = num_hists * RegionsPerHist(cells);
+  std::vector<Frame> parsed;
+  std::vector<std::vector<int64_t>> bitmap_of;
+  std::vector<std::vector<uint32_t>> cell_of;
+  for (const auto& bytes : frames) {
+    parsed.push_back(Parse(bytes, fmt));
+    bitmap_of.emplace_back(total, -1);
+    cell_of.emplace_back(total, 0);
+    uint32_t bitmap_idx = 0;
+    uint32_t cursor = 0;
+    for (const SparseHistRun& run : parsed.back().runs) {
+      for (uint32_t r = run.first_region;
+           r < run.first_region + run.num_regions; ++r, ++bitmap_idx) {
+        bitmap_of.back()[r] = bitmap_idx;
+        cell_of.back()[r] = cursor;
+        cursor += static_cast<uint32_t>(
+            std::popcount(parsed.back().bitmaps[bitmap_idx]));
+      }
+    }
+  }
+  Frame out;
+  for (uint32_t region = 0; region < total; ++region) {
+    if (fmt.quant) {
+      ReduceRegion<int64_t>(parsed, bitmap_of, cell_of, region, &out);
+    } else {
+      ReduceRegion<GHPair>(parsed, bitmap_of, cell_of, region, &out);
+    }
+  }
+  return Serialize(std::move(out), num_hists, cells, fmt);
+}
+
+std::vector<GHPair> Decode(const std::vector<uint8_t>& bytes,
+                           uint32_t num_hists, uint32_t cells,
+                           const SparseHistFormat& fmt) {
+  const uint32_t rph = RegionsPerHist(cells);
+  const Frame f = Parse(bytes, fmt);
+  std::vector<GHPair> out(static_cast<size_t>(num_hists) * cells);
+  uint32_t bitmap_idx = 0;
+  size_t cursor = 0;
+  for (const SparseHistRun& run : f.runs) {
+    for (uint32_t r = run.first_region; r < run.first_region + run.num_regions;
+         ++r, ++bitmap_idx) {
+      GHPair* dst = out.data() + static_cast<size_t>(r / rph) * cells +
+                    (r % rph) * kSparseRegionCells;
+      for (uint32_t i = 0; i < kSparseRegionCells; ++i) {
+        if (!(f.bitmaps[bitmap_idx] & (1u << i))) continue;
+        if (fmt.quant) {
+          const int64_t cell = LoadCell<int64_t>(f.payload, cursor++);
+          dst[i] = GHPair{static_cast<double>(CellG(cell)) * fmt.scales.g_inv,
+                          static_cast<double>(CellH(cell)) * fmt.scales.h_inv};
+        } else {
+          dst[i] = LoadCell<GHPair>(f.payload, cursor++);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace oracle
+
+// Sparse random histograms: each cell is touched with probability
+// `density`, with values exact at QuantFormat's scales; one touched cell in
+// twenty carries g = -0.0 (touched by its bits, zero by value).
+std::vector<GHPair> RandomHists(uint32_t num_hists, uint32_t cells,
+                                double density, uint32_t seed) {
+  const SparseHistFormat fmt = QuantFormat();
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> k(-300, 300);
+  std::vector<GHPair> hists(static_cast<size_t>(num_hists) * cells);
+  for (GHPair& cell : hists) {
+    if (unit(rng) >= density) continue;
+    const int v = k(rng);
+    cell.g = unit(rng) < 0.05 ? -0.0 : v * fmt.scales.g_inv;
+    cell.h = (std::abs(v) + 1) * fmt.scales.h_inv;
+  }
+  return hists;
+}
+
+std::vector<const GHPair*> HistPtrs(const std::vector<GHPair>& hists,
+                                    uint32_t num_hists, uint32_t cells) {
+  std::vector<const GHPair*> ptrs(num_hists);
+  for (uint32_t h = 0; h < num_hists; ++h) {
+    ptrs[h] = hists.data() + static_cast<size_t>(h) * cells;
+  }
+  return ptrs;
+}
+
+// W x {f64, quant}: every geometry below must give the oracle's frames and
+// decodes, byte for byte, with no pool and with pools of 1, 2 and 3 threads.
+class SparseHistOracle
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {
+ protected:
+  void ExpectMatchesOracle(const std::vector<std::vector<GHPair>>& ranks,
+                           uint32_t num_hists, uint32_t cells,
+                           const std::string& what) {
+    SparseHistFormat fmt = QuantFormat();
+    fmt.quant = std::get<1>(GetParam());
+    std::vector<std::vector<uint8_t>> want_frames;
+    for (const auto& hists : ranks) {
+      want_frames.push_back(oracle::Encode(hists, num_hists, cells, fmt));
+    }
+    const std::vector<uint8_t> want_reduced =
+        oracle::Reduce(want_frames, num_hists, cells, fmt);
+    const std::vector<GHPair> want_decoded =
+        oracle::Decode(want_reduced, num_hists, cells, fmt);
+
+    ThreadPool one(1), two(2), three(3);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two,
+                             &three}) {
+      const std::string where =
+          what + " threads=" +
+          std::to_string(pool != nullptr ? pool->num_threads() : 0);
+      std::vector<std::vector<uint8_t>> frames(ranks.size());
+      Transport::Frames views;
+      for (size_t r = 0; r < ranks.size(); ++r) {
+        EncodeSparseHist(HistPtrs(ranks[r], num_hists, cells).data(),
+                         num_hists, cells, fmt, &frames[r], pool);
+        EXPECT_EQ(frames[r], want_frames[r]) << where << " rank " << r;
+        views.emplace_back(frames[r].data(), frames[r].size());
+      }
+      std::vector<uint8_t> reduced = {0xEE};  // must be overwritten
+      ReduceSparseHist(views, num_hists, cells, fmt, &reduced, pool);
+      EXPECT_EQ(reduced, want_reduced) << where;
+
+      std::vector<GHPair> decoded(want_decoded.size(), GHPair{7.0, 7.0});
+      std::vector<GHPair*> out(num_hists);
+      for (uint32_t h = 0; h < num_hists; ++h) {
+        out[h] = decoded.data() + static_cast<size_t>(h) * cells;
+      }
+      DecodeSparseHist(reduced.data(), reduced.size(), out.data(), num_hists,
+                       cells, fmt, pool);
+      EXPECT_EQ(0, std::memcmp(decoded.data(), want_decoded.data(),
+                               decoded.size() * sizeof(GHPair)))
+          << where;
+      // Decoding over a rank's own encoded input needs no zero-fill.
+      for (size_t r = 0; r < ranks.size(); ++r) {
+        std::copy(ranks[r].begin(), ranks[r].end(), decoded.begin());
+        DecodeSparseHist(reduced.data(), reduced.size(), out.data(),
+                         num_hists, cells, fmt, pool,
+                         /*zero_untouched=*/false);
+        EXPECT_EQ(0, std::memcmp(decoded.data(), want_decoded.data(),
+                                 decoded.size() * sizeof(GHPair)))
+            << where << " in place, rank " << r;
+      }
+    }
+  }
+  int world() const { return std::get<0>(GetParam()); }
+};
+
+INSTANTIATE_TEST_SUITE_P(WorldsAndFormats, SparseHistOracle,
+                         ::testing::Combine(::testing::Range(1, 6),
+                                            ::testing::Bool()));
+
+TEST_P(SparseHistOracle, PartialLastRegion) {
+  std::vector<std::vector<GHPair>> ranks;
+  for (int r = 0; r < world(); ++r) {
+    ranks.push_back(RandomHists(3, 37, 0.3, 100 + static_cast<uint32_t>(r)));
+  }
+  ExpectMatchesOracle(ranks, 3, 37, "partial");
+}
+
+TEST_P(SparseHistOracle, RunsCrossHistogramBoundaries) {
+  // Each rank touches the last cell of one histogram and the first of the
+  // next, so a run spans the boundary; rank 0 fills everything, which
+  // makes its frame one run over all histograms.
+  const uint32_t num_hists = 3;
+  const uint32_t cells = 16;
+  std::vector<std::vector<GHPair>> ranks;
+  for (int r = 0; r < world(); ++r) {
+    std::vector<GHPair> hists =
+        RandomHists(num_hists, cells, r == 0 ? 1.0 : 0.0,
+                    200 + static_cast<uint32_t>(r));
+    const uint32_t h = static_cast<uint32_t>(r) % (num_hists - 1);
+    hists[h * cells + cells - 1] = GHPair{0.5, 0.25};
+    hists[(h + 1) * cells] = GHPair{-0.75, 0.5};
+    ranks.push_back(std::move(hists));
+  }
+  SparseHistFormat fmt = QuantFormat();
+  const std::vector<uint8_t> frame =
+      oracle::Encode(ranks.back(), num_hists, cells, fmt);
+  const oracle::Frame parsed = oracle::Parse(frame, fmt);
+  const uint32_t rph = oracle::RegionsPerHist(cells);
+  bool crosses = false;
+  for (const SparseHistRun& run : parsed.runs) {
+    crosses |= run.first_region % rph + run.num_regions > rph;
+  }
+  ASSERT_TRUE(crosses);
+  ExpectMatchesOracle(ranks, num_hists, cells, "crossing");
+}
+
+TEST_P(SparseHistOracle, EmptyFrameFromOneRank) {
+  std::vector<std::vector<GHPair>> ranks;
+  for (int r = 0; r < world(); ++r) {
+    ranks.push_back(RandomHists(2, 40, r == world() / 2 ? 0.0 : 0.2,
+                                300 + static_cast<uint32_t>(r)));
+  }
+  ExpectMatchesOracle(ranks, 2, 40, "empty rank");
+}
+
+TEST_P(SparseHistOracle, NegativeZeroCells) {
+  std::vector<std::vector<GHPair>> ranks;
+  for (int r = 0; r < world(); ++r) {
+    std::vector<GHPair> hists(24);
+    hists[5].g = -0.0;  // every rank: stays -0.0 in f64
+    hists[3 + static_cast<size_t>(r)] = GHPair{-0.0, -0.0};
+    hists[20] = GHPair{0.25 * (r + 1), 0.5};
+    ranks.push_back(std::move(hists));
+  }
+  ExpectMatchesOracle(ranks, 1, 24, "negative zero");
+}
+
+TEST_P(SparseHistOracle, WideBatchGeometry) {
+  // The dist_sparse batch shape: 16 histograms of 61,023 cells.
+  std::vector<std::vector<GHPair>> ranks;
+  for (int r = 0; r < world(); ++r) {
+    ranks.push_back(
+        RandomHists(16, 61023, 0.05, 400 + static_cast<uint32_t>(r)));
+  }
+  ExpectMatchesOracle(ranks, 16, 61023, "wide");
+}
+
+// Seeded mutations of valid frames — bit flips, truncations, appended
+// bytes, boundary values in header, run and bitmap fields, and
+// size-preserving shifts of runs and bitmap bits. Every
+// mutated frame must either decode or throw std::runtime_error: never
+// crash, CHECK-abort or read out of bounds (the ASan/UBSan job runs this).
+std::vector<uint8_t> MutateFrame(std::vector<uint8_t> f, std::mt19937& rng) {
+  SparseHistHeader h;
+  std::memcpy(&h, f.data(), sizeof(h));
+  const size_t runs_at = sizeof(h);
+  const size_t bitmaps_at = runs_at + h.num_runs * sizeof(SparseHistRun);
+  size_t listed = 0;  // bitmap bytes
+  for (uint32_t i = 0; i < h.num_runs; ++i) {
+    SparseHistRun run;
+    std::memcpy(&run, f.data() + runs_at + i * sizeof(run), sizeof(run));
+    listed += run.num_regions;
+  }
+  const uint32_t boundary[] = {0u,          1u,          0x7FFFFFFFu,
+                               0x80000000u, 0xFFFFFFFFu, h.num_runs + 1,
+                               h.payload_cells + 1};
+  const auto put_u32 = [&](size_t at, uint32_t v) {
+    if (at + sizeof(v) <= f.size()) std::memcpy(f.data() + at, &v, sizeof(v));
+  };
+  const uint32_t pick = rng() % 8;
+  if (pick == 0) {
+    for (uint32_t n = 1 + rng() % 4; n > 0; --n) {
+      f[rng() % f.size()] ^= static_cast<uint8_t>(1u << (rng() % 8));
+    }
+  } else if (pick == 1) {
+    f.resize(rng() % f.size());
+  } else if (pick == 2) {
+    for (uint32_t n = 1 + rng() % 16; n > 0; --n) {
+      f.push_back(static_cast<uint8_t>(rng()));
+    }
+  } else if (pick == 3) {
+    // num_hists, cells_per_hist, num_runs, payload_cells
+    put_u32(8 + 4 * (rng() % 4), boundary[rng() % std::size(boundary)]);
+  } else if (pick == 4 && h.num_runs > 0) {
+    put_u32(runs_at + (rng() % h.num_runs) * sizeof(SparseHistRun) +
+                4 * (rng() % 2),
+            boundary[rng() % std::size(boundary)]);
+  } else if (pick == 5 && h.num_runs > 0) {
+    // Shift one run by a region: the frame keeps its size.
+    const size_t at = runs_at + (rng() % h.num_runs) * sizeof(SparseHistRun);
+    uint32_t first;
+    std::memcpy(&first, f.data() + at, sizeof(first));
+    put_u32(at, rng() % 2 == 0 ? first + 1 : first - 1);
+  } else if (pick == 6 && listed > 0) {
+    // Move one set bit of a bitmap: the popcount, and so every size
+    // check, still holds.
+    uint8_t& bitmap = f[bitmaps_at + rng() % listed];
+    const int from = static_cast<int>(rng() % 8);
+    const int to = static_cast<int>(rng() % 8);
+    if (((bitmap >> from) & 1) && !((bitmap >> to) & 1)) {
+      bitmap = static_cast<uint8_t>((bitmap & ~(1u << from)) | (1u << to));
+    }
+  } else if (listed > 0) {
+    const uint8_t values[] = {0, 0xFF, 0x80, static_cast<uint8_t>(rng())};
+    f[bitmaps_at + rng() % listed] = values[rng() % std::size(values)];
+  }
+  return f;
+}
+
+TEST(SparseHistCodecEdge, MutatedFramesThrowOrDecode) {
+  struct Geometry {
+    uint32_t num_hists;
+    uint32_t cells;
+    bool quant;
+  };
+  ThreadPool pool(2);
+  uint32_t seed = 1;
+  int decoded = 0;
+  int rejected = 0;
+  for (const Geometry g : {Geometry{1, 16, false}, Geometry{3, 37, true},
+                           Geometry{4, 61, false}, Geometry{2, 24, true}}) {
+    SparseHistFormat fmt = QuantFormat();
+    fmt.quant = g.quant;
+    const std::vector<GHPair> hists =
+        RandomHists(g.num_hists, g.cells, 0.3, seed);
+    std::vector<uint8_t> frame;
+    EncodeSparseHist(HistPtrs(hists, g.num_hists, g.cells).data(),
+                     g.num_hists, g.cells, fmt, &frame);
+    // One allocation per histogram, so a write past any histogram's end
+    // is out of bounds for ASan.
+    std::vector<std::vector<GHPair>> out(g.num_hists,
+                                         std::vector<GHPair>(g.cells));
+    std::vector<GHPair*> out_ptrs(g.num_hists);
+    for (uint32_t h = 0; h < g.num_hists; ++h) out_ptrs[h] = out[h].data();
+    std::mt19937 rng(seed++);
+    for (int iter = 0; iter < 600; ++iter) {
+      const std::vector<uint8_t> bad = MutateFrame(frame, rng);
+      ThreadPool* p = iter % 2 == 0 ? &pool : nullptr;
+      try {
+        DecodeSparseHist(bad.data(), bad.size(), out_ptrs.data(), g.num_hists,
+                         g.cells, fmt, p);
+        ++decoded;
+      } catch (const std::runtime_error&) {
+        ++rejected;
+      }
+      // A bad frame among good ones fails the whole reduce the same way.
+      const Transport::Frames views = {{frame.data(), frame.size()},
+                                       {bad.data(), bad.size()}};
+      std::vector<uint8_t> reduced;
+      try {
+        ReduceSparseHist(views, g.num_hists, g.cells, fmt, &reduced, p);
+      } catch (const std::runtime_error&) {
+      }
+    }
+  }
+  // Both outcomes occur: payload bit flips still decode, header damage
+  // does not.
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 // ---------- DistributedGbdt ----------
 
 Dataset TrainData(uint32_t rows = 4000) {
@@ -560,6 +1110,20 @@ TEST(DistributedGbdt, OneWorkerMatchesGbdtTrainerForQuantile) {
   p.quantile_alpha = 0.9;
   p.base_score = 0.0;
   EXPECT_EQ(SingleProcessModel(data, p), ShardedModel(data, 1, p));
+}
+
+// Row sampling hashes the global row index, so every sharding draws the
+// same sample and quantized models stay worker-count invariant.
+TEST(DistributedGbdt, RowSamplingIsWorkerCountInvariant) {
+  const Dataset data = TrainData(2500);
+  TrainParams p =
+      IdentityParams(ParallelMode::kSYNC, /*subtraction=*/true, /*quant=*/true);
+  p.subsample = 0.7;
+  const std::string one = ShardedModel(data, 1, p);
+  EXPECT_EQ(SingleProcessModel(data, p), one);
+  for (int workers : {2, 3}) {
+    EXPECT_EQ(one, ShardedModel(data, workers, p)) << "workers=" << workers;
+  }
 }
 
 TEST(DistributedGbdt, QuantizedModelIsWorkerCountInvariant) {
@@ -801,7 +1365,9 @@ TEST(SocketTransport, TrainedModelMatchesInProcessBitwise) {
   p.quantize_hist = true;
   p.comm_compress = "sparse";
   const int world = 3;
-  const DistributedResult inproc = DistributedGbdt::Train(data, world, p);
+  // Two threads per rank: rank 0 reduces the socket frames on its pool.
+  const DistributedResult inproc =
+      DistributedGbdt::Train(data, world, p, kWorkerThreads);
   const std::string expect = SerializeModel(inproc.model);
 
   const int port = TestPort(10);
@@ -814,7 +1380,7 @@ TEST(SocketTransport, TrainedModelMatchesInProcessBitwise) {
         auto transport = SocketTransport::Create(rank, world, port);
         Communicator comm(*transport);
         models[static_cast<size_t>(rank)] = SerializeModel(
-            DistributedGbdt::TrainShard(data, comm, p));
+            DistributedGbdt::TrainShard(data, comm, p, kWorkerThreads));
       } catch (const std::exception&) {
         ++failures;
       }
