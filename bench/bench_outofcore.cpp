@@ -32,7 +32,6 @@
 //   HARP_BENCH_OOC_CAP_MB     memory cap for the children (default
 //                             64MB + bins/4 — below the bin matrix at
 //                             scale >= 0.75)
-//   HARP_BENCH_OOC_WINDOW_MB  prefetcher sweep window (default 8)
 //   HARP_BENCH_OOC_CGROUP=0   skip the cgroup-capped run
 //   HARP_BENCH_OOC_CAPPED_TREES  boosting rounds for the capped run
 //                             (default trees/4: it is reclaim-bound and
@@ -178,45 +177,34 @@ struct ChildResult {
   uint64_t mapped = 0;
   int64_t minor_faults = 0;
   int64_t major_faults = 0;
-  int64_t advised = 0;
-  int64_t retired = 0;
-  int64_t sweeps = 0;
 };
 
 std::string FormatResult(const ChildResult& r) {
   return StrFormat(
       "wall_ns=%lld\ntrees=%lld\npeak_rss=%llu\nmapped=%llu\n"
-      "minor_faults=%lld\nmajor_faults=%lld\nadvised=%lld\nretired=%lld\n"
-      "sweeps=%lld\n",
+      "minor_faults=%lld\nmajor_faults=%lld\n",
       static_cast<long long>(r.wall_ns), static_cast<long long>(r.trees),
       static_cast<unsigned long long>(r.peak_rss),
       static_cast<unsigned long long>(r.mapped),
       static_cast<long long>(r.minor_faults),
-      static_cast<long long>(r.major_faults),
-      static_cast<long long>(r.advised), static_cast<long long>(r.retired),
-      static_cast<long long>(r.sweeps));
+      static_cast<long long>(r.major_faults));
 }
 
 bool ParseResult(const std::string& text, ChildResult* out) {
-  long long wall = 0, trees = 0, minf = 0, majf = 0, adv = 0, ret = 0,
-            sweeps = 0;
+  long long wall = 0, trees = 0, minf = 0, majf = 0;
   unsigned long long rss = 0, mapped = 0;
   const int got = std::sscanf(
       text.c_str(),
       "wall_ns=%lld\ntrees=%lld\npeak_rss=%llu\nmapped=%llu\n"
-      "minor_faults=%lld\nmajor_faults=%lld\nadvised=%lld\nretired=%lld\n"
-      "sweeps=%lld",
-      &wall, &trees, &rss, &mapped, &minf, &majf, &adv, &ret, &sweeps);
-  if (got != 9) return false;
+      "minor_faults=%lld\nmajor_faults=%lld",
+      &wall, &trees, &rss, &mapped, &minf, &majf);
+  if (got != 6) return false;
   out->wall_ns = wall;
   out->trees = trees;
   out->peak_rss = rss;
   out->mapped = mapped;
   out->minor_faults = minf;
   out->major_faults = majf;
-  out->advised = adv;
-  out->retired = ret;
-  out->sweeps = sweeps;
   return true;
 }
 
@@ -225,8 +213,7 @@ bool ParseResult(const std::string& text, ChildResult* out) {
 // the cache could not be mapped.
 bool RunMappedTraining(const std::string& cache_path,
                        const std::string& model_path, int trees, int threads,
-                       int64_t window_bytes, ChildResult* result,
-                       std::string* error) {
+                       ChildResult* result, std::string* error) {
   BinnedMatrix matrix;
   std::vector<float> labels;
   CacheReadOptions opts;
@@ -239,10 +226,8 @@ bool RunMappedTraining(const std::string& cache_path,
     *error = "cache did not map: " + info.note;
     return false;
   }
-  TrainParams p = OocParams(trees, threads);
-  p.prefetch_window_bytes = window_bytes;
   TrainStats stats;
-  GbdtTrainer trainer(p);
+  GbdtTrainer trainer(OocParams(trees, threads));
   const GbdtModel model = trainer.TrainBinned(matrix, labels, &stats);
   if (!SaveModel(model_path, model, error)) return false;
   result->wall_ns = stats.wall_ns;
@@ -251,25 +236,21 @@ bool RunMappedTraining(const std::string& cache_path,
   result->mapped = stats.mapped_bytes;
   result->minor_faults = stats.minor_faults;
   result->major_faults = stats.major_faults;
-  result->advised = stats.oo_advised_bytes;
-  result->retired = stats.oo_retired_bytes;
-  result->sweeps = stats.oo_sweeps;
   return true;
 }
 
 #if HARP_OOC_CHILD
 // argv: --ooc-child <cache> <model_out> <result_out> <trees> <threads>
-//       <cap_mb> <window_mb> <cgroup_dir|->
+//       <cap_mb> <cgroup_dir|->
 int RunChild(int argc, char** argv) {
-  if (argc != 10) return 2;
+  if (argc != 9) return 2;
   const std::string cache_path = argv[2];
   const std::string model_path = argv[3];
   const std::string result_path = argv[4];
   const int trees = std::atoi(argv[5]);
   const int threads = std::atoi(argv[6]);
   const long cap_mb = std::atol(argv[7]);
-  const long window_mb = std::atol(argv[8]);
-  const std::string cgroup_dir = argv[9];
+  const std::string cgroup_dir = argv[8];
 
   // Join the memory cgroup before touching anything sizable ("0" = self).
   if (cgroup_dir != "-" &&
@@ -291,8 +272,7 @@ int RunChild(int argc, char** argv) {
 
   ChildResult result;
   std::string error;
-  if (!RunMappedTraining(cache_path, model_path, trees, threads,
-                         static_cast<int64_t>(window_mb) << 20, &result,
+  if (!RunMappedTraining(cache_path, model_path, trees, threads, &result,
                          &error)) {
     std::fprintf(stderr, "child: %s\n", error.c_str());
     return 3;
@@ -308,7 +288,7 @@ int RunChild(int argc, char** argv) {
 // for the rlimit-only run.
 bool SpawnChild(const std::string& cache_path, const std::string& model_path,
                 const std::string& result_path, int trees, int threads,
-                long cap_mb, long window_mb, const std::string& cgroup_dir,
+                long cap_mb, const std::string& cgroup_dir,
                 ChildResult* out, std::string* error) {
   std::remove(result_path.c_str());
   const pid_t pid = fork();
@@ -316,13 +296,11 @@ bool SpawnChild(const std::string& cache_path, const std::string& model_path,
     const std::string trees_s = StrFormat("%d", trees);
     const std::string threads_s = StrFormat("%d", threads);
     const std::string cap_s = StrFormat("%ld", cap_mb);
-    const std::string window_s = StrFormat("%ld", window_mb);
     // exec (not just fork) so the child's VmHWM starts from zero.
     execl("/proc/self/exe", "bench_outofcore", "--ooc-child",
           cache_path.c_str(), model_path.c_str(), result_path.c_str(),
           trees_s.c_str(), threads_s.c_str(), cap_s.c_str(),
-          window_s.c_str(), cgroup_dir.c_str(),
-          static_cast<char*>(nullptr));
+          cgroup_dir.c_str(), static_cast<char*>(nullptr));
     _exit(127);
   }
   int status = 0;
@@ -419,7 +397,6 @@ int RunBench() {
   const long cap_mb = static_cast<long>(GetEnvInt(
       "HARP_BENCH_OOC_CAP_MB",
       static_cast<int>(64 + bins_bytes / 4 / (1 << 20))));
-  const long window_mb = GetEnvInt("HARP_BENCH_OOC_WINDOW_MB", 8);
 
   ChildResult stream;
   ChildResult capped;
@@ -435,9 +412,9 @@ int RunBench() {
 
   // Run 1: heap-capped, memory otherwise plentiful. The page cache is warm
   // from writing the cache, as it would be after any ingest — this times
-  // the mapped path itself (fault + advise overhead), not the disk.
+  // the mapped path itself (fault overhead), not the disk.
   if (!SpawnChild(cache_path, model_stream, result_path, trees, threads,
-                  cap_mb, window_mb, "-", &stream, &error)) {
+                  cap_mb, "-", &stream, &error)) {
     std::fprintf(stderr, "FAIL: streamed run: %s\n", error.c_str());
     return 1;
   }
@@ -452,7 +429,7 @@ int RunBench() {
       DropFromPageCache(cache_path);
       const bool ok =
           SpawnChild(cache_path, model_capped, result_path, capped_trees,
-                     threads, cap_mb, window_mb, cg.dir, &capped, &error);
+                     threads, cap_mb, cg.dir, &capped, &error);
       cgroup_peak = std::strtoull(ReadFileRaw(cg.peak_file).c_str(),
                                   nullptr, 10);
       rmdir(cg.dir.c_str());
@@ -469,8 +446,7 @@ int RunBench() {
 #else
   // No fork/rlimit on this platform: run the mapped training in-process.
   // Identity and counters still verify; the memory caps do not apply.
-  if (!RunMappedTraining(cache_path, model_stream, trees, threads,
-                         static_cast<int64_t>(window_mb) << 20, &stream,
+  if (!RunMappedTraining(cache_path, model_stream, trees, threads, &stream,
                          &error)) {
     std::fprintf(stderr, "FAIL: mapped training: %s\n", error.c_str());
     return 1;
@@ -515,14 +491,10 @@ int RunBench() {
                   ? HumanBytes(static_cast<double>(capped.peak_rss)).c_str()
                   : "-");
   const ChildResult& detail = have_capped ? capped : stream;
-  std::printf("bins=%s cap=%ldMB window=%ldMB faults=%lld minor/%lld major "
-              "advised=%s retired=%s sweeps=%lld\n",
+  std::printf("bins=%s cap=%ldMB faults=%lld minor/%lld major\n",
               HumanBytes(static_cast<double>(bins_bytes)).c_str(), cap_mb,
-              window_mb, static_cast<long long>(detail.minor_faults),
-              static_cast<long long>(detail.major_faults),
-              HumanBytes(static_cast<double>(detail.advised)).c_str(),
-              HumanBytes(static_cast<double>(detail.retired)).c_str(),
-              static_cast<long long>(detail.sweeps));
+              static_cast<long long>(detail.minor_faults),
+              static_cast<long long>(detail.major_faults));
 
   const uint64_t cap_bytes = static_cast<uint64_t>(cap_mb) << 20;
   if (bins_bytes > cap_bytes) {

@@ -25,10 +25,9 @@
 //                    straight from a binary cache (dataset cache or
 //                    binned cache, auto-detected) instead of re-parsing
 //                    text; --mmap backs the large payload with a file
-//                    mapping instead of heap copies (the binned cache
-//                    then streams row windows through madvise during
-//                    training; --prefetch-off disables the sweep,
-//                    --prefetch-window-mb sets its granularity).
+//                    mapping instead of heap copies (training then
+//                    reads the binned cache through the kernel's
+//                    default paging).
 //                    --save-cache F writes the loaded dataset as a
 //                    page-aligned (mmap-ready) cache; --save-binned F
 //                    writes the post-quantile binned artifact.
@@ -75,10 +74,16 @@
 //                    --reloads times mid-stream, then verifies each
 //                    served margin bit-exactly against the batch
 //                    Predictor and reports latency percentiles.
+//
+// Every command refuses a flag it does not read and a value that does not
+// parse (a non-number for a numeric flag, an unknown mode or encoding):
+// it prints the offending flag and exits with status 2.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include "common/timer.h"
@@ -89,6 +94,17 @@ namespace {
 
 using namespace harp;
 
+// A flag the command does not read, or a value that does not parse.
+// main() prints it and exits with status 2.
+struct FlagError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+[[noreturn]] void BadValue(const std::string& key, const std::string& value,
+                           const char* want) {
+  throw FlagError("bad --" + key + " '" + value + "' (want " + want + ")");
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> values;
@@ -98,16 +114,60 @@ struct Args {
     auto it = values.find(key);
     return it != values.end() ? it->second : dflt;
   }
-  double GetDouble(const std::string& key, double dflt) const {
+  // Numeric getters take the whole value or throw FlagError: "3x", "" and
+  // out-of-range numbers are refused rather than truncated.
+  template <typename T>
+  T GetNumber(const std::string& key, T dflt, const char* want) const {
     auto it = values.find(key);
-    return it != values.end() ? std::stod(it->second) : dflt;
+    if (it == values.end()) return dflt;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    T v{};
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || stop != end) BadValue(key, text, want);
+    return v;
+  }
+  double GetDouble(const std::string& key, double dflt) const {
+    return GetNumber(key, dflt, "a number");
   }
   int GetInt(const std::string& key, int dflt) const {
-    auto it = values.find(key);
-    return it != values.end() ? std::stoi(it->second) : dflt;
+    return GetNumber(key, dflt, "an integer");
   }
   bool Has(const std::string& key) const { return flags.count(key) > 0; }
 };
+
+// The flags each command reads, as " name name ... " lists. Switches take
+// no value; every other flag takes one.
+constexpr char kSwitches[] =
+    " header zero-based membuf-off subtraction raw quantize quant-stochastic"
+    " mmap ";
+constexpr char kLoadFlags[] =
+    " data format label-column header zero-based threads ";
+constexpr char kTrainFlags[] =
+    " trees tree-size eta lambda gamma min-child-weight k subsample"
+    " colsample membuf-off subtraction quantize quant-stochastic simd grow"
+    " mode objective alpha max-delta-step ndcg-k metric model ";
+
+// Empty for an unknown command.
+std::string CommandFlags(const std::string& command) {
+  const std::string load = kLoadFlags;
+  if (command == "train") {
+    return load + kTrainFlags +
+           " from-cache mmap save-cache save-binned valid early-stopping ";
+  }
+  if (command == "dist-train") {
+    return load + kTrainFlags + " synth workers rank world port compress ";
+  }
+  if (command == "predict") return load + " model output raw ";
+  if (command == "eval") return load + " model ndcg-k ";
+  if (command == "inspect") return " model top ";
+  if (command == "serve") return load + " model deadline-us reloads output ";
+  return "";
+}
+
+bool InList(const std::string& list, const std::string& name) {
+  return list.find(" " + name + " ") != std::string::npos;
+}
 
 int Usage() {
   std::fprintf(stderr,
@@ -128,21 +188,24 @@ int Usage() {
   return 2;
 }
 
+// Returns false for a missing or unknown command; throws FlagError for a
+// flag the command does not read or one missing its value.
 bool ParseArgs(int argc, char** argv, Args* args) {
   if (argc < 2) return false;
   args->command = argv[1];
+  const std::string allowed = CommandFlags(args->command);
+  if (allowed.empty()) return false;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) return false;
+    if (arg.rfind("--", 0) != 0) {
+      throw FlagError("unexpected argument '" + arg + "'");
+    }
     arg = arg.substr(2);
-    // Boolean switches take no value.
-    if (arg == "header" || arg == "zero-based" || arg == "membuf-off" ||
-        arg == "subtraction" || arg == "raw" || arg == "quantize" ||
-        arg == "quant-stochastic" || arg == "mmap" ||
-        arg == "prefetch-off") {
+    if (!InList(allowed, arg)) throw FlagError("unknown flag --" + arg);
+    if (InList(kSwitches, arg)) {
       args->flags[arg] = true;
     } else {
-      if (i + 1 >= argc) return false;
+      if (i + 1 >= argc) throw FlagError("--" + arg + " needs a value");
       args->values[arg] = argv[++i];
     }
   }
@@ -176,9 +239,9 @@ bool LoadData(const Args& args, const std::string& path, Dataset* out,
 }
 
 // Reads every training flag into `p`. Flags that are absent keep the value
-// `p` already holds, so each command sets its own defaults first. Prints
-// the offending flag and returns false on a bad value.
-bool ParseTrainParams(const Args& args, TrainParams* p) {
+// `p` already holds, so each command sets its own defaults first. Throws
+// FlagError on a bad value.
+void ParseTrainParams(const Args& args, TrainParams* p) {
   p->num_trees = args.GetInt("trees", p->num_trees);
   p->tree_size = args.GetInt("tree-size", p->tree_size);
   p->learning_rate = args.GetDouble("eta", p->learning_rate);
@@ -195,30 +258,30 @@ bool ParseTrainParams(const Args& args, TrainParams* p) {
   if (args.Has("quantize")) p->quantize_hist = true;
   if (args.Has("quant-stochastic")) p->quant_stochastic = true;
   p->simd = args.Get("simd", p->simd);
-  if (args.Has("prefetch-off")) p->stream_prefetch = false;
-  p->prefetch_window_bytes =
-      int64_t{args.GetInt("prefetch-window-mb",
-                          static_cast<int>(p->prefetch_window_bytes >> 20))}
-      << 20;
-  const auto parse = [&](const char* flag, auto parser, auto* out) {
-    const auto it = args.values.find(flag);
-    if (it == args.values.end() || parser(it->second, out)) return true;
-    std::fprintf(stderr, "bad --%s\n", flag);
-    return false;
-  };
-  if (!parse("grow", ParseGrowPolicy, &p->grow_policy) ||
-      !parse("mode", ParseParallelMode, &p->mode) ||
-      !parse("objective", ParseObjectiveKind, &p->objective)) {
-    return false;
+  if (p->simd != "auto" && p->simd != "scalar" && p->simd != "avx2") {
+    BadValue("simd", p->simd, "auto|scalar|avx2");
   }
+  const auto parse = [&](const char* flag, auto parser, auto* out,
+                         const char* want) {
+    const auto it = args.values.find(flag);
+    if (it != args.values.end() && !parser(it->second, out)) {
+      BadValue(flag, it->second, want);
+    }
+  };
+  parse("grow", ParseGrowPolicy, &p->grow_policy, "depthwise|leafwise|topk");
+  parse("mode", ParseParallelMode, &p->mode, "DP|MP|SYNC|ASYNC");
+  parse("objective", ParseObjectiveKind, &p->objective,
+        "logistic|squared|quantile|poisson|lambdarank");
   p->quantile_alpha = args.GetDouble("alpha", p->quantile_alpha);
   p->max_delta_step = args.GetDouble("max-delta-step", p->max_delta_step);
   p->ndcg_k = args.GetInt("ndcg-k", p->ndcg_k);
   p->eval_metric = args.Get("metric", p->eval_metric);
-  return true;
 }
 
 int CmdTrain(const Args& args) {
+  // Flag values are checked before any data is read.
+  TrainParams p;
+  ParseTrainParams(args, &p);
   Dataset train;
   BinnedMatrix binned;
   std::vector<float> binned_labels;
@@ -271,8 +334,6 @@ int CmdTrain(const Args& args) {
                 train.num_features(), train.Sparseness());
   }
 
-  TrainParams p;
-  if (!ParseTrainParams(args, &p)) return 1;
   const std::vector<float>& train_labels =
       use_binned ? binned_labels : train.labels();
   const bool train_has_groups =
@@ -636,7 +697,7 @@ int CmdDistTrain(const Args& args) {
   p.tree_size = 6;
   p.topk = 8;
   p.num_threads = 1;
-  if (!ParseTrainParams(args, &p)) return 1;
+  ParseTrainParams(args, &p);
   if (p.mode == ParallelMode::kASYNC) {
     std::fprintf(stderr,
                  "dist-train does not support --mode ASYNC (use DP, MP or "
@@ -644,6 +705,9 @@ int CmdDistTrain(const Args& args) {
     return 1;
   }
   p.comm_compress = args.Get("compress", "dense");
+  if (p.comm_compress != "dense" && p.comm_compress != "sparse") {
+    BadValue("compress", p.comm_compress, "dense|sparse");
+  }
   const int worker_threads = std::max(1, p.num_threads);
 
   Dataset data;
@@ -651,9 +715,7 @@ int CmdDistTrain(const Args& args) {
   if (!synth.empty()) {
     SyntheticSpec spec;
     if (!ParseSynthSpec(synth, &spec)) {
-      std::fprintf(stderr,
-                   "bad --synth (want ROWS,FEATURES,DENSITY,SKEW,SEED)\n");
-      return 1;
+      BadValue("synth", synth, "ROWS,FEATURES,DENSITY,SKEW,SEED");
     }
     ThreadPool pool(ThreadPool::DefaultThreads());
     data = GenerateSynthetic(spec, &pool);
@@ -723,12 +785,17 @@ int CmdDistTrain(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) return Usage();
-  if (args.command == "train") return CmdTrain(args);
-  if (args.command == "predict") return CmdPredict(args);
-  if (args.command == "eval") return CmdEval(args);
-  if (args.command == "inspect") return CmdInspect(args);
-  if (args.command == "serve") return CmdServe(args);
-  if (args.command == "dist-train") return CmdDistTrain(args);
-  return Usage();
+  try {
+    if (!ParseArgs(argc, argv, &args)) return Usage();
+    if (args.command == "train") return CmdTrain(args);
+    if (args.command == "predict") return CmdPredict(args);
+    if (args.command == "eval") return CmdEval(args);
+    if (args.command == "inspect") return CmdInspect(args);
+    if (args.command == "serve") return CmdServe(args);
+    return CmdDistTrain(args);
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "harp_cli %s: %s\n", args.command.c_str(),
+                 e.what());
+    return 2;
+  }
 }

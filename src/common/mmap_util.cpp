@@ -72,12 +72,8 @@ bool MappedFile::Advise(size_t offset, size_t length, MemAdvice advice) const {
   const size_t page = PageSize();
   const size_t begin = offset & ~(page - 1);
   length += offset - begin;
-  int hint = MADV_NORMAL;
+  int hint = MADV_DONTNEED;
   switch (advice) {
-    case MemAdvice::kNormal: hint = MADV_NORMAL; break;
-    case MemAdvice::kSequential: hint = MADV_SEQUENTIAL; break;
-    case MemAdvice::kRandom: hint = MADV_RANDOM; break;
-    case MemAdvice::kWillNeed: hint = MADV_WILLNEED; break;
     case MemAdvice::kDontNeed: hint = MADV_DONTNEED; break;
   }
   return madvise(const_cast<uint8_t*>(data_) + begin, length, hint) == 0;
@@ -116,8 +112,6 @@ size_t ReadProcStatusKb(const char* key) {
 }  // namespace
 
 size_t PeakRssBytes() { return ReadProcStatusKb("VmHWM:") * 1024; }
-
-size_t CurrentRssBytes() { return ReadProcStatusKb("VmRSS:") * 1024; }
 
 FaultCounts ProcessFaults() {
   FaultCounts counts;

@@ -1,11 +1,11 @@
 // Memory-mapped file access + process-memory introspection.
 //
 // The out-of-core trainer backs the bin matrix with a read-only mapping of
-// the binary cache file and steers the kernel's paging with madvise: the
-// RowBlockPrefetcher advises upcoming row windows in (MADV_WILLNEED) while
-// retiring ones behind the sweep (MADV_DONTNEED), so resident set stays
-// bounded by the advise window instead of the matrix size. Everything here
-// is POSIX-gated; on other platforms MappedFile::Open reports failure and
+// the binary cache file and leaves its paging to the kernel's defaults.
+// The one madvise caller is the cache loader's streaming verification,
+// which drops each checked window (MADV_DONTNEED) so load-time RSS stays
+// bounded by the window instead of the file size. Everything here is
+// POSIX-gated; on other platforms MappedFile::Open reports failure and
 // callers fall back to heap buffers.
 #pragma once
 
@@ -17,12 +17,8 @@
 namespace harp {
 
 enum class MemAdvice {
-  kNormal,      // MADV_NORMAL: default kernel readahead
-  kSequential,  // MADV_SEQUENTIAL: aggressive readahead, early reclaim
-  kRandom,      // MADV_RANDOM: no readahead
-  kWillNeed,    // MADV_WILLNEED: page in asynchronously
-  kDontNeed,    // MADV_DONTNEED: drop resident pages (clean file pages
-                // refault from page cache / disk on next touch)
+  kDontNeed,  // MADV_DONTNEED: drop resident pages (clean file pages
+              // refault from page cache / disk on next touch)
 };
 
 // System page size (4096 on every target we build for; queried once).
@@ -60,9 +56,6 @@ class MappedFile {
 // is reset by exec but not by fork — processes that must measure their own
 // peak from a clean slate re-exec themselves (see bench_outofcore).
 size_t PeakRssBytes();
-
-// Current resident set size (VmRSS) in bytes; 0 when unavailable.
-size_t CurrentRssBytes();
 
 // Cumulative page-fault counts for this process (getrusage).
 struct FaultCounts {

@@ -24,44 +24,10 @@ class Stopwatch {
  public:
   Stopwatch() : start_ns_(NowNs()) {}
 
-  void Restart() { start_ns_ = NowNs(); }
   int64_t ElapsedNs() const { return NowNs() - start_ns_; }
   double ElapsedSec() const { return NsToSec(ElapsedNs()); }
-  double ElapsedMs() const { return NsToMs(ElapsedNs()); }
 
  private:
-  int64_t start_ns_;
-};
-
-// Accumulates intervals across many start/stop pairs (phase timers).
-class AccumTimer {
- public:
-  void Start() { start_ns_ = NowNs(); }
-  void Stop() { total_ns_ += NowNs() - start_ns_; ++count_; }
-  void AddNs(int64_t ns) { total_ns_ += ns; ++count_; }
-  void Reset() { total_ns_ = 0; count_ = 0; }
-
-  int64_t TotalNs() const { return total_ns_; }
-  double TotalSec() const { return NsToSec(total_ns_); }
-  int64_t Count() const { return count_; }
-
- private:
-  int64_t start_ns_ = 0;
-  int64_t total_ns_ = 0;
-  int64_t count_ = 0;
-};
-
-// RAII guard that adds the scope's duration to an AccumTimer.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(AccumTimer& timer) : timer_(timer), start_ns_(NowNs()) {}
-  ~ScopedTimer() { timer_.AddNs(NowNs() - start_ns_); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  AccumTimer& timer_;
   int64_t start_ns_;
 };
 

@@ -9,7 +9,6 @@
 #include "common/timer.h"
 #include "core/metrics.h"
 #include "core/objective.h"
-#include "data/row_block_prefetcher.h"
 #include "predict/flat_forest.h"
 #include "predict/predictor.h"
 
@@ -72,20 +71,10 @@ GbdtModel RunBoosting(const BinnedMatrix& matrix,
     }
   }
 
-  // Out-of-core mode: when the bin matrix lives in a file mapping, run the
-  // background sweep that bounds resident set, and record fault/RSS deltas
-  // so the streaming cost shows up in the report.
-  std::unique_ptr<RowBlockPrefetcher> prefetcher;
+  // Out-of-core mode: when the bin matrix lives in a file mapping, record
+  // fault/RSS deltas so the paging cost shows up in the report.
   FaultCounts faults_before;
-  if (matrix.IsMapped()) {
-    faults_before = ProcessFaults();
-    if (params.stream_prefetch) {
-      prefetcher = std::make_unique<RowBlockPrefetcher>(
-          matrix.storage(),
-          static_cast<size_t>(params.prefetch_window_bytes));
-      prefetcher->Start();
-    }
-  }
+  if (matrix.IsMapped()) faults_before = ProcessFaults();
 
   const SyncSnapshot sync_before = pool.Snapshot();
   const Stopwatch total_watch;
@@ -143,7 +132,6 @@ GbdtModel RunBoosting(const BinnedMatrix& matrix,
       ++stats->trees;
     }
     model.AddTree(std::move(tree));
-    if (prefetcher != nullptr) prefetcher->Pulse();
     if (callback) {
       callback(IterationInfo{iter, model.trees().back(), margins,
                              tree_seconds});
@@ -182,7 +170,6 @@ GbdtModel RunBoosting(const BinnedMatrix& matrix,
   }
   builder.SetColumnMask(nullptr);
 
-  if (prefetcher != nullptr) prefetcher->Stop();
   if (stats != nullptr) {
     stats->wall_ns += total_watch.ElapsedNs();
     stats->sync = pool.Snapshot() - sync_before;
@@ -192,12 +179,6 @@ GbdtModel RunBoosting(const BinnedMatrix& matrix,
       stats->minor_faults += faults_after.minor - faults_before.minor;
       stats->major_faults += faults_after.major - faults_before.major;
       stats->peak_rss_bytes = PeakRssBytes();
-      if (prefetcher != nullptr) {
-        const RowBlockPrefetcher::Stats ps = prefetcher->GetStats();
-        stats->oo_advised_bytes += ps.advised_bytes;
-        stats->oo_retired_bytes += ps.retired_bytes;
-        stats->oo_sweeps += ps.sweeps;
-      }
     }
   }
   return model;

@@ -12,8 +12,8 @@
 //     independent read-modify-write chains for the out-of-order core to
 //     overlap.
 //   * software prefetching: the bin bytes of upcoming rows (MemBuf entries
-//     or gathered rows) and the histogram slots the *next* row group will
-//     touch are prefetched while the current group is processed.
+//     or gathered rows) are prefetched while the current group is
+//     processed.
 //   * compile-time dispatch over {MemBuf, gather} x {full bin range,
 //     filtered bin range} x {full feature block, tiled feature block}, so
 //     the common DP configuration (MemBuf, no bin filter, one feature

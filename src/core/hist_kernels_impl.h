@@ -63,19 +63,11 @@ constexpr uint32_t kRowPrefetchDist = 2 * kRowGroup;
 // one feature — so tiling cannot change results, only locality.
 constexpr uint32_t kRowTile = 2048;
 constexpr uint32_t kFeatureTile = 16;
-// Write-prefetching the histogram slots of the next row group measured as
-// a clear net loss on the bench fixture (the feature-tiled write window is
-// already cache-resident, so the extra 4 bin loads + 4 prefetches per
-// feature only cost ports). The code path is kept compiled behind this
-// switch for write windows that outgrow the cache.
-constexpr bool kPrefetchHistSlots = false;
 
 #if defined(__GNUC__) || defined(__clang__)
 #define HARP_PREFETCH_READ(addr) __builtin_prefetch((addr), 0, 3)
-#define HARP_PREFETCH_WRITE(addr) __builtin_prefetch((addr), 1, 3)
 #else
 #define HARP_PREFETCH_READ(addr) ((void)(addr))
-#define HARP_PREFETCH_WRITE(addr) ((void)(addr))
 #endif
 
 #if defined(__SSE2__)
@@ -149,14 +141,10 @@ inline void AccumulateOne(const uint8_t* row_bins, float g, float h,
   }
 }
 
-// Feature sweep over one 4-row group. While the group is accumulated, the
-// histogram slots the NEXT group will touch are prefetched (pf[0..3] are
-// that group's bin rows); kPrefetchHist is compile-time so the common tail
-// group pays no per-feature branch.
-template <bool kFullBins, bool kPrefetchHist>
+// Feature sweep over one 4-row group.
+template <bool kFullBins>
 inline void AccumulateGroup(const uint8_t* const b[kRowGroup],
                             const float g[kRowGroup], const float h[kRowGroup],
-                            const uint8_t* const pf[kRowGroup],
                             const uint32_t* offsets, GHPair* hist,
                             uint32_t f_begin, uint32_t f_end, uint32_t bin_lo,
                             uint32_t bin_hi) {
@@ -167,11 +155,6 @@ inline void AccumulateGroup(const uint8_t* const b[kRowGroup],
   for (uint32_t u = 0; u < kRowGroup; ++u) vs[u] = GHVec(g[u], h[u]);
   for (uint32_t f = f_begin; f < f_end; ++f) {
     const uint32_t off = offsets[f];
-    if constexpr (kPrefetchHist) {
-      for (uint32_t u = 0; u < kRowGroup; ++u) {
-        HARP_PREFETCH_WRITE(hist + off + pf[u][f]);
-      }
-    }
     if constexpr (kFullBins) {
       for (uint32_t u = 0; u < kRowGroup; ++u) {
         vs[u].AddTo(hist + off + b[u][f]);
@@ -196,7 +179,6 @@ void AccumulateTile(const HistKernelMatrix& m, const HistRowSource& src,
   const uint32_t* const offsets = m.bin_offsets;
 
   const uint8_t* b[kRowGroup];
-  const uint8_t* pf[kRowGroup];
   float g[kRowGroup];
   float h[kRowGroup];
 
@@ -215,18 +197,8 @@ void AccumulateTile(const HistKernelMatrix& m, const HistRowSource& src,
     for (uint32_t u = 0; u < kRowGroup; ++u) {
       LoadRow<kMemBuf>(m, src, i + u, &b[u], &g[u], &h[u]);
     }
-    if (kPrefetchHistSlots && i + 2 * kRowGroup <= end) {
-      for (uint32_t u = 0; u < kRowGroup; ++u) {
-        pf[u] = m.bins + static_cast<size_t>(RowIdAt<kMemBuf>(
-                             m, src, i + kRowGroup + u)) *
-                             m.num_features;
-      }
-      AccumulateGroup<kFullBins, true>(b, g, h, pf, offsets, hist, f_begin,
-                                       f_end, bin_lo, bin_hi);
-    } else {
-      AccumulateGroup<kFullBins, false>(b, g, h, b, offsets, hist, f_begin,
-                                        f_end, bin_lo, bin_hi);
-    }
+    AccumulateGroup<kFullBins>(b, g, h, offsets, hist, f_begin, f_end,
+                               bin_lo, bin_hi);
   }
   // Remainder rows (row lists are rarely multiples of four).
   for (; i < end; ++i) {
@@ -612,7 +584,6 @@ void AddI64(int64_t* dst, const int64_t* src, size_t n) {
 }
 
 #undef HARP_PREFETCH_READ
-#undef HARP_PREFETCH_WRITE
 
 }  // namespace
 

@@ -58,7 +58,6 @@ const TrainParams& TrainParams::Validate() const {
   HARP_CHECK_GE(feature_blk_size, 0);
   HARP_CHECK_GE(bin_blk_size, 1);
   HARP_CHECK_LE(bin_blk_size, 256);
-  HARP_CHECK_GE(prefetch_window_bytes, 64 * 1024);
   HARP_CHECK_GT(subsample, 0.0);
   HARP_CHECK_LE(subsample, 1.0);
   HARP_CHECK_GT(colsample_bytree, 0.0);

@@ -105,16 +105,6 @@ struct TrainParams {
   // traffic. Single-node training ignores this.
   std::string comm_compress = "dense";
 
-  // --- out-of-core streaming (only active when the bin matrix is backed
-  // by an mmap'd cache file; heap training ignores both) ---
-  // Run the RowBlockPrefetcher sweep (WILLNEED ahead / DONTNEED behind)
-  // that bounds resident set during training. Off = rely on the kernel's
-  // default paging (RSS grows to the full matrix under no memory cap).
-  bool stream_prefetch = true;
-  // Advise window granularity for the sweep; steady-state RSS of the bin
-  // matrix is a small multiple of this.
-  int64_t prefetch_window_bytes = 16 << 20;
-
   // --- stochastic boosting (excluded from the paper's controlled timing
   // experiments, Section V-A4, but part of any production GBDT) ---
   double subsample = 1.0;           // row fraction per tree

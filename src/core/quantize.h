@@ -136,11 +136,6 @@ void AddHistogramI64(int64_t* dst, const int64_t* src, size_t n,
 // Zeroes n cells.
 void ClearHistogramI64(int64_t* cells, size_t n);
 
-// Round-trip error bound of one quantized value: |x - deq(q(x))| is at
-// most half a quantization step (deterministic rounding) or one full step
-// (stochastic). Exposed for the accuracy tests.
-inline double QuantStep(double inv_scale) { return inv_scale; }
-
 // One boosting round's quantization state: the scales plus every row's
 // packed pair. Owned by the tree builder (refreshed per tree, since the
 // gradient distribution shifts every round); builders receive it through

@@ -59,12 +59,8 @@ std::string TrainStats::Report() const {
                               static_cast<double>(topk_batches));
   if (mapped_bytes > 0) {
     out += StrFormat(
-        "out-of-core: mapped=%s advised=%s retired=%s sweeps=%lld "
-        "faults=%lld minor/%lld major peak_rss=%s\n",
+        "out-of-core: mapped=%s faults=%lld minor/%lld major peak_rss=%s\n",
         HumanBytes(static_cast<double>(mapped_bytes)).c_str(),
-        HumanBytes(static_cast<double>(oo_advised_bytes)).c_str(),
-        HumanBytes(static_cast<double>(oo_retired_bytes)).c_str(),
-        static_cast<long long>(oo_sweeps),
         static_cast<long long>(minor_faults),
         static_cast<long long>(major_faults),
         HumanBytes(static_cast<double>(peak_rss_bytes)).c_str());

@@ -69,9 +69,8 @@ struct TrainStats {
   // backed by an mmap'd cache file (mapped_bytes > 0 is the flag the
   // report keys off, so heap training output is unchanged).
   size_t mapped_bytes = 0;        // bin-matrix bytes living in the mapping
-  int64_t oo_advised_bytes = 0;   // prefetcher WILLNEED volume
-  int64_t oo_retired_bytes = 0;   // prefetcher DONTNEED volume
-  int64_t oo_sweeps = 0;          // full eviction passes over the matrix
+  int64_t oo_advised_bytes = 0;   // always 0; kept for perfbench's reader
+  int64_t oo_retired_bytes = 0;   // always 0; kept for perfbench's reader
   int64_t minor_faults = 0;       // page-fault deltas over training
   int64_t major_faults = 0;
   size_t peak_rss_bytes = 0;      // VmHWM when training finished

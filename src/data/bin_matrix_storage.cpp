@@ -29,11 +29,4 @@ uint8_t* BinMatrixStorage::MutableHeap() {
   return heap_.data();
 }
 
-bool BinMatrixStorage::Advise(size_t offset, size_t length,
-                              MemAdvice advice) const {
-  if (!mapped() || offset >= size_) return false;
-  if (length > size_ - offset) length = size_ - offset;
-  return file_->Advise(file_offset_ + offset, length, advice);
-}
-
 }  // namespace harp

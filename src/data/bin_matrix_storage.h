@@ -48,10 +48,6 @@ class BinMatrixStorage {
   // mapping is PROT_READ — writing through it would fault anyway).
   uint8_t* MutableHeap();
 
-  // Forwards a paging hint for [offset, offset + length) of this storage
-  // to the underlying mapping. No-op (returns false) on heap storage.
-  bool Advise(size_t offset, size_t length, MemAdvice advice) const;
-
  private:
   std::vector<uint8_t> heap_;
   std::shared_ptr<MappedFile> file_;

@@ -95,7 +95,7 @@ class BinnedMatrix {
   // True when the bin store lives in an mmap'd cache file.
   bool IsMapped() const { return storage_.mapped(); }
 
-  // The backing storage (the prefetcher drives madvise through it).
+  // The backing storage (heap vector or file mapping).
   const BinMatrixStorage& storage() const { return storage_; }
 
   // Approximate resident heap bytes (bench reporting). Bytes backed by

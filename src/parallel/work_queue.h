@@ -51,7 +51,6 @@ class SharedPriorityQueue {
 
   // Spin-lock contention counters for this queue's mutex.
   SpinCounters LockCounters() const { return mutex_.GetCounters(); }
-  void ResetLockCounters() { mutex_.ResetCounters(); }
 
  private:
   mutable SpinMutex mutex_;

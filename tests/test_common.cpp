@@ -14,7 +14,6 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 
 namespace harp {
 namespace {
@@ -432,28 +431,6 @@ TEST(LatencyRecorder, SummaryMentionsLabelAndCount) {
   EXPECT_NE(line.find("ticks"), std::string::npos);
   EXPECT_NE(line.find("n=100"), std::string::npos);
   EXPECT_NE(line.find("p99"), std::string::npos);
-}
-
-// ---------- timer ----------
-
-TEST(Timer, AccumulatesMonotonically) {
-  AccumTimer t;
-  t.Start();
-  t.Stop();
-  const int64_t first = t.TotalNs();
-  EXPECT_GE(first, 0);
-  t.AddNs(1000);
-  EXPECT_EQ(t.TotalNs(), first + 1000);
-  EXPECT_EQ(t.Count(), 2);
-  t.Reset();
-  EXPECT_EQ(t.TotalNs(), 0);
-}
-
-TEST(Timer, ScopedTimerAdds) {
-  AccumTimer t;
-  { ScopedTimer scope(t); }
-  EXPECT_GE(t.TotalNs(), 0);
-  EXPECT_EQ(t.Count(), 1);
 }
 
 }  // namespace

@@ -6,13 +6,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <thread>
 
 #include "core/gbdt.h"
 #include "core/model_io.h"
 #include "data/binary_cache.h"
 #include "data/quantile.h"
-#include "data/row_block_prefetcher.h"
 #include "data/synthetic.h"
 
 namespace harp {
@@ -237,64 +235,41 @@ TEST(OutOfCore, HeapAndMmapTrainingProduceIdenticalModels) {
       << error;
   ASSERT_TRUE(map_m.IsMapped());
 
-  TrainParams p;
-  p.num_trees = 6;
-  p.tree_size = 5;
-  p.grow_policy = GrowPolicy::kTopK;
-  p.topk = 4;
-  p.mode = ParallelMode::kSYNC;
-  p.num_threads = 2;
-  p.prefetch_window_bytes = 64 << 10;  // tiny window: sweep wraps often
-
-  TrainStats heap_stats, map_stats;
-  const GbdtModel heap_model =
-      GbdtTrainer(p).TrainBinned(heap_m, heap_labels, &heap_stats);
-  const GbdtModel map_model =
-      GbdtTrainer(p).TrainBinned(map_m, map_labels, &map_stats);
+  TrainParams sync;
+  sync.num_trees = 6;
+  sync.tree_size = 5;
+  sync.grow_policy = GrowPolicy::kTopK;
+  sync.topk = 4;
+  sync.mode = ParallelMode::kSYNC;
+  sync.num_threads = 2;
+  // The cached-retraining configuration: DP replicas over quantized
+  // histograms with sibling subtraction.
+  TrainParams dp_quant = sync;
+  dp_quant.mode = ParallelMode::kDP;
+  dp_quant.quantize_hist = true;
+  dp_quant.use_hist_subtraction = true;
 
   const std::string path_a = "/tmp/harp_ooc_test_model_a.bin";
   const std::string path_b = "/tmp/harp_ooc_test_model_b.bin";
-  ASSERT_TRUE(SaveModel(path_a, heap_model, &error)) << error;
-  ASSERT_TRUE(SaveModel(path_b, map_model, &error)) << error;
-  EXPECT_EQ(ReadAll(path_a), ReadAll(path_b));
+  for (const TrainParams& p : {sync, dp_quant}) {
+    SCOPED_TRACE(ToString(p.mode));
+    TrainStats heap_stats, map_stats;
+    const GbdtModel heap_model =
+        GbdtTrainer(p).TrainBinned(heap_m, heap_labels, &heap_stats);
+    const GbdtModel map_model =
+        GbdtTrainer(p).TrainBinned(map_m, map_labels, &map_stats);
 
-  // The streaming counters only tick on the mapped run.
-  EXPECT_EQ(heap_stats.mapped_bytes, 0);
-  EXPECT_GT(map_stats.mapped_bytes, 0);
+    ASSERT_TRUE(SaveModel(path_a, heap_model, &error)) << error;
+    ASSERT_TRUE(SaveModel(path_b, map_model, &error)) << error;
+    EXPECT_EQ(ReadAll(path_a), ReadAll(path_b));
+
+    // The streaming counters only tick on the mapped run.
+    EXPECT_EQ(heap_stats.mapped_bytes, 0);
+    EXPECT_GT(map_stats.mapped_bytes, 0);
+  }
   std::remove(path.c_str());
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
-}
-
-TEST(OutOfCore, PrefetcherSweepsAndStops) {
-  const std::string path =
-      WriteGroupedBinnedCache("/tmp/harp_ooc_test_sweep.cache");
-  BinnedMatrix m;
-  std::vector<float> labels;
-  std::string error;
-  CacheReadOptions opts;
-  opts.use_mmap = true;
-  ASSERT_TRUE(ReadBinnedCache(path, &m, &labels, &error, opts)) << error;
-
-  RowBlockPrefetcher prefetcher(m.storage(), 64 << 10);
-  prefetcher.Start();
-  prefetcher.Pulse();
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  prefetcher.Pulse();
-  prefetcher.Stop();
-  const RowBlockPrefetcher::Stats stats = prefetcher.GetStats();
-  EXPECT_GT(stats.retired_bytes, 0);
-  // Stop() is idempotent and a second Start() after Stop() must not hang.
-  prefetcher.Stop();
-
-  // On heap storage the prefetcher is a no-op that never spawns a thread.
-  BinnedMatrix heap_m;
-  ASSERT_TRUE(ReadBinnedCache(path, &heap_m, &labels, &error)) << error;
-  RowBlockPrefetcher noop(heap_m.storage(), 64 << 10);
-  noop.Start();
-  noop.Stop();
-  EXPECT_EQ(noop.GetStats().retired_bytes, 0);
-  std::remove(path.c_str());
 }
 
 }  // namespace
