@@ -82,7 +82,7 @@ void BM_BuildHistFeatureBlocks(benchmark::State& state) {
     for (const Range& fb : blocks) {
       for (uint32_t r = 0; r < f.matrix.num_rows(); ++r) {
         AccumulateRow(f.matrix.RowBins(r), f.gh[r].g, f.gh[r].h, f.matrix,
-                      hist.data(), fb, {0u, 256u});
+                      hist.data(), fb);
       }
     }
     benchmark::DoNotOptimize(hist.data());
@@ -105,31 +105,24 @@ BENCHMARK(BM_BuildHistFeatureBlocks)->Arg(0)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 struct KernelVariant {
   const char* label;
   bool membuf;
-  bool full_bins;
   bool full_features;
   bool quant;
   SimdLevel level;
 };
 constexpr KernelVariant kVariants[] = {
     // baseline path
-    {"generic_scalar_membuf", true, true, true, false, SimdLevel::kScalar},
-    // the DP hot path (the PR 1 comparison anchor)
-    {"kernel_membuf_full", true, true, true, false, SimdLevel::kScalar},
-    {"kernel_membuf_full_tiled", true, true, false, false,
-     SimdLevel::kScalar},
-    {"kernel_membuf_filtered", true, false, true, false, SimdLevel::kScalar},
-    {"kernel_gather_full", false, true, true, false, SimdLevel::kScalar},
-    {"kernel_gather_full_tiled", false, true, false, false,
-     SimdLevel::kScalar},
-    {"kernel_gather_filtered", false, false, true, false,
-     SimdLevel::kScalar},
-    // explicit-AVX2 f64 and the quantized int64-cell path (the
-    // quant_membuf_full_avx2 row is the ISSUE acceptance comparison
-    // against kernel_membuf_full)
-    {"kernel_membuf_full_avx2", true, true, true, false, SimdLevel::kAVX2},
-    {"quant_membuf_full_scalar", true, true, true, true, SimdLevel::kScalar},
-    {"quant_membuf_full_avx2", true, true, true, true, SimdLevel::kAVX2},
-    {"quant_gather_full_avx2", false, true, true, true, SimdLevel::kAVX2},
+    {"generic_scalar_membuf", true, true, false, SimdLevel::kScalar},
+    // the DP hot path (the kernel-layer comparison anchor)
+    {"kernel_membuf_full", true, true, false, SimdLevel::kScalar},
+    {"kernel_membuf_full_tiled", true, false, false, SimdLevel::kScalar},
+    {"kernel_gather_full", false, true, false, SimdLevel::kScalar},
+    {"kernel_gather_full_tiled", false, false, false, SimdLevel::kScalar},
+    // explicit-AVX2 f64 and the quantized int64-cell path (read
+    // quant_membuf_full_avx2 against kernel_membuf_full)
+    {"kernel_membuf_full_avx2", true, true, false, SimdLevel::kAVX2},
+    {"quant_membuf_full_scalar", true, true, true, SimdLevel::kScalar},
+    {"quant_membuf_full_avx2", true, true, true, SimdLevel::kAVX2},
+    {"quant_gather_full_avx2", false, true, true, SimdLevel::kAVX2},
 };
 
 void BM_AccumulateRowKernels(benchmark::State& state) {
@@ -144,10 +137,8 @@ void BM_AccumulateRowKernels(benchmark::State& state) {
 
   const uint32_t rows = f.matrix.num_rows();
   const uint32_t features = f.matrix.num_features();
-  // Tiled variants run the same 16-feature blocking the builders would;
-  // filtered variants pass a real sub-range so the filter actually prunes.
+  // Tiled variants run the same 16-feature blocking the builders would.
   const auto blocks = MakeFeatureBlocks(features, v.full_features ? 0 : 16);
-  const Range bins = v.full_bins ? Range{0u, 256u} : Range{0u, 128u};
 
   HistKernelMatrix m;
   m.bins = f.matrix.BinData();
@@ -163,23 +154,23 @@ void BM_AccumulateRowKernels(benchmark::State& state) {
   }
   const size_t total_bins = f.matrix.TotalBins();
   const HistKernelFn kernel =
-      SelectHistKernel(v.membuf, v.full_bins, v.full_features, v.level);
+      SelectHistKernel(v.membuf, v.full_features, v.level);
   const QuantKernelFn qkernel =
-      SelectQuantHistKernel(v.membuf, v.full_bins, v.full_features, v.level);
+      SelectQuantHistKernel(v.membuf, v.full_features, v.level);
 
   // ---- correctness gate (untimed): scalar f64 reference over the same
-  // feature blocks / bin filter this variant will run with ----
+  // feature blocks this variant will run with ----
   if (variant != 0) {
     std::vector<GHPair> ref(total_bins);
-    const HistKernelFn ref_kernel = SelectHistKernel(
-        v.membuf, v.full_bins, v.full_features, SimdLevel::kScalar);
+    const HistKernelFn ref_kernel =
+        SelectHistKernel(v.membuf, v.full_features, SimdLevel::kScalar);
     for (const Range& fb : blocks) {
-      ref_kernel(m, src, 0, rows, ref.data(), fb, bins);
+      ref_kernel(m, src, 0, rows, ref.data(), fb);
     }
     if (!v.quant) {
       std::vector<GHPair> got(total_bins);
       for (const Range& fb : blocks) {
-        kernel(m, src, 0, rows, got.data(), fb, bins);
+        kernel(m, src, 0, rows, got.data(), fb);
       }
       if (std::memcmp(got.data(), ref.data(),
                       total_bins * sizeof(GHPair)) != 0) {
@@ -189,14 +180,14 @@ void BM_AccumulateRowKernels(benchmark::State& state) {
       }
     } else {
       std::vector<int64_t> qref(total_bins, 0);
-      const QuantKernelFn qscalar = SelectQuantHistKernel(
-          v.membuf, v.full_bins, v.full_features, SimdLevel::kScalar);
+      const QuantKernelFn qscalar =
+          SelectQuantHistKernel(v.membuf, v.full_features, SimdLevel::kScalar);
       for (const Range& fb : blocks) {
-        qscalar(m, src, 0, rows, qref.data(), fb, bins);
+        qscalar(m, src, 0, rows, qref.data(), fb);
       }
       std::vector<int64_t> qgot(total_bins, 0);
       for (const Range& fb : blocks) {
-        qkernel(m, src, 0, rows, qgot.data(), fb, bins);
+        qkernel(m, src, 0, rows, qgot.data(), fb);
       }
       if (std::memcmp(qgot.data(), qref.data(),
                       total_bins * sizeof(int64_t)) != 0) {
@@ -212,9 +203,7 @@ void BM_AccumulateRowKernels(benchmark::State& state) {
         const uint8_t* row_bins = f.matrix.RowBins(r);
         for (const Range& fb : blocks) {
           for (uint32_t c = fb.first; c < fb.second; ++c) {
-            const uint32_t bin = row_bins[c];
-            if (bin < bins.first || bin >= bins.second) continue;
-            ++counts[m.bin_offsets[c] + bin];
+            ++counts[m.bin_offsets[c] + row_bins[c]];
           }
         }
       }
@@ -243,7 +232,7 @@ void BM_AccumulateRowKernels(benchmark::State& state) {
       std::fill(qhist.begin(), qhist.end(), int64_t{0});
       state.ResumeTiming();
       for (const Range& fb : blocks) {
-        qkernel(m, src, 0, rows, qhist.data(), fb, bins);
+        qkernel(m, src, 0, rows, qhist.data(), fb);
       }
       benchmark::DoNotOptimize(qhist.data());
     }
@@ -258,11 +247,11 @@ void BM_AccumulateRowKernels(benchmark::State& state) {
         for (uint32_t r = 0; r < rows; ++r) {
           const MemBufEntry& e = f.entries[r];
           AccumulateRow(f.matrix.RowBins(e.rid), e.g, e.h, f.matrix,
-                        hist.data(), {0u, features}, bins);
+                        hist.data(), {0u, features});
         }
       } else {
         for (const Range& fb : blocks) {
-          kernel(m, src, 0, rows, hist.data(), fb, bins);
+          kernel(m, src, 0, rows, hist.data(), fb);
         }
       }
       benchmark::DoNotOptimize(hist.data());
@@ -538,7 +527,7 @@ void BM_FindSplit(benchmark::State& state) {
   GHPair total;
   for (uint32_t r = 0; r < f.matrix.num_rows(); ++r) {
     AccumulateRow(f.matrix.RowBins(r), f.gh[r].g, f.gh[r].h, f.matrix,
-                  hist.data(), {0u, f.matrix.num_features()}, {0u, 256u});
+                  hist.data(), {0u, f.matrix.num_features()});
     total.Add(f.gh[r].g, f.gh[r].h);
   }
   TrainParams params;

@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -9,14 +8,6 @@
 
 namespace harp {
 namespace {
-
-std::atomic<int>& LevelStorage() {
-  static std::atomic<int> level{[] {
-    return GetEnvInt("HARP_LOG_LEVEL",
-                     static_cast<int>(LogLevel::kWarning));
-  }()};
-  return level;
-}
 
 // Serializes whole lines so multithreaded logs stay readable.
 std::mutex& OutputMutex() {
@@ -49,11 +40,10 @@ void EmitLine(LogLevel level, const char* file, int line,
 }  // namespace
 
 LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(LevelStorage().load(std::memory_order_relaxed));
-}
-
-void SetLogLevel(LogLevel level) {
-  LevelStorage().store(static_cast<int>(level), std::memory_order_relaxed);
+  // Read once; function-local static init is thread-safe.
+  static const LogLevel level = static_cast<LogLevel>(
+      GetEnvInt("HARP_LOG_LEVEL", static_cast<int>(LogLevel::kWarning)));
+  return level;
 }
 
 namespace detail {

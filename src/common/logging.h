@@ -14,9 +14,8 @@ namespace harp {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-// Currently active level; messages below it are dropped.
+// Active level (HARP_LOG_LEVEL, read once); messages below it are dropped.
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace detail {
 

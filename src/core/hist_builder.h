@@ -1,8 +1,8 @@
 // Block-wise BuildHist implementations (Section IV-A).
 //
 // Both builders fill per-node histograms for a *batch* of nodes; they
-// differ in how the <row, node, bin, feature> iteration space is cut into
-// tasks:
+// differ in how the <row, node, feature> iteration space is cut into tasks
+// (every task covers a feature's full bin range):
 //
 //   DP (data parallelism): rows of a node block are chunked into row
 //   blocks; each thread accumulates into a private replica of the node
@@ -11,11 +11,11 @@
 //   write region spans the whole feature space unless feature blocks tile
 //   the inner loop.
 //
-//   MP (model parallelism): tasks are <node_blk x feature_blk x bin_blk>
-//   cubes writing disjoint histogram regions of the *shared* histograms —
-//   no replicas, no reduction — at the cost of re-reading the node's rows
-//   once per feature block / bin range (redundant reads of MemBuf or the
-//   gradient array).
+//   MP (model parallelism): tasks are <node_blk x feature_blk> cubes
+//   writing disjoint histogram regions of the *shared* histograms — no
+//   replicas, no reduction — at the cost of re-reading the node's rows
+//   once per feature block (redundant reads of MemBuf or the gradient
+//   array).
 //
 // Both honour Table IV's block parameters; standard designs fall out as
 // special cases (feature_blk=1,node_blk=1 = classic feature-wise MP;
@@ -67,39 +67,17 @@ std::vector<Range> MakeFeatureBlocks(uint32_t num_features,
 // staging in the builders).
 void FillFeatureBlocks(uint32_t num_features, int feature_blk_size,
                        std::vector<Range>* out);
-// Likewise for MakeBinRanges.
-void FillBinRanges(int bin_blk_size, uint32_t num_bins,
-                   std::vector<Range>* out);
 
-// Bin-id ranges of at most `bin_blk_size` bins covering [0, num_bins).
-// Pass the matrix's actual MaxBins() so bin blocking never schedules
-// passes over bin ids no feature produces. bin_blk_size >= num_bins yields
-// the single full range (blocking disabled).
-std::vector<Range> MakeBinRanges(int bin_blk_size, uint32_t num_bins = 256);
-
-// Groups `nodes` into blocks of `node_blk_size`.
-std::vector<std::span<const int>> MakeNodeBlocks(std::span<const int> nodes,
-                                                 int node_blk_size);
-
-// Accumulates one row into `hist` over the features of `fb`, restricted to
-// bin ids in `bins` (pass {0, 256} for no filtering). This is the REFERENCE
-// scalar kernel: the builders run the specialized hist_kernels variants,
-// which must stay bit-identical to iterating rows through this function
-// (tests/test_hist_kernels.cpp); baselines and tests still call it.
+// Accumulates one row into `hist` over the features of `fb`. This is the
+// REFERENCE scalar kernel: the builders run the specialized hist_kernels
+// variants, which must stay bit-identical to iterating rows through this
+// function (tests/test_hist_kernels.cpp). Only tests and bench_kernels
+// call it.
 inline void AccumulateRow(const uint8_t* row_bins, float g, float h,
                           const BinnedMatrix& matrix, GHPair* hist,
-                          Range fb, Range bins) {
-  if (bins.first == 0 && bins.second >= 256) {
-    for (uint32_t f = fb.first; f < fb.second; ++f) {
-      hist[matrix.BinOffset(f) + row_bins[f]].Add(g, h);
-    }
-  } else {
-    for (uint32_t f = fb.first; f < fb.second; ++f) {
-      const uint8_t bin = row_bins[f];
-      if (bin >= bins.first && bin < bins.second) {
-        hist[matrix.BinOffset(f) + bin].Add(g, h);
-      }
-    }
+                          Range fb) {
+  for (uint32_t f = fb.first; f < fb.second; ++f) {
+    hist[matrix.BinOffset(f) + row_bins[f]].Add(g, h);
   }
 }
 
@@ -201,10 +179,10 @@ class HistBuilderMP {
  public:
   void Build(const BuildContext& ctx, std::span<const int> nodes);
 
-  // Fused-step support: stages the <node_blk x feature_blk x bin_blk>
-  // cube task list for `nodes` into member scratch (serial; grow-only)
-  // and returns the task count. Distinct tasks write disjoint histogram
-  // regions, so any thread may RunTask any staged index in any order —
+  // Fused-step support: stages the <node_blk x feature_blk> cube task
+  // list for `nodes` into member scratch (serial; grow-only) and returns
+  // the task count. Distinct tasks write disjoint histogram regions, so
+  // any thread may RunTask any staged index in any order —
   // this is what lets the builder's overlap scheduler start a node's
   // subtract/find as soon as that node's cubes drain.
   size_t StageTasks(const BuildContext& ctx, std::span<const int> nodes);
@@ -225,12 +203,10 @@ class HistBuilderMP {
   struct Task {
     uint32_t node_block;
     uint32_t feature_block;
-    uint32_t bin_range;
   };
 
   // Cached geometry + per-call staging (grow-only member scratch).
   std::vector<Range> feature_blocks_;
-  std::vector<Range> bin_ranges_;
   std::vector<std::span<const int>> node_blocks_;
   std::vector<Task> tasks_;
   std::vector<GHPair*> hist_of_;

@@ -26,36 +26,6 @@ std::vector<Range> MakeFeatureBlocks(uint32_t num_features,
   return blocks;
 }
 
-void FillBinRanges(int bin_blk_size, uint32_t num_bins,
-                   std::vector<Range>* out) {
-  out->clear();
-  if (bin_blk_size >= static_cast<int>(num_bins)) {
-    out->emplace_back(0u, num_bins);
-    return;
-  }
-  const uint32_t step = static_cast<uint32_t>(std::max(1, bin_blk_size));
-  for (uint32_t begin = 0; begin < num_bins; begin += step) {
-    out->emplace_back(begin, std::min(num_bins, begin + step));
-  }
-}
-
-std::vector<Range> MakeBinRanges(int bin_blk_size, uint32_t num_bins) {
-  std::vector<Range> ranges;
-  FillBinRanges(bin_blk_size, num_bins, &ranges);
-  return ranges;
-}
-
-std::vector<std::span<const int>> MakeNodeBlocks(std::span<const int> nodes,
-                                                 int node_blk_size) {
-  std::vector<std::span<const int>> blocks;
-  const size_t step = static_cast<size_t>(std::max(1, node_blk_size));
-  for (size_t begin = 0; begin < nodes.size(); begin += step) {
-    blocks.push_back(nodes.subspan(begin,
-                                   std::min(step, nodes.size() - begin)));
-  }
-  return blocks;
-}
-
 void HistBuilderDP::BeginBuild(const BuildContext& ctx) {
   total_bins_ = ctx.matrix.TotalBins();
   threads_ = ctx.pool.num_threads();
@@ -70,8 +40,7 @@ void HistBuilderDP::BeginBuild(const BuildContext& ctx) {
   quant_mode_ = mode;
   FillFeatureBlocks(ctx.matrix.num_features(), ctx.params.feature_blk_size,
                     &feature_blocks_);
-  // Kernel selected once per Build call. DP never bin-filters, so the full
-  // bin-range variant applies; one feature block additionally drops the
+  // Kernel selected once per Build call; one feature block drops the
   // fb-range indirection from the inner loop.
   km_ = MakeHistKernelMatrix(ctx.matrix, ctx.partitioner,
                              quant_ != nullptr ? quant_->packed.data()
@@ -79,11 +48,10 @@ void HistBuilderDP::BeginBuild(const BuildContext& ctx) {
   const bool full_features = feature_blocks_.size() == 1;
   if (quant_ != nullptr) {
     qkernel_ = SelectQuantHistKernel(ctx.partitioner.use_membuf(),
-                                     /*full_bin_range=*/true, full_features,
-                                     simd_);
+                                     full_features, simd_);
   } else {
-    kernel_ = SelectHistKernel(ctx.partitioner.use_membuf(),
-                               /*full_bin_range=*/true, full_features, simd_);
+    kernel_ = SelectHistKernel(ctx.partitioner.use_membuf(), full_features,
+                               simd_);
   }
 }
 
@@ -170,20 +138,19 @@ void HistBuilderDP::RunRowTask(const BuildContext& ctx, int thread_id,
   const size_t slot0 =
       static_cast<size_t>(thread_id) * replica_stride_ +
       task.local_node * total_bins_;
-  const Range all_bins{0u, 256u};
   // Feature-block tiling: re-reads the row block once per feature
   // block but confines writes to the block's histogram region.
   if (quant_ != nullptr) {
     int64_t* node_hist = qreplicas_.data() + slot0;
     for (const Range& fb : feature_blocks_) {
       qkernel_(km_, sources_[task.local_node], task.begin, task.end,
-               node_hist, fb, all_bins);
+               node_hist, fb);
     }
   } else {
     GHPair* node_hist = replicas_.data() + slot0;
     for (const Range& fb : feature_blocks_) {
       kernel_(km_, sources_[task.local_node], task.begin, task.end,
-              node_hist, fb, all_bins);
+              node_hist, fb);
     }
   }
 }

@@ -9,50 +9,41 @@ size_t HistBuilderMP::StageTasks(const BuildContext& ctx,
                                  std::span<const int> nodes) {
   FillFeatureBlocks(ctx.matrix.num_features(), ctx.params.feature_blk_size,
                     &feature_blocks_);
-  // Bin ranges only need to cover the bin ids the matrix actually
-  // produces; with max_bins < 256 the tail of [0, 256) used to schedule
-  // passes that re-read every row and matched nothing.
-  FillBinRanges(ctx.params.bin_blk_size, ctx.matrix.MaxBins(), &bin_ranges_);
   const size_t nstep =
       static_cast<size_t>(std::max(1, ctx.params.node_blk_size));
-  const size_t cap_before =
-      feature_blocks_.capacity() + bin_ranges_.capacity() +
-      node_blocks_.capacity() + tasks_.capacity();
+  const size_t cap_before = feature_blocks_.capacity() +
+                            node_blocks_.capacity() + tasks_.capacity();
   node_blocks_.clear();
   for (size_t begin = 0; begin < nodes.size(); begin += nstep) {
     node_blocks_.push_back(
         nodes.subspan(begin, std::min(nstep, nodes.size() - begin)));
   }
 
-  // Kernel selected once per staging: with a single bin range there is no
-  // filtering, and with a single feature block the fb indirection drops
-  // out of the inner loop.
+  // Kernel selected once per staging: with a single feature block the fb
+  // indirection drops out of the inner loop.
   quant_ = ctx.quant;
   simd_ = ctx.simd;
   total_bins_ = ctx.matrix.TotalBins();
   km_ = MakeHistKernelMatrix(ctx.matrix, ctx.partitioner,
                              quant_ != nullptr ? quant_->packed.data()
                                                : nullptr);
-  const bool full_bins = bin_ranges_.size() == 1;
   const bool full_features = feature_blocks_.size() == 1;
   if (quant_ != nullptr) {
-    qkernel_ = SelectQuantHistKernel(ctx.partitioner.use_membuf(), full_bins,
+    qkernel_ = SelectQuantHistKernel(ctx.partitioner.use_membuf(),
                                      full_features, simd_);
   } else {
-    kernel_ = SelectHistKernel(ctx.partitioner.use_membuf(), full_bins,
-                               full_features, simd_);
+    kernel_ = SelectHistKernel(ctx.partitioner.use_membuf(), full_features,
+                               simd_);
   }
 
-  // Task = one <node_blk x feature_blk x bin_blk> cube. Distinct tasks
-  // write disjoint regions of the shared histograms, so no replicas and no
+  // Task = one <node_blk x feature_blk> cube. Distinct tasks write
+  // disjoint regions of the shared histograms, so no replicas and no
   // reduction are needed; the price is one re-read of the node's rows per
-  // (feature block, bin range).
+  // feature block.
   tasks_.clear();
   for (uint32_t nb = 0; nb < node_blocks_.size(); ++nb) {
     for (uint32_t fb = 0; fb < feature_blocks_.size(); ++fb) {
-      for (uint32_t bb = 0; bb < bin_ranges_.size(); ++bb) {
-        tasks_.push_back(Task{nb, fb, bb});
-      }
+      tasks_.push_back(Task{nb, fb});
     }
   }
 
@@ -90,9 +81,8 @@ size_t HistBuilderMP::StageTasks(const BuildContext& ctx,
     }
     ClearHistogramI64(qhists_.data(), needed);
   }
-  const size_t cap_after =
-      feature_blocks_.capacity() + bin_ranges_.capacity() +
-      node_blocks_.capacity() + tasks_.capacity();
+  const size_t cap_after = feature_blocks_.capacity() +
+                           node_blocks_.capacity() + tasks_.capacity();
   if (cap_after != cap_before) ++grow_events_;
   return tasks_.size();
 }
@@ -102,15 +92,12 @@ void HistBuilderMP::RunTask(const BuildContext& ctx,
   (void)ctx;
   const Task& task = tasks_[task_index];
   const Range fb = feature_blocks_[task.feature_block];
-  const Range bins = bin_ranges_[task.bin_range];
   for (int node : node_blocks_[task.node_block]) {
     const size_t pos = node_pos_[static_cast<size_t>(node)];
     if (quant_ != nullptr) {
-      qkernel_(km_, source_of_[pos], 0, rows_of_[pos], qhist_of_[pos], fb,
-               bins);
+      qkernel_(km_, source_of_[pos], 0, rows_of_[pos], qhist_of_[pos], fb);
     } else {
-      kernel_(km_, source_of_[pos], 0, rows_of_[pos], hist_of_[pos], fb,
-              bins);
+      kernel_(km_, source_of_[pos], 0, rows_of_[pos], hist_of_[pos], fb);
     }
   }
 }
@@ -157,13 +144,13 @@ void BuildHistSerial(const BuildContext& ctx, int node_id, GHPair* hist) {
   const HistKernelMatrix km =
       MakeHistKernelMatrix(ctx.matrix, ctx.partitioner);
   const HistKernelFn kernel =
-      SelectHistKernel(ctx.partitioner.use_membuf(), /*full_bin_range=*/true,
+      SelectHistKernel(ctx.partitioner.use_membuf(),
                        /*full_feature_block=*/feature_blocks.size() == 1,
                        ctx.simd);
   const HistRowSource src = MakeHistRowSource(ctx.partitioner, node_id);
   const uint32_t rows = ctx.partitioner.NodeSize(node_id);
   for (const Range& fb : feature_blocks) {
-    kernel(km, src, 0, rows, hist, fb, {0u, 256u});
+    kernel(km, src, 0, rows, hist, fb);
   }
 }
 

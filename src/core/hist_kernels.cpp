@@ -38,16 +38,14 @@ const HistKernelTables& KernelTables(SimdLevel level) {
   return ScalarKernelTables();
 }
 
-HistKernelFn SelectHistKernel(bool use_membuf, bool full_bin_range,
-                              bool full_feature_block, SimdLevel level) {
-  return KernelTables(level).f64[use_membuf][full_bin_range]
-                                [full_feature_block];
+HistKernelFn SelectHistKernel(bool use_membuf, bool full_feature_block,
+                              SimdLevel level) {
+  return KernelTables(level).f64[use_membuf][full_feature_block];
 }
 
-QuantKernelFn SelectQuantHistKernel(bool use_membuf, bool full_bin_range,
-                                    bool full_feature_block, SimdLevel level) {
-  return KernelTables(level).quant[use_membuf][full_bin_range]
-                                  [full_feature_block];
+QuantKernelFn SelectQuantHistKernel(bool use_membuf, bool full_feature_block,
+                                    SimdLevel level) {
+  return KernelTables(level).quant[use_membuf][full_feature_block];
 }
 
 HistKernelMatrix MakeHistKernelMatrix(const BinnedMatrix& matrix,

@@ -2,9 +2,9 @@
 //
 // The paper's hotspot analysis (Section III, Fig. 4, Table I) shows
 // BuildHist dominates training and is memory-bound. The generic
-// AccumulateRow reference (hist_builder.h) walks one row at a time through
-// a per-row callback and re-tests the bin filter on every feature. The
-// kernels here attack exactly that access pattern:
+// AccumulateRow reference (hist_builder.h) walks one row at a time,
+// resolving each slot through the matrix accessor. The kernels here attack
+// exactly that access pattern:
 //
 //   * 4-row interleaving: each inner iteration accumulates four rows
 //     feature-by-feature, so one sweep over the histogram serves four rows
@@ -14,11 +14,11 @@
 //   * software prefetching: the bin bytes of upcoming rows (MemBuf entries
 //     or gathered rows) are prefetched while the current group is
 //     processed.
-//   * compile-time dispatch over {MemBuf, gather} x {full bin range,
-//     filtered bin range} x {full feature block, tiled feature block}, so
-//     the common DP configuration (MemBuf, no bin filter, one feature
-//     block) runs a branch-free inner loop instead of the generic filtered
-//     one. The variant is selected ONCE per Build call, not per row.
+//   * compile-time dispatch over {MemBuf, gather} x {full feature block,
+//     tiled feature block}, so the common DP configuration (MemBuf, one
+//     feature block) runs a branch-free inner loop without the fb-range
+//     indirection. The variant is selected ONCE per Build call, not per
+//     row. Every kernel covers a feature's full bin range.
 //
 // Accumulation order is preserved: for any histogram slot, contributing
 // rows are added in ascending row-list order, exactly as the scalar
@@ -63,28 +63,25 @@ struct HistRowSource {
 };
 
 // Accumulates rows [begin, end) of `src` into `hist` over features
-// [fb.first, fb.second), restricted to bin ids in [bins.first, bins.second).
-// Variants compiled for the full bin range / full feature block ignore the
-// corresponding argument.
+// [fb.first, fb.second). Variants compiled for the full feature block
+// ignore `fb`.
 using HistKernelFn = void (*)(const HistKernelMatrix& m,
                               const HistRowSource& src, uint32_t begin,
-                              uint32_t end, GHPair* hist, Range fb,
-                              Range bins);
+                              uint32_t end, GHPair* hist, Range fb);
 
 // Quantized counterpart: accumulates WidenQuant(m.qgradients[rid]) addends
 // into 8-byte int64 cells (quantize.h layout) instead of 16-byte GHPairs.
 using QuantKernelFn = void (*)(const HistKernelMatrix& m,
                                const HistRowSource& src, uint32_t begin,
-                               uint32_t end, int64_t* hist, Range fb,
-                               Range bins);
+                               uint32_t end, int64_t* hist, Range fb);
 
 // One compiled instantiation of the kernel layer. The scalar TU fills one
 // portably; the AVX2 TU (-mavx2 -mfma, HARP_ENABLE_AVX2) fills another.
 // Which table runs is a pure runtime decision (core/simd.h).
 struct HistKernelTables {
-  // [membuf][full bins][full features], as SelectHistKernel indexes.
-  HistKernelFn f64[2][2][2];
-  QuantKernelFn quant[2][2][2];
+  // [membuf][full features], as SelectHistKernel indexes.
+  HistKernelFn f64[2][2];
+  QuantKernelFn quant[2][2];
   // Elementwise companions that share the table's ISA level:
   // round-to-nearest-even quantization of [begin, end) rows,
   void (*quantize_rows)(const GradientPair* gh, uint32_t begin, uint32_t end,
@@ -105,14 +102,11 @@ const HistKernelTables* Avx2KernelTables();
 // Table for a resolved level (level must be runnable; see SimdSupported).
 const HistKernelTables& KernelTables(SimdLevel level);
 
-// Picks the specialized kernel for a Build call. `full_bin_range` means the
-// bin filter passed to every call covers all bin ids the matrix produces;
-// `full_feature_block` means fb covers [0, num_features).
-HistKernelFn SelectHistKernel(bool use_membuf, bool full_bin_range,
-                              bool full_feature_block,
+// Picks the specialized kernel for a Build call. `full_feature_block`
+// means fb covers [0, num_features).
+HistKernelFn SelectHistKernel(bool use_membuf, bool full_feature_block,
                               SimdLevel level = SimdLevel::kScalar);
-QuantKernelFn SelectQuantHistKernel(bool use_membuf, bool full_bin_range,
-                                    bool full_feature_block,
+QuantKernelFn SelectQuantHistKernel(bool use_membuf, bool full_feature_block,
                                     SimdLevel level = SimdLevel::kScalar);
 
 // Kernel-call views over the existing structures. `qgradients` may be null

@@ -127,27 +127,19 @@ inline void LoadRow(const HistKernelMatrix& m, const HistRowSource& src,
 }
 
 // One row, scalar — the ramp-down path for groups smaller than kRowGroup.
-template <bool kFullBins>
 inline void AccumulateOne(const uint8_t* row_bins, float g, float h,
                           const uint32_t* offsets, GHPair* hist,
-                          uint32_t f_begin, uint32_t f_end, uint32_t bin_lo,
-                          uint32_t bin_hi) {
+                          uint32_t f_begin, uint32_t f_end) {
   for (uint32_t f = f_begin; f < f_end; ++f) {
-    const uint8_t bin = row_bins[f];
-    if constexpr (!kFullBins) {
-      if (bin < bin_lo || bin >= bin_hi) continue;
-    }
-    hist[offsets[f] + bin].Add(g, h);
+    hist[offsets[f] + row_bins[f]].Add(g, h);
   }
 }
 
 // Feature sweep over one 4-row group.
-template <bool kFullBins>
 inline void AccumulateGroup(const uint8_t* const b[kRowGroup],
                             const float g[kRowGroup], const float h[kRowGroup],
                             const uint32_t* offsets, GHPair* hist,
-                            uint32_t f_begin, uint32_t f_end, uint32_t bin_lo,
-                            uint32_t bin_hi) {
+                            uint32_t f_begin, uint32_t f_end) {
   // float->double widening hoisted out of the feature sweep: once per
   // group instead of once per slot update. (Constant-bound u loops below
   // fully unroll at the kernel TU's -O3.)
@@ -155,27 +147,17 @@ inline void AccumulateGroup(const uint8_t* const b[kRowGroup],
   for (uint32_t u = 0; u < kRowGroup; ++u) vs[u] = GHVec(g[u], h[u]);
   for (uint32_t f = f_begin; f < f_end; ++f) {
     const uint32_t off = offsets[f];
-    if constexpr (kFullBins) {
-      for (uint32_t u = 0; u < kRowGroup; ++u) {
-        vs[u].AddTo(hist + off + b[u][f]);
-      }
-    } else {
-      // Slot order within the group is still ascending row index, so the
-      // filtered variant stays bit-identical to the scalar reference.
-      for (uint32_t u = 0; u < kRowGroup; ++u) {
-        const uint8_t bin = b[u][f];
-        if (bin >= bin_lo && bin < bin_hi) vs[u].AddTo(hist + off + bin);
-      }
+    for (uint32_t u = 0; u < kRowGroup; ++u) {
+      vs[u].AddTo(hist + off + b[u][f]);
     }
   }
 }
 
 // The 4-row interleaved sweep over one (row range, feature range) tile.
-template <bool kMemBuf, bool kFullBins>
+template <bool kMemBuf>
 void AccumulateTile(const HistKernelMatrix& m, const HistRowSource& src,
                     uint32_t begin, uint32_t end, GHPair* hist,
-                    uint32_t f_begin, uint32_t f_end, uint32_t bin_lo,
-                    uint32_t bin_hi) {
+                    uint32_t f_begin, uint32_t f_end) {
   const uint32_t* const offsets = m.bin_offsets;
 
   const uint8_t* b[kRowGroup];
@@ -197,8 +179,7 @@ void AccumulateTile(const HistKernelMatrix& m, const HistRowSource& src,
     for (uint32_t u = 0; u < kRowGroup; ++u) {
       LoadRow<kMemBuf>(m, src, i + u, &b[u], &g[u], &h[u]);
     }
-    AccumulateGroup<kFullBins>(b, g, h, offsets, hist, f_begin, f_end,
-                               bin_lo, bin_hi);
+    AccumulateGroup(b, g, h, offsets, hist, f_begin, f_end);
   }
   // Remainder rows (row lists are rarely multiples of four).
   for (; i < end; ++i) {
@@ -206,39 +187,32 @@ void AccumulateTile(const HistKernelMatrix& m, const HistRowSource& src,
     float gr;
     float hr;
     LoadRow<kMemBuf>(m, src, i, &row_bins, &gr, &hr);
-    AccumulateOne<kFullBins>(row_bins, gr, hr, offsets, hist, f_begin, f_end,
-                             bin_lo, bin_hi);
+    AccumulateOne(row_bins, gr, hr, offsets, hist, f_begin, f_end);
   }
 }
 
-template <bool kMemBuf, bool kFullBins, bool kFullFeatures>
+template <bool kMemBuf, bool kFullFeatures>
 void AccumulateRange(const HistKernelMatrix& m, const HistRowSource& src,
-                     uint32_t begin, uint32_t end, GHPair* hist, Range fb,
-                     Range bins) {
-  const uint32_t bin_lo = bins.first;
-  const uint32_t bin_hi = bins.second;
+                     uint32_t begin, uint32_t end, GHPair* hist, Range fb) {
   if constexpr (kFullFeatures) {
     // The kernel owns the whole feature space, so it is free to impose
     // the cache blocking itself: feature tiles keep the histogram write
     // window resident, row tiles keep the re-visited bin rows resident.
     const uint32_t nf = m.num_features;
     if (nf <= kFeatureTile) {
-      AccumulateTile<kMemBuf, kFullBins>(m, src, begin, end, hist, 0u, nf,
-                                         bin_lo, bin_hi);
+      AccumulateTile<kMemBuf>(m, src, begin, end, hist, 0u, nf);
       return;
     }
     for (uint32_t r = begin; r < end; r += kRowTile) {
       const uint32_t r_end = std::min(end, r + kRowTile);
       for (uint32_t f = 0; f < nf; f += kFeatureTile) {
-        AccumulateTile<kMemBuf, kFullBins>(m, src, r, r_end, hist, f,
-                                           std::min(nf, f + kFeatureTile),
-                                           bin_lo, bin_hi);
+        AccumulateTile<kMemBuf>(m, src, r, r_end, hist, f,
+                                std::min(nf, f + kFeatureTile));
       }
     }
   } else {
     // Caller-tiled feature block: accumulate it as one tile.
-    AccumulateTile<kMemBuf, kFullBins>(m, src, begin, end, hist, fb.first,
-                                       fb.second, bin_lo, bin_hi);
+    AccumulateTile<kMemBuf>(m, src, begin, end, hist, fb.first, fb.second);
   }
 }
 
@@ -284,44 +258,29 @@ inline void WidenQuantGroup(const int32_t p[kRowGroup],
 #endif
 }
 
-template <bool kFullBins>
 inline void AccumulateOneQ(const uint8_t* row_bins, int32_t packed,
                            const uint32_t* offsets, int64_t* hist,
-                           uint32_t f_begin, uint32_t f_end, uint32_t bin_lo,
-                           uint32_t bin_hi) {
+                           uint32_t f_begin, uint32_t f_end) {
   const int64_t w = WidenQuant(packed);
   for (uint32_t f = f_begin; f < f_end; ++f) {
-    const uint8_t bin = row_bins[f];
-    if constexpr (!kFullBins) {
-      if (bin < bin_lo || bin >= bin_hi) continue;
-    }
-    hist[offsets[f] + bin] += w;
+    hist[offsets[f] + row_bins[f]] += w;
   }
 }
 
-template <bool kFullBins>
 inline void AccumulateGroupQ(const uint8_t* const b[kRowGroup],
                              const int64_t w[kRowGroup],
                              const uint32_t* offsets, int64_t* hist,
-                             uint32_t f_begin, uint32_t f_end,
-                             uint32_t bin_lo, uint32_t bin_hi) {
+                             uint32_t f_begin, uint32_t f_end) {
   for (uint32_t f = f_begin; f < f_end; ++f) {
     const uint32_t off = offsets[f];
-    if constexpr (kFullBins) {
-      for (uint32_t u = 0; u < kRowGroup; ++u) {
-        hist[off + b[u][f]] += w[u];
-      }
-    } else {
-      for (uint32_t u = 0; u < kRowGroup; ++u) {
-        const uint8_t bin = b[u][f];
-        if (bin >= bin_lo && bin < bin_hi) hist[off + bin] += w[u];
-      }
+    for (uint32_t u = 0; u < kRowGroup; ++u) {
+      hist[off + b[u][f]] += w[u];
     }
   }
 }
 
 #if defined(__AVX2__)
-// Full-bins fast path for an exactly-16-feature tile, one row per
+// Fast path for an exactly-16-feature tile, one row per
 // iteration. Because integer accumulation is order-independent, the
 // quant kernel is free to abandon the f64 kernel's 4-row interleave and
 // instead vectorize the ADDRESS ARITHMETIC: one 16-byte bin load plus
@@ -392,18 +351,15 @@ void AccumulateTile16Q(const HistKernelMatrix& m, const HistRowSource& src,
 }
 #endif
 
-template <bool kMemBuf, bool kFullBins>
+template <bool kMemBuf>
 void AccumulateTileQ(const HistKernelMatrix& m, const HistRowSource& src,
                      uint32_t begin, uint32_t end, int64_t* hist,
-                     uint32_t f_begin, uint32_t f_end, uint32_t bin_lo,
-                     uint32_t bin_hi) {
+                     uint32_t f_begin, uint32_t f_end) {
 #if defined(__AVX2__)
-  if constexpr (kFullBins) {
-    if ((f_end - f_begin) % 16 == 0 && f_end > f_begin) {
-      AccumulateTile16Q<kMemBuf>(m, src, begin, end, hist, f_begin,
-                                 f_end - f_begin);
-      return;
-    }
+  if ((f_end - f_begin) % 16 == 0 && f_end > f_begin) {
+    AccumulateTile16Q<kMemBuf>(m, src, begin, end, hist, f_begin,
+                               f_end - f_begin);
+    return;
   }
 #endif
   const uint32_t* const offsets = m.bin_offsets;
@@ -426,54 +382,44 @@ void AccumulateTileQ(const HistKernelMatrix& m, const HistRowSource& src,
       LoadRowQ<kMemBuf>(m, src, i + u, &b[u], &p[u]);
     }
     WidenQuantGroup(p, w);
-    AccumulateGroupQ<kFullBins>(b, w, offsets, hist, f_begin, f_end, bin_lo,
-                                bin_hi);
+    AccumulateGroupQ(b, w, offsets, hist, f_begin, f_end);
   }
   for (; i < end; ++i) {
     const uint8_t* row_bins;
     int32_t packed;
     LoadRowQ<kMemBuf>(m, src, i, &row_bins, &packed);
-    AccumulateOneQ<kFullBins>(row_bins, packed, offsets, hist, f_begin, f_end,
-                              bin_lo, bin_hi);
+    AccumulateOneQ(row_bins, packed, offsets, hist, f_begin, f_end);
   }
 }
 
-template <bool kMemBuf, bool kFullBins, bool kFullFeatures>
+template <bool kMemBuf, bool kFullFeatures>
 void AccumulateRangeQ(const HistKernelMatrix& m, const HistRowSource& src,
-                      uint32_t begin, uint32_t end, int64_t* hist, Range fb,
-                      Range bins) {
-  const uint32_t bin_lo = bins.first;
-  const uint32_t bin_hi = bins.second;
+                      uint32_t begin, uint32_t end, int64_t* hist, Range fb) {
   if constexpr (kFullFeatures) {
     const uint32_t nf = m.num_features;
 #if defined(__AVX2__)
-    if constexpr (kFullBins) {
-      // Row-major single pass: every row's bin line is read once and the
-      // per-row costs amortize over all nf updates. Bounded so the write
-      // window (nf x 256 bins x 8 B worst case) stays L2-resident; wider
-      // matrices fall through to the feature-tiled walk.
-      if (nf % 16 == 0 && nf <= 256) {
-        AccumulateTile16Q<kMemBuf>(m, src, begin, end, hist, 0u, nf);
-        return;
-      }
+    // Row-major single pass: every row's bin line is read once and the
+    // per-row costs amortize over all nf updates. Bounded so the write
+    // window (nf x 256 bins x 8 B worst case) stays L2-resident; wider
+    // matrices fall through to the feature-tiled walk.
+    if (nf % 16 == 0 && nf <= 256) {
+      AccumulateTile16Q<kMemBuf>(m, src, begin, end, hist, 0u, nf);
+      return;
     }
 #endif
     if (nf <= kFeatureTile) {
-      AccumulateTileQ<kMemBuf, kFullBins>(m, src, begin, end, hist, 0u, nf,
-                                          bin_lo, bin_hi);
+      AccumulateTileQ<kMemBuf>(m, src, begin, end, hist, 0u, nf);
       return;
     }
     for (uint32_t r = begin; r < end; r += kRowTile) {
       const uint32_t r_end = std::min(end, r + kRowTile);
       for (uint32_t f = 0; f < nf; f += kFeatureTile) {
-        AccumulateTileQ<kMemBuf, kFullBins>(m, src, r, r_end, hist, f,
-                                            std::min(nf, f + kFeatureTile),
-                                            bin_lo, bin_hi);
+        AccumulateTileQ<kMemBuf>(m, src, r, r_end, hist, f,
+                                 std::min(nf, f + kFeatureTile));
       }
     }
   } else {
-    AccumulateTileQ<kMemBuf, kFullBins>(m, src, begin, end, hist, fb.first,
-                                        fb.second, bin_lo, bin_hi);
+    AccumulateTileQ<kMemBuf>(m, src, begin, end, hist, fb.first, fb.second);
   }
 }
 
@@ -587,28 +533,20 @@ void AddI64(int64_t* dst, const int64_t* src, size_t n) {
 
 }  // namespace
 
-// The includer's table, [membuf][full bins][full features] as
-// SelectHistKernel indexes — one instantiation of the whole kernel layer
-// at this TU's ISA level.
+// The includer's table, [membuf][full features] as SelectHistKernel
+// indexes — one instantiation of the whole kernel layer at this TU's ISA
+// level.
 const HistKernelTables& Tables() {
   static const HistKernelTables tables = [] {
     HistKernelTables t;
-    t.f64[0][0][0] = &AccumulateRange<false, false, false>;
-    t.f64[0][0][1] = &AccumulateRange<false, false, true>;
-    t.f64[0][1][0] = &AccumulateRange<false, true, false>;
-    t.f64[0][1][1] = &AccumulateRange<false, true, true>;
-    t.f64[1][0][0] = &AccumulateRange<true, false, false>;
-    t.f64[1][0][1] = &AccumulateRange<true, false, true>;
-    t.f64[1][1][0] = &AccumulateRange<true, true, false>;
-    t.f64[1][1][1] = &AccumulateRange<true, true, true>;
-    t.quant[0][0][0] = &AccumulateRangeQ<false, false, false>;
-    t.quant[0][0][1] = &AccumulateRangeQ<false, false, true>;
-    t.quant[0][1][0] = &AccumulateRangeQ<false, true, false>;
-    t.quant[0][1][1] = &AccumulateRangeQ<false, true, true>;
-    t.quant[1][0][0] = &AccumulateRangeQ<true, false, false>;
-    t.quant[1][0][1] = &AccumulateRangeQ<true, false, true>;
-    t.quant[1][1][0] = &AccumulateRangeQ<true, true, false>;
-    t.quant[1][1][1] = &AccumulateRangeQ<true, true, true>;
+    t.f64[0][0] = &AccumulateRange<false, false>;
+    t.f64[0][1] = &AccumulateRange<false, true>;
+    t.f64[1][0] = &AccumulateRange<true, false>;
+    t.f64[1][1] = &AccumulateRange<true, true>;
+    t.quant[0][0] = &AccumulateRangeQ<false, false>;
+    t.quant[0][1] = &AccumulateRangeQ<false, true>;
+    t.quant[1][0] = &AccumulateRangeQ<true, false>;
+    t.quant[1][1] = &AccumulateRangeQ<true, true>;
     t.quantize_rows = &QuantizeRows;
     t.dequantize = &Dequantize;
     t.add_i64 = &AddI64;

@@ -132,7 +132,8 @@ bool DeserializeModel(const std::string& text, GbdtModel* out,
   {
     const auto parts = SplitWhitespace(line);
     if (parts.size() != 3 || parts[0] != "cuts" ||
-        !ParseInt(parts[1], &num_features) || !ParseInt(parts[2], &max_bins)) {
+        !ParseInt(parts[1], &num_features) || !ParseInt(parts[2], &max_bins) ||
+        num_features < 0 || max_bins < 2 || max_bins > 256) {
       *error = "bad cuts line";
       return false;
     }

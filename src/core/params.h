@@ -68,8 +68,6 @@ struct TrainParams {
   int node_blk_size = 1;
   // Features per block; 0 = all features in one block (pure DP layout).
   int feature_blk_size = 0;
-  // Bins per histogram pass; 256 disables bin-level blocking.
-  int bin_blk_size = 256;
   // Fused-step scheduler: run each TopK batch (apply / build / reduce /
   // subtract / find) inside ONE persistent parallel region with in-region
   // phase barriers instead of one region launch per phase. Off = the

@@ -432,7 +432,8 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
 
   if (stats != nullptr) {
     // Approximate GHSum write window of one histogram task (Section IV-E:
-    // 16 x bin_blk x feature_blk x node_blk bytes).
+    // cell bytes x a feature block's bins x node_blk; every task covers
+    // its features' full bin range).
     const size_t fblocks =
         MakeFeatureBlocks(matrix_.num_features(), params_.feature_blk_size)
             .size();

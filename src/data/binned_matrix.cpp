@@ -1,6 +1,5 @@
 #include "data/binned_matrix.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,15 +8,13 @@
 namespace harp {
 namespace {
 
-// bin_offsets / max_bins are derived from the cuts in both construction
-// paths; keeping one derivation guarantees Build and FromParts agree.
+// bin_offsets are derived from the cuts in both construction paths;
+// keeping one derivation guarantees Build and FromParts agree.
 void DeriveOffsets(const QuantileCuts& cuts, uint32_t num_features,
-                   std::vector<uint32_t>* bin_offsets, uint32_t* max_bins) {
+                   std::vector<uint32_t>* bin_offsets) {
   bin_offsets->assign(num_features + 1, 0);
-  *max_bins = 0;
   for (uint32_t f = 0; f < num_features; ++f) {
     (*bin_offsets)[f + 1] = (*bin_offsets)[f] + cuts.NumBins(f);
-    *max_bins = std::max(*max_bins, cuts.NumBins(f));
   }
 }
 
@@ -31,8 +28,7 @@ BinnedMatrix BinnedMatrix::Build(const Dataset& dataset, QuantileCuts cuts,
   matrix.num_features_ = dataset.num_features();
   matrix.group_ptr_ = dataset.group_ptr();
   matrix.cuts_ = std::move(cuts);
-  DeriveOffsets(matrix.cuts_, matrix.num_features_, &matrix.bin_offsets_,
-                &matrix.max_bins_);
+  DeriveOffsets(matrix.cuts_, matrix.num_features_, &matrix.bin_offsets_);
 
   // Bin 0 (missing) is the fill value; present entries overwrite it.
   matrix.storage_ = BinMatrixStorage::Heap(std::vector<uint8_t>(
@@ -75,8 +71,7 @@ BinnedMatrix BinnedMatrix::FromParts(uint32_t num_rows, uint32_t num_features,
   matrix.cuts_ = std::move(cuts);
   matrix.storage_ = std::move(storage);
   matrix.group_ptr_ = std::move(group_ptr);
-  DeriveOffsets(matrix.cuts_, matrix.num_features_, &matrix.bin_offsets_,
-                &matrix.max_bins_);
+  DeriveOffsets(matrix.cuts_, matrix.num_features_, &matrix.bin_offsets_);
   return matrix;
 }
 

@@ -61,10 +61,6 @@ class BinnedMatrix {
   // Number of bins of `feature`, including the missing bin 0.
   uint32_t NumBins(uint32_t feature) const { return cuts_.NumBins(feature); }
 
-  // Largest per-feature bin count: every bin id in the matrix is < this.
-  // Bin-range blocking (MakeBinRanges) only needs to cover [0, MaxBins()).
-  uint32_t MaxBins() const { return max_bins_; }
-
   // Histogram offset of `feature`: the linear histogram slot of
   // <feature, bin> is BinOffset(feature) + bin.
   uint32_t BinOffset(uint32_t feature) const { return bin_offsets_[feature]; }
@@ -109,7 +105,6 @@ class BinnedMatrix {
  private:
   uint32_t num_rows_ = 0;
   uint32_t num_features_ = 0;
-  uint32_t max_bins_ = 0;  // max over features of NumBins(f)
   BinMatrixStorage storage_;          // row-major bins, heap | mmap
   std::vector<uint8_t> col_bins_;     // column-major copy (optional)
   std::vector<uint32_t> bin_offsets_;  // size num_features + 1

@@ -173,15 +173,6 @@ void ThreadPool::ParallelForDynamic(int64_t n, int64_t chunk,
   });
 }
 
-void ThreadPool::RunTasks(const std::vector<std::function<void()>>& tasks) {
-  ParallelForDynamic(static_cast<int64_t>(tasks.size()), 1,
-                     [&](int64_t begin, int64_t end, int) {
-                       for (int64_t i = begin; i < end; ++i) {
-                         tasks[static_cast<size_t>(i)]();
-                       }
-                     });
-}
-
 SyncSnapshot ThreadPool::Snapshot() const {
   SyncSnapshot snapshot;
   snapshot.threads = num_threads_;

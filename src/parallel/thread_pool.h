@@ -57,9 +57,6 @@ class ThreadPool {
   // dynamic schedule). Load-imbalanced loops should prefer this.
   void ParallelForDynamic(int64_t n, int64_t chunk, const RangeFn& fn);
 
-  // Runs a set of heterogeneous tasks with dynamic scheduling.
-  void RunTasks(const std::vector<std::function<void()>>& tasks);
-
   // Aggregated synchronization counters since construction / ResetStats().
   SyncSnapshot Snapshot() const;
   void ResetStats();

@@ -1,10 +1,10 @@
 // Kernel-layer tests: every specialized hist_kernels variant must produce
 // BIT-IDENTICAL histograms to the reference scalar AccumulateRow — across
-// MemBuf/gather row sources, filtered/full bin ranges, caller-tiled and
-// full feature blocks, uneven per-feature bin counts, and row ranges that
-// exercise the empty / single-row / odd-length remainder paths and the
-// internal row-tile boundary. Plus the DP replica lifecycle (storage
-// reuse, lazy clearing) and MakeBinRanges coverage.
+// MemBuf/gather row sources, caller-tiled and full feature blocks, both
+// ISA tables, uneven per-feature bin counts, and row ranges that exercise
+// the empty / single-row / odd-length remainder paths and the internal
+// row-tile boundary. Plus the DP replica lifecycle (storage reuse, lazy
+// clearing).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -38,14 +38,12 @@ struct KernelFixture {
 
 struct KernelCase {
   bool membuf;
-  bool full_bins;
   bool full_features;
 };
 
 std::string KernelCaseName(const ::testing::TestParamInfo<KernelCase>& info) {
   const KernelCase& c = info.param;
   std::string name = c.membuf ? "membuf" : "gather";
-  name += c.full_bins ? "_fullbins" : "_filtered";
   name += c.full_features ? "_fullblock" : "_tiled";
   return name;
 }
@@ -54,8 +52,9 @@ class HistKernelParity : public ::testing::TestWithParam<KernelCase> {};
 
 // Every dispatchable kernel, against the scalar reference, over row ranges
 // covering the empty range, a single row, odd lengths (4-row remainder
-// path), and ranges spanning the internal row-tile boundary. Equality is
-// exact (GHPair operator==): the kernels must not change the per-slot
+// path), and ranges spanning the internal row-tile boundary, for the
+// scalar table and (when the CPU has it) the AVX2 table. Equality is exact
+// (GHPair operator==): the kernels must not change the per-slot
 // floating-point accumulation order.
 TEST_P(HistKernelParity, BitExactVsScalarReference) {
   const KernelCase& c = GetParam();
@@ -69,11 +68,13 @@ TEST_P(HistKernelParity, BitExactVsScalarReference) {
 
   const HistKernelMatrix km = MakeHistKernelMatrix(fx.matrix, partitioner);
   const HistRowSource src = MakeHistRowSource(partitioner, /*node_id=*/0);
-  const HistKernelFn kernel =
-      SelectHistKernel(c.membuf, c.full_bins, c.full_features);
+  const HistKernelFn kernel = SelectHistKernel(c.membuf, c.full_features);
   ASSERT_NE(kernel, nullptr);
+  const HistKernelFn kernel_avx2 =
+      SimdSupported(SimdLevel::kAVX2)
+          ? SelectHistKernel(c.membuf, c.full_features, SimdLevel::kAVX2)
+          : nullptr;
 
-  const Range bins = c.full_bins ? Range{0u, 256u} : Range{2u, 9u};
   // Caller-tiled kernels get 5-feature blocks (19 % 5 != 0, so the last
   // block is ragged); full-block kernels get the whole feature space.
   const auto blocks =
@@ -91,32 +92,34 @@ TEST_P(HistKernelParity, BitExactVsScalarReference) {
 
   for (const auto& [begin, end] : row_ranges) {
     std::vector<GHPair> actual(fx.matrix.TotalBins());
+    std::vector<GHPair> avx2(fx.matrix.TotalBins());
     std::vector<GHPair> expected(fx.matrix.TotalBins());
     for (const Range& fb : blocks) {
-      kernel(km, src, begin, end, actual.data(), fb, bins);
+      kernel(km, src, begin, end, actual.data(), fb);
+      if (kernel_avx2 != nullptr) {
+        kernel_avx2(km, src, begin, end, avx2.data(), fb);
+      }
       partitioner.ForEachRowRange(
           0, begin, end, [&](uint32_t rid, float g, float h) {
             AccumulateRow(fx.matrix.RowBins(rid), g, h, fx.matrix,
-                          expected.data(), fb, bins);
+                          expected.data(), fb);
           });
     }
     for (size_t s = 0; s < expected.size(); ++s) {
       ASSERT_EQ(actual[s], expected[s])
           << "rows [" << begin << ", " << end << ") slot " << s;
+      if (kernel_avx2 != nullptr) {
+        ASSERT_EQ(avx2[s], expected[s])
+            << "avx2, rows [" << begin << ", " << end << ") slot " << s;
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, HistKernelParity,
-    ::testing::Values(KernelCase{true, true, true},
-                      KernelCase{true, true, false},
-                      KernelCase{true, false, true},
-                      KernelCase{true, false, false},
-                      KernelCase{false, true, true},
-                      KernelCase{false, true, false},
-                      KernelCase{false, false, true},
-                      KernelCase{false, false, false}),
+    ::testing::Values(KernelCase{true, true}, KernelCase{true, false},
+                      KernelCase{false, true}, KernelCase{false, false}),
     KernelCaseName);
 
 TEST(HistKernels, GatherSourceRequiresGradients) {
@@ -250,42 +253,6 @@ TEST(HistBuilderDpReplicas, ReductionSkipsUntouchedThreads) {
   // node is touched by exactly one thread.
   EXPECT_EQ(stats.regions_total, 8);
   EXPECT_EQ(stats.regions_touched, 2);
-}
-
-// ---------- MakeBinRanges ----------
-
-TEST(MakeBinRangesTest, CoversActualBinUniverse) {
-  const auto ranges = MakeBinRanges(4, 10);
-  ASSERT_EQ(ranges.size(), 3u);
-  EXPECT_EQ(ranges[0], (Range{0u, 4u}));
-  EXPECT_EQ(ranges[1], (Range{4u, 8u}));
-  EXPECT_EQ(ranges[2], (Range{8u, 10u}));
-}
-
-TEST(MakeBinRangesTest, BlockSizeAtLeastUniverseDisablesBlocking) {
-  const auto ranges = MakeBinRanges(10, 10);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], (Range{0u, 10u}));
-  EXPECT_EQ(MakeBinRanges(256, 17).size(), 1u);
-}
-
-TEST(MakeBinRangesTest, DefaultUniverseIs256) {
-  const auto ranges = MakeBinRanges(64);
-  ASSERT_EQ(ranges.size(), 4u);
-  EXPECT_EQ(ranges.back(), (Range{192u, 256u}));
-}
-
-TEST(BinnedMatrixMaxBins, TracksWidestFeature) {
-  const Dataset ds = MakeDataset(300, 5, 0.9, 7, /*distinct=*/11);
-  const BinnedMatrix matrix =
-      BinnedMatrix::Build(ds, QuantileCuts::Compute(ds, 32));
-  uint32_t expected = 0;
-  for (uint32_t f = 0; f < matrix.num_features(); ++f) {
-    expected = std::max(expected, matrix.NumBins(f));
-  }
-  EXPECT_EQ(matrix.MaxBins(), expected);
-  EXPECT_GT(matrix.MaxBins(), 0u);
-  EXPECT_LE(matrix.MaxBins(), 256u);
 }
 
 }  // namespace

@@ -103,7 +103,6 @@ struct BuilderCase {
   bool use_mp;       // MP builder (else DP)
   int feature_blk;   // 0 = all
   int node_blk;
-  int bin_blk;       // 256 = disabled (DP ignores)
   bool membuf;
   int threads;
 };
@@ -113,7 +112,6 @@ std::string CaseName(const ::testing::TestParamInfo<BuilderCase>& info) {
   std::string name = c.use_mp ? "MP" : "DP";
   name += "_f" + std::to_string(c.feature_blk);
   name += "_n" + std::to_string(c.node_blk);
-  name += "_b" + std::to_string(c.bin_blk);
   name += c.membuf ? "_membuf" : "_gather";
   name += "_t" + std::to_string(c.threads);
   return name;
@@ -133,7 +131,6 @@ TEST_P(HistBuilderSweep, MatchesNaiveReference) {
   TrainParams params;
   params.feature_blk_size = c.feature_blk;
   params.node_blk_size = c.node_blk;
-  params.bin_blk_size = c.bin_blk;
   params.use_membuf = c.membuf;
 
   ThreadPool pool(c.threads);
@@ -183,21 +180,21 @@ INSTANTIATE_TEST_SUITE_P(
     BlockConfigs, HistBuilderSweep,
     ::testing::Values(
         // DP: feature blocks x node blocks x threads x membuf
-        BuilderCase{false, 0, 1, 256, true, 1},
-        BuilderCase{false, 0, 1, 256, true, 4},
-        BuilderCase{false, 1, 1, 256, true, 4},
-        BuilderCase{false, 3, 2, 256, true, 4},
-        BuilderCase{false, 4, 2, 256, false, 2},
-        BuilderCase{false, 0, 2, 256, false, 4},
-        BuilderCase{false, 11, 1, 256, true, 3},
-        // MP: adds bin blocking
-        BuilderCase{true, 0, 1, 256, true, 1},
-        BuilderCase{true, 1, 1, 256, true, 4},
-        BuilderCase{true, 1, 2, 256, true, 4},
-        BuilderCase{true, 3, 1, 8, true, 4},
-        BuilderCase{true, 4, 2, 4, false, 4},
-        BuilderCase{true, 0, 2, 16, false, 2},
-        BuilderCase{true, 11, 2, 256, false, 3}),
+        BuilderCase{false, 0, 1, true, 1},
+        BuilderCase{false, 0, 1, true, 4},
+        BuilderCase{false, 1, 1, true, 4},
+        BuilderCase{false, 3, 2, true, 4},
+        BuilderCase{false, 4, 2, false, 2},
+        BuilderCase{false, 0, 2, false, 4},
+        BuilderCase{false, 11, 1, true, 3},
+        // MP: feature blocks x node blocks x threads x membuf
+        BuilderCase{true, 0, 1, true, 1},
+        BuilderCase{true, 1, 1, true, 4},
+        BuilderCase{true, 1, 2, true, 4},
+        BuilderCase{true, 3, 1, true, 4},
+        BuilderCase{true, 4, 2, false, 4},
+        BuilderCase{true, 0, 2, false, 2},
+        BuilderCase{true, 11, 2, false, 3}),
     CaseName);
 
 // Subtraction-trick cross-check: parent - sibling == direct build.

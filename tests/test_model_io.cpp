@@ -234,6 +234,26 @@ TEST(ModelIo, RejectsMalformedInput) {
       "harpgbdt-model v1\nobjective nope\n", &out, &error));
 }
 
+// A negative feature count used to slip past the cut_ptr size check (the
+// expected size wrapped around to 1) and read cut_ptr.back() of an empty
+// vector; max_bins outside [2, 256] cannot describe one-byte bin ids.
+TEST(ModelIo, RejectsOutOfRangeCutsLine) {
+  const std::string text = SerializeModel(TrainSmallModel());
+  const size_t cuts = text.find("\ncuts ");
+  ASSERT_NE(cuts, std::string::npos);
+  const size_t cut_ptr_end = text.find('\n', text.find("\ncut_ptr", cuts) + 1);
+  ASSERT_NE(cut_ptr_end, std::string::npos);
+  GbdtModel out;
+  for (const char* bad : {"cuts -1 256\ncut_ptr", "cuts 3 1\ncut_ptr 0 0 0 0",
+                          "cuts 3 999\ncut_ptr 0 0 0 0"}) {
+    std::string corrupted = text;
+    corrupted.replace(cuts + 1, cut_ptr_end - cuts - 1, bad);
+    std::string error;
+    EXPECT_FALSE(DeserializeModel(corrupted, &out, &error)) << bad;
+    EXPECT_EQ(error, "bad cuts line") << bad;
+  }
+}
+
 TEST(ModelIo, RejectsTruncatedModel) {
   const GbdtModel model = TrainSmallModel();
   const std::string text = SerializeModel(model);

@@ -347,7 +347,6 @@ struct QuantKernelFixture {
 
 struct QuantKernelCase {
   bool membuf;
-  bool full_bins;
   bool full_features;
 };
 
@@ -355,7 +354,6 @@ std::string QuantKernelCaseName(
     const ::testing::TestParamInfo<QuantKernelCase>& info) {
   const QuantKernelCase& c = info.param;
   std::string name = c.membuf ? "membuf" : "gather";
-  name += c.full_bins ? "_fullbins" : "_filtered";
   name += c.full_features ? "_fullblock" : "_tiled";
   return name;
 }
@@ -378,16 +376,14 @@ TEST_P(QuantKernelParity, MatchesWidenQuantReference) {
   const HistKernelMatrix km =
       MakeHistKernelMatrix(fx.matrix, partitioner, fx.packed.data());
   const HistRowSource src = MakeHistRowSource(partitioner, /*node_id=*/0);
-  const QuantKernelFn kernel = SelectQuantHistKernel(
-      c.membuf, c.full_bins, c.full_features, SimdLevel::kScalar);
+  const QuantKernelFn kernel =
+      SelectQuantHistKernel(c.membuf, c.full_features, SimdLevel::kScalar);
   ASSERT_NE(kernel, nullptr);
-  const bool have_avx2 = SimdSupported(SimdLevel::kAVX2);
   const QuantKernelFn kernel_avx2 =
-      have_avx2 ? SelectQuantHistKernel(c.membuf, c.full_bins,
-                                        c.full_features, SimdLevel::kAVX2)
-                : nullptr;
+      SimdSupported(SimdLevel::kAVX2)
+          ? SelectQuantHistKernel(c.membuf, c.full_features, SimdLevel::kAVX2)
+          : nullptr;
 
-  const Range bins = c.full_bins ? Range{0u, 256u} : Range{2u, 9u};
   const auto blocks = MakeFeatureBlocks(features, c.full_features ? 0 : 5);
 
   const std::pair<uint32_t, uint32_t> row_ranges[] = {
@@ -404,17 +400,15 @@ TEST_P(QuantKernelParity, MatchesWidenQuantReference) {
     std::vector<int64_t> avx2(fx.matrix.TotalBins(), 0);
     std::vector<int64_t> expected(fx.matrix.TotalBins(), 0);
     for (const Range& fb : blocks) {
-      kernel(km, src, begin, end, actual.data(), fb, bins);
+      kernel(km, src, begin, end, actual.data(), fb);
       if (kernel_avx2 != nullptr) {
-        kernel_avx2(km, src, begin, end, avx2.data(), fb, bins);
+        kernel_avx2(km, src, begin, end, avx2.data(), fb);
       }
       partitioner.ForEachRowRange(
           0, begin, end, [&](uint32_t rid, float, float) {
             const int64_t w = WidenQuant(fx.packed[rid]);
             for (uint32_t f = fb.first; f < fb.second; ++f) {
-              const uint32_t bin = fx.matrix.Bin(rid, f);
-              if (bin < bins.first || bin >= bins.second) continue;
-              expected[fx.matrix.BinOffset(f) + bin] += w;
+              expected[fx.matrix.BinOffset(f) + fx.matrix.Bin(rid, f)] += w;
             }
           });
     }
@@ -431,14 +425,10 @@ TEST_P(QuantKernelParity, MatchesWidenQuantReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, QuantKernelParity,
-    ::testing::Values(QuantKernelCase{true, true, true},
-                      QuantKernelCase{true, true, false},
-                      QuantKernelCase{true, false, true},
-                      QuantKernelCase{true, false, false},
-                      QuantKernelCase{false, true, true},
-                      QuantKernelCase{false, true, false},
-                      QuantKernelCase{false, false, true},
-                      QuantKernelCase{false, false, false}),
+    ::testing::Values(QuantKernelCase{true, true},
+                      QuantKernelCase{true, false},
+                      QuantKernelCase{false, true},
+                      QuantKernelCase{false, false}),
     QuantKernelCaseName);
 
 // The dequantized full-histogram must track the f64 reference within the
@@ -455,11 +445,11 @@ TEST(QuantAccuracy, DequantizedHistogramWithinPerSlotBound) {
       MakeHistKernelMatrix(fx.matrix, partitioner, fx.packed.data());
   const HistRowSource src = MakeHistRowSource(partitioner, 0);
   const QuantKernelFn kernel =
-      SelectQuantHistKernel(true, true, true, SimdLevel::kScalar);
+      SelectQuantHistKernel(true, true, SimdLevel::kScalar);
 
   std::vector<int64_t> cells(fx.matrix.TotalBins(), 0);
   kernel(km, src, 0, rows, cells.data(),
-         Range{0u, fx.matrix.num_features()}, Range{0u, 256u});
+         Range{0u, fx.matrix.num_features()});
   std::vector<GHPair> deq(cells.size());
   DequantizeHistogram(cells.data(), deq.data(), cells.size(), fx.scales,
                       static_cast<int>(SimdLevel::kScalar));

@@ -69,17 +69,6 @@ TEST_P(ThreadPoolParam, RunOnAllThreadsUniqueIds) {
   }
 }
 
-TEST_P(ThreadPoolParam, RunTasksRunsAll) {
-  ThreadPool pool(GetParam());
-  std::vector<std::atomic<int>> done(37);
-  std::vector<std::function<void()>> tasks;
-  for (size_t i = 0; i < done.size(); ++i) {
-    tasks.push_back([&done, i] { done[i].fetch_add(1); });
-  }
-  pool.RunTasks(tasks);
-  for (auto& d : done) EXPECT_EQ(d.load(), 1);
-}
-
 TEST_P(ThreadPoolParam, BackToBackRegions) {
   ThreadPool pool(GetParam());
   std::atomic<int64_t> total{0};

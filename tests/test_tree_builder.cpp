@@ -55,7 +55,6 @@ struct ConfigCase {
   ParallelMode mode;
   int feature_blk;
   int node_blk;
-  int bin_blk;
   bool membuf;
   bool subtraction;
   int threads;
@@ -65,7 +64,7 @@ std::string ConfigName(const ::testing::TestParamInfo<ConfigCase>& info) {
   const ConfigCase& c = info.param;
   std::string n = ToString(c.mode);
   n += "_f" + std::to_string(c.feature_blk) + "_n" +
-       std::to_string(c.node_blk) + "_b" + std::to_string(c.bin_blk);
+       std::to_string(c.node_blk);
   n += c.membuf ? "_mb" : "_ga";
   n += c.subtraction ? "_sub" : "_dir";
   n += "_t" + std::to_string(c.threads);
@@ -90,7 +89,6 @@ TEST_P(DeterministicModes, SameTreeAsSerialReference) {
     p.mode = c.mode;
     p.feature_blk_size = c.feature_blk;
     p.node_blk_size = c.node_blk;
-    p.bin_blk_size = c.bin_blk;
     p.use_membuf = c.membuf;
     p.use_hist_subtraction = c.subtraction;
     const RegTree actual = BuildWith(env, p, c.threads);
@@ -102,17 +100,17 @@ TEST_P(DeterministicModes, SameTreeAsSerialReference) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DeterministicModes,
     ::testing::Values(
-        ConfigCase{ParallelMode::kDP, 0, 1, 256, true, false, 4},
-        ConfigCase{ParallelMode::kDP, 3, 2, 256, true, false, 4},
-        ConfigCase{ParallelMode::kDP, 2, 4, 256, false, false, 2},
-        ConfigCase{ParallelMode::kDP, 0, 1, 256, true, true, 4},
-        ConfigCase{ParallelMode::kMP, 1, 1, 256, true, false, 4},
-        ConfigCase{ParallelMode::kMP, 4, 2, 256, true, false, 3},
-        ConfigCase{ParallelMode::kMP, 2, 2, 8, false, false, 4},
-        ConfigCase{ParallelMode::kMP, 3, 1, 256, true, true, 4},
-        ConfigCase{ParallelMode::kSYNC, 2, 2, 256, true, false, 4},
-        ConfigCase{ParallelMode::kSYNC, 0, 4, 256, false, true, 3},
-        ConfigCase{ParallelMode::kSYNC, 4, 2, 16, true, false, 2}),
+        ConfigCase{ParallelMode::kDP, 0, 1, true, false, 4},
+        ConfigCase{ParallelMode::kDP, 3, 2, true, false, 4},
+        ConfigCase{ParallelMode::kDP, 2, 4, false, false, 2},
+        ConfigCase{ParallelMode::kDP, 0, 1, true, true, 4},
+        ConfigCase{ParallelMode::kMP, 1, 1, true, false, 4},
+        ConfigCase{ParallelMode::kMP, 4, 2, true, false, 3},
+        ConfigCase{ParallelMode::kMP, 2, 2, false, false, 4},
+        ConfigCase{ParallelMode::kMP, 3, 1, true, true, 4},
+        ConfigCase{ParallelMode::kSYNC, 2, 2, true, false, 4},
+        ConfigCase{ParallelMode::kSYNC, 0, 4, false, true, 3},
+        ConfigCase{ParallelMode::kSYNC, 4, 2, true, false, 2}),
     ConfigName);
 
 // ---------- ASYNC ----------
