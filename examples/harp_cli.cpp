@@ -667,14 +667,9 @@ bool ParseSynthSpec(const std::string& text, SyntheticSpec* spec) {
 }
 
 void PrintCommStats(const char* prefix, const CommStats& s) {
-  std::printf(
-      "%s: allreduce %lld calls / %lld B, broadcast %lld calls / %lld B, "
-      "%lld barriers\n",
-      prefix, static_cast<long long>(s.allreduce_calls),
-      static_cast<long long>(s.allreduce_bytes),
-      static_cast<long long>(s.broadcast_calls),
-      static_cast<long long>(s.broadcast_bytes),
-      static_cast<long long>(s.barriers));
+  std::printf("%s: allreduce %lld calls / %lld B\n", prefix,
+              static_cast<long long>(s.allreduce_calls),
+              static_cast<long long>(s.allreduce_bytes));
   if (s.hist_exchanges > 0) {
     const double ratio =
         s.hist_wire_bytes > 0 ? static_cast<double>(s.hist_dense_bytes) /
@@ -709,6 +704,20 @@ int CmdDistTrain(const Args& args) {
     BadValue("compress", p.comm_compress, "dense|sparse");
   }
   const int worker_threads = std::max(1, p.num_threads);
+  // A socket rank's flags are checked before any data is loaded.
+  const bool socket_rank = args.values.count("rank") > 0;
+  const int rank = args.GetInt("rank", 0);
+  const int world = args.GetInt("world", 1);
+  const int port = args.GetInt("port", 0);
+  if (socket_rank) {
+    if (world < 1) BadValue("world", args.Get("world", ""), "an integer >= 1");
+    if (rank < 0 || rank >= world) {
+      BadValue("rank", args.Get("rank", ""), "an integer in [0, --world)");
+    }
+    if (port < 1 || port > 65535) {
+      BadValue("port", args.Get("port", ""), "an integer in [1, 65535]");
+    }
+  }
 
   Dataset data;
   const std::string synth = args.Get("synth", "");
@@ -732,15 +741,8 @@ int CmdDistTrain(const Args& args) {
   const std::string model_path = args.Get("model", "");
   GbdtModel model;
 
-  if (args.values.count("rank") > 0) {
+  if (socket_rank) {
     // One rank of a multi-process run over loopback TCP.
-    const int rank = args.GetInt("rank", 0);
-    const int world = args.GetInt("world", 1);
-    const int port = args.GetInt("port", 0);
-    if (world < 1 || rank < 0 || rank >= world || port <= 0) {
-      std::fprintf(stderr, "need --rank in [0,--world) and --port\n");
-      return 1;
-    }
     try {
       const auto transport = SocketTransport::Create(rank, world, port);
       Communicator comm(*transport);

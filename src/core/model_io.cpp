@@ -244,6 +244,13 @@ bool DeserializeModel(const std::string& text, GbdtModel* out,
       n.sum.g = sum_g;
       n.sum.h = sum_h;
       n.num_rows = static_cast<uint32_t>(num_rows);
+      // With cuts, every split must name a feature they cover: binned
+      // prediction and importance index by it.
+      if (!n.IsLeaf() && num_features > 0 &&
+          (ints[4] < 0 || ints[4] >= num_features)) {
+        *error = "bad split feature";
+        return false;
+      }
     }
     if (!tree.CheckValid()) {
       *error = "invalid tree structure";

@@ -1,58 +1,94 @@
 #include "distributed/communicator.h"
 
+#include <algorithm>
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/timer.h"
 #include "distributed/inprocess_transport.h"
 #include "distributed/sparse_hist.h"
+#include "parallel/thread_pool.h"
 
 namespace harp {
 
-static_assert(sizeof(GHPair) == 2 * sizeof(double),
-              "GHPair must be two packed doubles for the transport view");
+namespace {
+
+[[noreturn]] void Fail(const char* what) {
+  throw std::runtime_error(std::string("Communicator: ") + what);
+}
+
+struct Sum {
+  template <typename T>
+  void operator()(T& acc, const T& v) const { acc += v; }
+};
+
+// Frames are byte buffers, so elements move in and out through memcpy.
+template <typename T>
+T Load(const uint8_t* bytes, int64_t i) {
+  T v{};
+  std::memcpy(&v, bytes + static_cast<size_t>(i) * sizeof(T), sizeof(T));
+  return v;
+}
+
+}  // namespace
+
+template <typename T, typename Op>
+void Communicator::Allreduce(T* data, size_t count, Op op, ThreadPool* pool) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const size_t bytes = count * sizeof(T);
+  ++stats_.allreduce_calls;
+  stats_.allreduce_bytes += static_cast<int64_t>(bytes) * (world_size() - 1);
+  if (world_size() == 1) return;
+  transport_->ReduceBlobs(
+      reinterpret_cast<const uint8_t*>(data), bytes,
+      [&](const Transport::Frames& frames, std::vector<uint8_t>* out) {
+        for (const auto& frame : frames) {
+          if (frame.second != bytes) Fail("allreduce frame size mismatch");
+        }
+        out->resize(bytes);
+        // Each element sees the ranks in order, so any split of the range
+        // gives the serial fold bit for bit.
+        const auto fold = [&](int64_t begin, int64_t end, int) {
+          for (int64_t i = begin; i < end; ++i) {
+            T acc = Load<T>(frames[0].first, i);
+            for (size_t r = 1; r < frames.size(); ++r) {
+              op(acc, Load<T>(frames[r].first, i));
+            }
+            std::memcpy(out->data() + static_cast<size_t>(i) * sizeof(T),
+                        &acc, sizeof(T));
+          }
+        };
+        if (pool == nullptr || pool->num_threads() == 1) {
+          fold(0, static_cast<int64_t>(count), 0);
+        } else {
+          pool->ParallelFor(static_cast<int64_t>(count), fold);
+        }
+      },
+      &fold_result_);
+  if (fold_result_.size() != bytes) Fail("allreduce result size mismatch");
+  if (bytes > 0) std::memcpy(data, fold_result_.data(), bytes);
+}
 
 void Communicator::AllreduceSum(GHPair* data, size_t count) {
-  ++stats_.allreduce_calls;
-  stats_.allreduce_bytes +=
-      static_cast<int64_t>(count * sizeof(GHPair)) * (world_size() - 1);
-  transport_->AllreduceSum(reinterpret_cast<double*>(data), count * 2);
+  Allreduce(data, count, Sum{});
 }
 
 void Communicator::AllreduceSum(double* data, size_t count) {
-  ++stats_.allreduce_calls;
-  stats_.allreduce_bytes +=
-      static_cast<int64_t>(count * sizeof(double)) * (world_size() - 1);
-  transport_->AllreduceSum(data, count);
+  Allreduce(data, count, Sum{});
 }
 
 void Communicator::AllreduceSum(int64_t* data, size_t count) {
-  ++stats_.allreduce_calls;
-  stats_.allreduce_bytes +=
-      static_cast<int64_t>(count * sizeof(int64_t)) * (world_size() - 1);
-  transport_->AllreduceSum(data, count);
+  Allreduce(data, count, Sum{});
 }
 
 void Communicator::AllreduceMax(double* data, size_t count) {
-  ++stats_.allreduce_calls;
-  stats_.allreduce_bytes +=
-      static_cast<int64_t>(count * sizeof(double)) * (world_size() - 1);
-  transport_->AllreduceMax(data, count);
-}
-
-void Communicator::Broadcast(void* data, size_t bytes, int root) {
-  ++stats_.broadcast_calls;
-  stats_.broadcast_bytes +=
-      static_cast<int64_t>(bytes) * (world_size() - 1);
-  transport_->Broadcast(data, bytes, root);
-}
-
-void Communicator::Barrier() {
-  ++stats_.barriers;
-  transport_->Barrier();
+  Allreduce(data, count, [](double& a, double b) { a = std::max(a, b); });
 }
 
 void Communicator::AllreduceHistograms(GHPair* const* hists,
@@ -67,14 +103,14 @@ void Communicator::AllreduceHistograms(GHPair* const* hists,
 
   if (!opts.sparse) {
     // Dense oracle: concatenate the batch and run one rank-ordered f64
-    // allreduce over it.
+    // allreduce over it, folded on the reducing rank's pool.
     const size_t total = static_cast<size_t>(num_hists) * cells;
     dense_scratch_.resize(total);
     for (uint32_t h = 0; h < num_hists; ++h) {
       std::memcpy(dense_scratch_.data() + static_cast<size_t>(h) * cells,
                   hists[h], static_cast<size_t>(cells) * sizeof(GHPair));
     }
-    AllreduceSum(dense_scratch_.data(), total);
+    Allreduce(dense_scratch_.data(), total, Sum{}, opts.pool);
     for (uint32_t h = 0; h < num_hists; ++h) {
       std::memcpy(hists[h],
                   dense_scratch_.data() + static_cast<size_t>(h) * cells,

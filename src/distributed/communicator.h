@@ -3,9 +3,9 @@
 // The paper's stated future work is distributed HarpGBDT: "Both XGBoost
 // and LightGBM build distributed GBDT upon a collective communication
 // layer" (Section VI). Communicator is that layer's front end: typed
-// collectives with per-rank traffic accounting plus the compressed
-// histogram exchange. The actual byte movement is delegated to a pluggable
-// Transport backend (distributed/transport.h) — worker threads in one
+// allreduces with per-rank traffic accounting plus the compressed
+// histogram exchange, all built on the backend's one collective,
+// Transport::ReduceBlobs (distributed/transport.h) — worker threads in one
 // process for CI, or real processes over loopback TCP.
 #pragma once
 
@@ -25,8 +25,9 @@ class ThreadPool;
 struct CommStats {
   int64_t allreduce_calls = 0;
   int64_t allreduce_bytes = 0;  // payload size x (world - 1), per call
-  int64_t broadcast_calls = 0;
-  int64_t broadcast_bytes = 0;  // payload size x (world - 1), per call
+  // Always 0: the layer has no broadcast or barrier. Kept only for the
+  // benchmark's dist.broadcast_bytes and dist.barriers metrics.
+  int64_t broadcast_bytes = 0;
   int64_t barriers = 0;
   // Histogram-exchange accounting (AllreduceHistograms only). Wire bytes
   // are what this rank physically moved — sent frame + received result —
@@ -43,7 +44,6 @@ struct CommStats {
   CommStats& operator+=(const CommStats& o) {
     allreduce_calls += o.allreduce_calls;
     allreduce_bytes += o.allreduce_bytes;
-    broadcast_calls += o.broadcast_calls;
     broadcast_bytes += o.broadcast_bytes;
     barriers += o.barriers;
     hist_exchanges += o.hist_exchanges;
@@ -65,7 +65,8 @@ class Communicator {
   // Element-wise sum of every rank's `data` (all ranks receive the
   // result). Reduction combines ranks in ascending rank order, so the
   // result is bitwise identical on every rank, across runs, and across
-  // transport backends.
+  // transport backends. Every rank must pass the same count; a mismatch
+  // throws std::runtime_error.
   void AllreduceSum(GHPair* data, size_t count);
   void AllreduceSum(double* data, size_t count);
   void AllreduceSum(int64_t* data, size_t count);
@@ -73,19 +74,15 @@ class Communicator {
   // Element-wise maximum (quantization scale agreement).
   void AllreduceMax(double* data, size_t count);
 
-  // Copies `bytes` of root's buffer into every other rank's buffer.
-  void Broadcast(void* data, size_t bytes, int root);
-
-  void Barrier();
-
   // In-place global sum of a batch of node histograms (`num_hists`
   // pointers, `cells` GHPair slots each). opts.sparse selects the
   // compressed SparseHistogram wire format; opts.quant additionally ships
   // 8-byte int64 cells using the round's agreed scales. Every combination
   // produces bitwise-identical histograms (sparse_hist.h documents why).
   // opts.pool, when set, is this rank's pool, idle during the exchange:
-  // the sparse codec splits its encode, reduce and decode over it. With
-  // one rank the global sum is the input, so nothing is touched.
+  // the sparse codec splits its encode, reduce and decode over it, and the
+  // dense exchange its rank-ordered fold. With one rank the global sum is
+  // the input, so nothing is touched.
   struct HistExchangeOpts {
     bool sparse = false;
     bool quant = false;
@@ -99,17 +96,28 @@ class Communicator {
   const CommStats& stats() const { return stats_; }
 
  private:
+  // Every typed allreduce: ships `data` through ReduceBlobs, where the
+  // reducing rank checks every frame's size and folds the frames in rank
+  // order — frame 0, then op(acc, frame r) for r = 1, 2, ... — split by
+  // element range over `pool` when given.
+  template <typename T, typename Op>
+  void Allreduce(T* data, size_t count, Op op, ThreadPool* pool = nullptr);
+
   Transport* transport_;
   CommStats stats_;
   // Exchange scratch, reused across batches.
   std::vector<GHPair> dense_scratch_;
   std::vector<uint8_t> send_frame_;
   std::vector<uint8_t> recv_frame_;
+  // The typed fold's result. Kept apart from recv_frame_ so that a small
+  // allreduce does not shrink it and make the next sparse exchange's
+  // resize zero-fill the whole frame.
+  std::vector<uint8_t> fold_result_;
 };
 
 // W worker threads in one process, each with its own Communicator over an
-// InProcessTransport. Retained front end for tests/examples; the transport
-// lives in distributed/inprocess_transport.h.
+// InProcessTransport (distributed/inprocess_transport.h). DistributedGbdt::
+// Train runs its in-process workers through it.
 class SimulatedCluster {
  public:
   explicit SimulatedCluster(int world_size);

@@ -1,26 +1,19 @@
 // In-process Transport backend: W worker threads in one process meeting at
-// rendezvous-based collectives.
+// a rendezvous.
 //
-// This is the CI-friendly simulated cluster. Dense allreduces are blocked
-// into fixed element chunks reduced IN PARALLEL by the arrived worker
-// threads (an atomic chunk cursor hands out chunks; within each chunk the
-// rank contributions are still summed in ascending rank order, so the
-// result is bitwise identical to the serial rank-ordered reduction — there
-// is a regression test pinning that). The old design reduced the whole
-// payload on the last-arriving thread while every peer waited; for
-// histogram-sized payloads that serialized the dominant cost of the
-// exchange.
-//
-// Every collective is a three-phase rendezvous:
-//   1. arrival    all ranks publish their buffer pointer (mutex + cv);
-//                 the last arrival stages the work descriptor and releases
-//   2. work       lock-free: threads claim chunks / copy their own output
+// This is the CI-friendly simulated cluster. ReduceBlobs is a three-phase
+// rendezvous:
+//   1. arrival    all ranks publish their frame (mutex + cv); the last
+//                 arrival runs the reduce over every frame in rank order,
+//                 under the lock, into its own result, and releases
+//   2. copy       every other rank copies the finished result
 //   3. departure  mutex + cv again, so no rank can re-enter the next
-//                 collective (and overwrite its buffer) while a peer is
-//                 still reading shared memory
+//                 collective (and overwrite its frame or result) while a
+//                 peer is still reading shared memory
+// The reduce runs on the reducing rank's own thread, so it may split its
+// work over that rank's pool.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -37,11 +30,6 @@ class InProcessTransport final : public Transport {
   int rank() const override { return rank_; }
   int world_size() const override { return world_; }
 
-  void AllreduceSum(double* data, size_t count) override;
-  void AllreduceSum(int64_t* data, size_t count) override;
-  void AllreduceMax(double* data, size_t count) override;
-  void Broadcast(void* data, size_t bytes, int root) override;
-  void Barrier() override;
   void ReduceBlobs(const uint8_t* send, size_t send_bytes,
                    const BlobReduceFn& reduce,
                    std::vector<uint8_t>* result) override;
@@ -50,9 +38,6 @@ class InProcessTransport final : public Transport {
   friend class InProcessCluster;
   InProcessTransport(InProcessCluster* cluster, int rank, int world)
       : cluster_(cluster), rank_(rank), world_(world) {}
-
-  template <typename T, typename Op>
-  void AllreduceImpl(T* data, size_t count, Op op);
 
   InProcessCluster* cluster_;
   int rank_;
@@ -70,12 +55,6 @@ class InProcessCluster {
     return transports_[static_cast<size_t>(rank)];
   }
 
-  // Fixed dense-allreduce chunk size (elements). Chunk boundaries are part
-  // of the determinism contract only in that they are FIXED — within a
-  // chunk ranks reduce in rank order, so any chunking gives the serial
-  // result bit for bit.
-  static constexpr size_t kChunkElems = 8192;
-
  private:
   friend class InProcessTransport;
 
@@ -86,14 +65,10 @@ class InProcessCluster {
     int departed = 0;
     uint64_t generation = 0;       // bumped when all ranks arrived
     uint64_t exit_generation = 0;  // bumped when all ranks departed
-    std::vector<void*> buffers;
-    // Chunked-reduce work descriptor (staged by the last arrival).
-    alignas(64) std::atomic<int64_t> cursor{0};
-    alignas(64) std::atomic<int64_t> chunks_done{0};
-    int64_t num_chunks = 0;
-    // ReduceBlobs: the reducing rank's result, copied by every other rank
-    // during the work phase.
-    const std::vector<uint8_t>* blob_result = nullptr;
+    // Each rank's frame for the current collective.
+    Transport::Frames frames;
+    // The reducing rank's result, copied by every other rank.
+    const std::vector<uint8_t>* result = nullptr;
   };
 
   // Blocks until all ranks arrived; the last arrival runs `stage` (under
@@ -101,7 +76,7 @@ class InProcessCluster {
   // everyone.
   template <typename StageFn>
   void Arrive(StageFn&& stage);
-  // Blocks until all ranks passed their work phase.
+  // Blocks until all ranks passed their copy phase.
   void Depart();
 
   const int world_;

@@ -7,7 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -21,18 +20,13 @@ namespace harp {
 namespace {
 
 constexpr uint32_t kWireMagic = 0x31505448u;  // "HTP1" (LE)
-constexpr uint16_t kWireVersion = 1;
+constexpr uint16_t kWireVersion = 2;
 constexpr uint64_t kMaxWirePayload = 1ull << 30;
 
 enum WireOp : uint16_t {
   kOpHello = 1,
-  kOpSumF64 = 2,
-  kOpSumI64 = 3,
-  kOpMaxF64 = 4,
-  kOpBroadcast = 5,
-  kOpBarrier = 6,
-  kOpBlob = 7,
-  kOpResult = 8,
+  kOpBlob = 2,
+  kOpResult = 3,
 };
 
 #pragma pack(push, 1)
@@ -153,6 +147,7 @@ void SocketTransport::Handshake(int port, int timeout_ms) {
 
   if (rank_ == 0) {
     peer_fds_.assign(static_cast<size_t>(world_), -1);
+    peer_frames_.resize(static_cast<size_t>(world_) - 1);
     int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listen_fd < 0) FailErrno("socket");
     int one = 1;
@@ -247,132 +242,19 @@ void SocketTransport::Handshake(int port, int timeout_ms) {
   seq_ = 1;  // the handshake consumed collective #0
 }
 
-void SocketTransport::ClientRound(uint16_t opcode, const void* send,
-                                  size_t send_bytes,
-                                  std::vector<uint8_t>* result_payload) {
-  const uint64_t seq = seq_++;
-  SendFrame(peer_fds_[0], opcode, static_cast<uint32_t>(rank_), seq, send,
-            send_bytes);
-  const WireHeader h = RecvFrame(peer_fds_[0], result_payload);
-  ExpectFrame(h, kOpResult, /*from=*/0, seq);
-}
-
-template <typename T, typename Op>
-void SocketTransport::AllreduceImpl(uint16_t opcode, T* data, size_t count,
-                                    Op op) {
-  if (world_ == 1) return;
-  const size_t bytes = count * sizeof(T);
-  if (rank_ == 0) {
-    const uint64_t seq = seq_++;
-    // Gather and reduce in ascending rank order: rank 0's own buffer is
-    // the accumulator, clients fold in as 1, 2, ..., W-1.
-    for (int r = 1; r < world_; ++r) {
-      const WireHeader h =
-          RecvFrame(peer_fds_[static_cast<size_t>(r)], &scratch_);
-      ExpectFrame(h, opcode, r, seq);
-      if (scratch_.size() != bytes) Fail("allreduce payload size mismatch");
-      const T* src = reinterpret_cast<const T*>(scratch_.data());
-      for (size_t i = 0; i < count; ++i) op(data[i], src[i]);
-    }
-    for (int r = 1; r < world_; ++r) {
-      SendFrame(peer_fds_[static_cast<size_t>(r)], kOpResult, 0, seq, data,
-                bytes);
-    }
-  } else {
-    ClientRound(opcode, data, bytes, &scratch_);
-    if (scratch_.size() != bytes) Fail("allreduce result size mismatch");
-    std::memcpy(data, scratch_.data(), bytes);
-  }
-}
-
-void SocketTransport::AllreduceSum(double* data, size_t count) {
-  AllreduceImpl(kOpSumF64, data, count,
-                [](double& a, double b) { a += b; });
-}
-
-void SocketTransport::AllreduceSum(int64_t* data, size_t count) {
-  AllreduceImpl(kOpSumI64, data, count,
-                [](int64_t& a, int64_t b) { a += b; });
-}
-
-void SocketTransport::AllreduceMax(double* data, size_t count) {
-  AllreduceImpl(kOpMaxF64, data, count,
-                [](double& a, double b) { a = std::max(a, b); });
-}
-
-void SocketTransport::Broadcast(void* data, size_t bytes, int root) {
-  if (world_ == 1) return;
-  HARP_CHECK_GE(root, 0);
-  HARP_CHECK_LT(root, world_);
-  if (rank_ == 0) {
-    const uint64_t seq = seq_++;
-    for (int r = 1; r < world_; ++r) {
-      const WireHeader h =
-          RecvFrame(peer_fds_[static_cast<size_t>(r)], &scratch_);
-      ExpectFrame(h, kOpBroadcast, r, seq);
-      if (r == root) {
-        if (scratch_.size() != bytes) Fail("broadcast payload size mismatch");
-        std::memcpy(data, scratch_.data(), bytes);
-      } else if (!scratch_.empty()) {
-        Fail("unexpected broadcast payload");
-      }
-    }
-    for (int r = 1; r < world_; ++r) {
-      SendFrame(peer_fds_[static_cast<size_t>(r)], kOpResult, 0, seq, data,
-                bytes);
-    }
-  } else {
-    const bool is_source = rank_ == root;
-    ClientRound(kOpBroadcast, is_source ? data : nullptr,
-                is_source ? bytes : 0, &scratch_);
-    if (scratch_.size() != bytes) Fail("broadcast result size mismatch");
-    if (!is_source) std::memcpy(data, scratch_.data(), bytes);
-  }
-}
-
-void SocketTransport::Barrier() {
-  if (world_ == 1) return;
-  if (rank_ == 0) {
-    const uint64_t seq = seq_++;
-    for (int r = 1; r < world_; ++r) {
-      const WireHeader h =
-          RecvFrame(peer_fds_[static_cast<size_t>(r)], &scratch_);
-      ExpectFrame(h, kOpBarrier, r, seq);
-      if (!scratch_.empty()) Fail("unexpected barrier payload");
-    }
-    for (int r = 1; r < world_; ++r) {
-      SendFrame(peer_fds_[static_cast<size_t>(r)], kOpResult, 0, seq, nullptr,
-                0);
-    }
-  } else {
-    ClientRound(kOpBarrier, nullptr, 0, &scratch_);
-    if (!scratch_.empty()) Fail("barrier result not empty");
-  }
-}
-
 void SocketTransport::ReduceBlobs(const uint8_t* send, size_t send_bytes,
                                   const BlobReduceFn& reduce,
                                   std::vector<uint8_t>* result) {
-  if (world_ == 1) {
-    Frames frames;
-    frames.emplace_back(send, send_bytes);
-    reduce(frames, result);
-    return;
-  }
+  const uint64_t seq = seq_++;
   if (rank_ == 0) {
-    const uint64_t seq = seq_++;
-    std::vector<std::vector<uint8_t>> blobs(static_cast<size_t>(world_));
-    for (int r = 1; r < world_; ++r) {
-      const WireHeader h =
-          RecvFrame(peer_fds_[static_cast<size_t>(r)],
-                    &blobs[static_cast<size_t>(r)]);
-      ExpectFrame(h, kOpBlob, r, seq);
-    }
+    // Rank 0's own frame first, then each client's as it is read.
     Frames frames;
     frames.reserve(static_cast<size_t>(world_));
     frames.emplace_back(send, send_bytes);
     for (int r = 1; r < world_; ++r) {
-      const auto& blob = blobs[static_cast<size_t>(r)];
+      std::vector<uint8_t>& blob = peer_frames_[static_cast<size_t>(r) - 1];
+      const WireHeader h = RecvFrame(peer_fds_[static_cast<size_t>(r)], &blob);
+      ExpectFrame(h, kOpBlob, r, seq);
       frames.emplace_back(blob.data(), blob.size());
     }
     reduce(frames, result);
@@ -381,7 +263,10 @@ void SocketTransport::ReduceBlobs(const uint8_t* send, size_t send_bytes,
                 result->data(), result->size());
     }
   } else {
-    ClientRound(kOpBlob, send, send_bytes, result);
+    SendFrame(peer_fds_[0], kOpBlob, static_cast<uint32_t>(rank_), seq, send,
+              send_bytes);
+    const WireHeader h = RecvFrame(peer_fds_[0], result);
+    ExpectFrame(h, kOpResult, /*from=*/0, seq);
   }
 }
 

@@ -1,19 +1,19 @@
 // Multi-process Transport backend over loopback TCP.
 //
-// W real processes form a star through rank 0: every collective is one
-// framed request from each client to the root — which reduces the payloads
-// in ascending rank order (its own contribution first) — followed by one
-// framed result back to every client. Identical reduction order to the
-// in-process backend, so a multi-process run produces the same model file
-// byte for byte (CI launches world=3 processes via `harp_cli dist-train`
-// and diffs the models).
+// W real processes form a star through rank 0: every ReduceBlobs is one
+// Blob frame from each client to the root — which runs the reduce over the
+// frames in ascending rank order (its own first) — followed by one Result
+// frame back to every client. The frames reach the reduce in the same
+// order as in the in-process backend, so a multi-process run produces the
+// same model file byte for byte (CI launches world=3 processes via
+// `harp_cli dist-train` and diffs the models).
 //
-// Wire protocol: every message is a fixed 28-byte header + payload. The
-// header carries magic, version, opcode, sender rank and a per-transport
-// sequence number that counts collectives; the root validates all of them
-// on every frame (plus a payload-size cap) and throws std::runtime_error
-// on any mismatch — malformed or out-of-protocol frames must never be
-// silently reduced into a model.
+// Wire protocol (version 2): every message is a fixed 28-byte header +
+// payload. The header carries magic, version, opcode (Hello, Blob or
+// Result), sender rank and a per-transport sequence number that counts
+// collectives; every receiver validates all of them (plus a payload-size
+// cap) and throws std::runtime_error on any mismatch — malformed or
+// out-of-protocol frames must never be silently reduced into a model.
 #pragma once
 
 #include <cstddef>
@@ -42,11 +42,6 @@ class SocketTransport final : public Transport {
   int rank() const override { return rank_; }
   int world_size() const override { return world_; }
 
-  void AllreduceSum(double* data, size_t count) override;
-  void AllreduceSum(int64_t* data, size_t count) override;
-  void AllreduceMax(double* data, size_t count) override;
-  void Broadcast(void* data, size_t bytes, int root) override;
-  void Barrier() override;
   void ReduceBlobs(const uint8_t* send, size_t send_bytes,
                    const BlobReduceFn& reduce,
                    std::vector<uint8_t>* result) override;
@@ -56,13 +51,6 @@ class SocketTransport final : public Transport {
 
   void Handshake(int port, int timeout_ms);
 
-  template <typename T, typename Op>
-  void AllreduceImpl(uint16_t opcode, T* data, size_t count, Op op);
-
-  // Client side: one request/result round trip with the root.
-  void ClientRound(uint16_t opcode, const void* send, size_t send_bytes,
-                   std::vector<uint8_t>* result_payload);
-
   int rank_;
   int world_;
   // Root: peer_fds_[r] is the socket to rank r (index 0 unused).
@@ -71,7 +59,9 @@ class SocketTransport final : public Transport {
   // Collective counter; identical on every rank because collectives are
   // globally ordered. Stamped into every frame and validated on receipt.
   uint64_t seq_ = 0;
-  std::vector<uint8_t> scratch_;
+  // Root: peer_frames_[r - 1] receives rank r's frame, kept across
+  // collectives so the receive buffers are allocated once.
+  std::vector<std::vector<uint8_t>> peer_frames_;
 };
 
 }  // namespace harp

@@ -2,20 +2,20 @@
 //
 // The paper's stated future work is distributed HarpGBDT on a collective
 // communication layer (Section VI). The training code talks to that layer
-// through Communicator (stats, typed views, the compressed histogram
+// through Communicator (stats, typed allreduces, the compressed histogram
 // exchange); Communicator talks to one of the pluggable Transport backends
-// below:
+// below through their single collective, ReduceBlobs:
 //
 //   InProcessTransport   W worker threads in one process, rendezvous-based
 //                        collectives (the CI-friendly simulated cluster).
 //   SocketTransport      W real processes over loopback TCP with framed
 //                        messages (star topology through rank 0).
 //
-// Both backends honour the same determinism contract: every element-wise
-// reduction combines rank contributions in ASCENDING RANK ORDER, so f64
-// results are bitwise identical on every rank, across runs, and across
-// backends — which is what lets CI diff a multi-process model file against
-// the in-process run byte for byte.
+// Both backends present the frames to the reduce in ASCENDING RANK ORDER,
+// and the reduce runs exactly once per collective, so f64 results are
+// bitwise identical on every rank, across runs, and across backends —
+// which is what lets CI diff a multi-process model file against the
+// in-process run byte for byte.
 #pragma once
 
 #include <cstddef>
@@ -33,28 +33,14 @@ class Transport {
   virtual int rank() const = 0;
   virtual int world_size() const = 0;
 
-  // Element-wise sum of every rank's `data`; all ranks receive the result.
-  // Reduction is rank-ordered (bitwise deterministic for f64).
-  virtual void AllreduceSum(double* data, size_t count) = 0;
-  virtual void AllreduceSum(int64_t* data, size_t count) = 0;
-
-  // Element-wise maximum (order-independent; used by the quantization
-  // scale-agreement round).
-  virtual void AllreduceMax(double* data, size_t count) = 0;
-
-  // Copies `bytes` of root's buffer into every other rank's buffer.
-  virtual void Broadcast(void* data, size_t bytes, int root) = 0;
-
-  virtual void Barrier() = 0;
-
-  // Variable-length reduce — the primitive under the compressed sparse
-  // histogram exchange. Every rank contributes one frame; `reduce` runs
-  // exactly once per collective (on the reducing rank: rank 0 for the
-  // socket backend, the last arrival in process) over all ranks' frames
-  // presented in rank order, and fills the result frame, which every rank
-  // then receives in *result. `reduce` must be a pure function of the
-  // frames so the result is identical no matter which rank runs it, and
-  // must overwrite all of its output, which may hold an earlier result.
+  // Variable-length reduce, the one collective. Every rank contributes one
+  // frame; `reduce` runs exactly once per collective (on the reducing
+  // rank: rank 0 for the socket backend, the last arrival in process) over
+  // all ranks' frames presented in rank order, and fills the result frame,
+  // which every rank then receives in *result. `reduce` must be a pure
+  // function of the frames so the result is identical no matter which
+  // rank runs it, and must overwrite all of its output, which may hold an
+  // earlier result. With one rank it runs on that rank's own frame.
   using Frames = std::vector<std::pair<const uint8_t*, size_t>>;
   using BlobReduceFn =
       std::function<void(const Frames&, std::vector<uint8_t>*)>;

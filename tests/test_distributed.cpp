@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -23,7 +25,6 @@
 #include "core/model_io.h"
 #include "data/synthetic.h"
 #include "distributed/dist_gbdt.h"
-#include "distributed/inprocess_transport.h"
 #include "distributed/socket_transport.h"
 #include "distributed/sparse_hist.h"
 #include "parallel/thread_pool.h"
@@ -79,43 +80,15 @@ TEST(Communicator, AllreduceGhPairs) {
   });
 }
 
-TEST(Communicator, BroadcastFromEachRoot) {
-  for (int root = 0; root < 3; ++root) {
-    SimulatedCluster cluster(3);
-    cluster.Run([&](Communicator& comm) {
-      int payload[4] = {0, 0, 0, 0};
-      if (comm.rank() == root) {
-        for (int i = 0; i < 4; ++i) payload[i] = 100 * root + i;
-      }
-      comm.Broadcast(payload, sizeof(payload), root);
-      for (int i = 0; i < 4; ++i) EXPECT_EQ(payload[i], 100 * root + i);
-    });
-  }
-}
-
-TEST(Communicator, BarrierOrdersPhases) {
-  SimulatedCluster cluster(4);
-  std::atomic<int> phase1{0};
-  std::atomic<bool> violated{false};
-  cluster.Run([&](Communicator& comm) {
-    phase1.fetch_add(1);
-    comm.Barrier();
-    if (phase1.load() != 4) violated.store(true);
-  });
-  EXPECT_FALSE(violated.load());
-}
-
 TEST(Communicator, CountsTraffic) {
   SimulatedCluster cluster(2);
   cluster.Run([&](Communicator& comm) {
     double v = 1.0;
     comm.AllreduceSum(&v, 1);
-    comm.Barrier();
   });
   const CommStats stats = cluster.TotalStats();
   EXPECT_EQ(stats.allreduce_calls, 2);
   EXPECT_EQ(stats.allreduce_bytes, 2 * 8);  // 8 bytes x (world-1) x ranks
-  EXPECT_EQ(stats.barriers, 2);
 }
 
 TEST(Communicator, AllreduceMaxAcrossRanks) {
@@ -130,57 +103,89 @@ TEST(Communicator, AllreduceMaxAcrossRanks) {
   });
 }
 
-TEST(Communicator, CountsBroadcastBytes) {
-  SimulatedCluster cluster(3);
-  cluster.Run([&](Communicator& comm) {
-    char payload[12] = {};
-    if (comm.rank() == 1) std::memset(payload, 7, sizeof(payload));
-    comm.Broadcast(payload, sizeof(payload), 1);
-    EXPECT_EQ(payload[11], 7);
-    EXPECT_EQ(comm.stats().broadcast_calls, 1);
-    EXPECT_EQ(comm.stats().broadcast_bytes, 12 * 2);  // bytes x (world-1)
-  });
-  EXPECT_EQ(cluster.TotalStats().broadcast_calls, 3);
-  EXPECT_EQ(cluster.TotalStats().broadcast_bytes, 3 * 12 * 2);
+// Per-rank data with awkward magnitudes, so f64 addition order matters,
+// and signed zeros, so max's tie order shows.
+double FoldValue(int rank, size_t i) {
+  uint64_t x = 0x9E3779B97F4A7C15ull * (i + 1) + rank * 0x10001ull;
+  x ^= x >> 33;
+  if (x % 11 == 0) return (x & 2) ? 0.0 : -0.0;
+  const double mag = static_cast<double>(x % 100003) / 997.0;
+  return (x & 1) ? mag * 1e12 : -mag * 1e-7;
 }
 
-// The chunked parallel dense reduce must be bitwise identical to the
-// serial rank-ordered reduction (chunking only changes WHO adds, never
-// the per-element addition order).
-TEST(InProcessTransport, ChunkedAllreduceMatchesSerialRankOrder) {
-  const int world = 3;
-  const size_t count = 2 * InProcessCluster::kChunkElems + 1234;
-
-  // Deterministic per-rank data with awkward magnitudes so float addition
-  // order matters.
-  const auto value = [](int rank, size_t i) {
-    uint64_t x = 0x9E3779B97F4A7C15ull * (i + 1) + rank * 0x10001ull;
-    x ^= x >> 33;
-    const double mag = static_cast<double>(x % 100003) / 997.0;
-    return (x & 1) ? mag : -mag * 1e-7;
-  };
-  std::vector<double> expect(count);
+// The serial rank-ordered fold: rank 0's value, then op(acc, rank r's
+// value) for r = 1, 2, ...
+template <typename T, typename Value, typename Op>
+std::vector<T> SerialFold(int world, size_t count, Value value, Op op) {
+  std::vector<T> acc(count);
   for (size_t i = 0; i < count; ++i) {
-    double acc = value(0, i);
-    for (int r = 1; r < world; ++r) acc += value(r, i);
-    expect[i] = acc;
+    acc[i] = value(0, i);
+    for (int r = 1; r < world; ++r) op(acc[i], value(r, i));
   }
+  return acc;
+}
 
-  InProcessCluster cluster(world);
-  std::vector<std::vector<double>> data(world, std::vector<double>(count));
-  std::vector<std::thread> threads;
-  for (int rank = 0; rank < world; ++rank) {
-    threads.emplace_back([&, rank] {
-      auto& mine = data[static_cast<size_t>(rank)];
-      for (size_t i = 0; i < count; ++i) mine[i] = value(rank, i);
-      cluster.transport(rank).AllreduceSum(mine.data(), count);
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (int rank = 0; rank < world; ++rank) {
-    ASSERT_EQ(0, std::memcmp(data[static_cast<size_t>(rank)].data(),
-                             expect.data(), count * sizeof(double)))
-        << "rank " << rank;
+// Every typed allreduce, and the dense histogram exchange folded over a
+// pool, is bitwise the serial rank-ordered fold: however the fold splits
+// its range, each element sees the ranks in order.
+TEST(Communicator, FoldMatchesSerialRankOrder) {
+  const auto sum_f64 = [](double& a, double b) { a += b; };
+  const auto max_f64 = [](double& a, double b) { a = std::max(a, b); };
+  const auto value_i64 = [](int rank, size_t i) {
+    const uint64_t x = (0x9E3779B97F4A7C15ull * (i + 1)) ^
+                       (0xBF58476D1CE4E5B9ull * static_cast<uint64_t>(rank));
+    const int64_t mag = static_cast<int64_t>(x >> 6);  // < 2^58: no overflow
+    return (x & 1) ? mag : -mag;
+  };
+  const size_t count = 1001;
+  const uint32_t cells = 1000;  // folded as 1000 GHPairs: 3 * 333 + 1
+  for (const int world : {2, 3, 5}) {
+    const auto expect_sum =
+        SerialFold<double>(world, count, FoldValue, sum_f64);
+    const auto expect_max =
+        SerialFold<double>(world, count, FoldValue, max_f64);
+    const auto expect_i64 =
+        SerialFold<int64_t>(world, count, value_i64,
+                            [](int64_t& a, int64_t b) { a += b; });
+    const auto expect_hist =
+        SerialFold<double>(world, 2 * cells, FoldValue, sum_f64);
+    for (const int threads : {0, 1, 3}) {
+      SimulatedCluster cluster(world);
+      cluster.Run([&](Communicator& comm) {
+        const int rank = comm.rank();
+        const std::string where = "world " + std::to_string(world) +
+                                  " pool " + std::to_string(threads) +
+                                  " rank " + std::to_string(rank);
+        std::vector<double> sum(count);
+        std::vector<double> mx(count);
+        std::vector<int64_t> isum(count);
+        for (size_t i = 0; i < count; ++i) {
+          sum[i] = mx[i] = FoldValue(rank, i);
+          isum[i] = value_i64(rank, i);
+        }
+        comm.AllreduceSum(sum.data(), count);
+        comm.AllreduceMax(mx.data(), count);
+        comm.AllreduceSum(isum.data(), count);
+        EXPECT_EQ(0, std::memcmp(sum.data(), expect_sum.data(),
+                                 count * sizeof(double))) << where;
+        EXPECT_EQ(0, std::memcmp(mx.data(), expect_max.data(),
+                                 count * sizeof(double))) << where;
+        EXPECT_EQ(isum, expect_i64) << where;
+
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+        std::vector<GHPair> hist(cells);
+        for (uint32_t c = 0; c < cells; ++c) {
+          hist[c] = GHPair{FoldValue(rank, 2 * c), FoldValue(rank, 2 * c + 1)};
+        }
+        GHPair* ptrs[1] = {hist.data()};
+        Communicator::HistExchangeOpts opts;
+        opts.pool = pool.get();
+        comm.AllreduceHistograms(ptrs, 1, cells, opts);
+        EXPECT_EQ(0, std::memcmp(hist.data(), expect_hist.data(),
+                                 cells * sizeof(GHPair))) << where;
+      });
+    }
   }
 }
 
@@ -1336,19 +1341,20 @@ TEST(SocketTransport, CollectivesMatchInProcessSemantics) {
     threads.emplace_back([&, rank] {
       try {
         auto transport = SocketTransport::Create(rank, world, port);
+        Communicator comm(*transport);
         double sum[2] = {static_cast<double>(rank + 1), 0.5};
-        transport->AllreduceSum(sum, 2);
+        comm.AllreduceSum(sum, 2);
         if (sum[0] != 6.0 || sum[1] != 1.5) ++failures;
         int64_t isum = rank;
-        transport->AllreduceSum(&isum, 1);
+        comm.AllreduceSum(&isum, 1);
         if (isum != 3) ++failures;
         double mx = rank == 1 ? 9.0 : -1.0;
-        transport->AllreduceMax(&mx, 1);
+        comm.AllreduceMax(&mx, 1);
         if (mx != 9.0) ++failures;
-        int payload = rank == 2 ? 77 : 0;
-        transport->Broadcast(&payload, sizeof(payload), 2);
-        if (payload != 77) ++failures;
-        transport->Barrier();
+        GHPair gh{static_cast<double>(rank), 1.0};
+        comm.AllreduceSum(&gh, 1);
+        if (gh.g != 3.0 || gh.h != 3.0) ++failures;
+        if (comm.stats().allreduce_calls != 4) ++failures;
       } catch (const std::exception&) {
         ++failures;
       }
@@ -1356,6 +1362,34 @@ TEST(SocketTransport, CollectivesMatchInProcessSemantics) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Ranks that disagree on an allreduce's count all throw: the root checks
+// every frame's size, and its closing sockets release the waiting clients.
+TEST(SocketTransport, MismatchedAllreduceCountsThrowOnEveryRank) {
+  const int world = 3;
+  int offset = 30;
+  for (const std::vector<size_t>& counts :
+       {std::vector<size_t>{2, 2, 3}, std::vector<size_t>{3, 2, 2}}) {
+    const int port = TestPort(offset++);
+    std::atomic<int> threw{0};
+    std::vector<std::thread> threads;
+    for (int rank = 0; rank < world; ++rank) {
+      threads.emplace_back([&, rank] {
+        try {
+          auto transport = SocketTransport::Create(rank, world, port);
+          Communicator comm(*transport);
+          std::vector<double> data(counts[static_cast<size_t>(rank)], 1.0);
+          comm.AllreduceSum(data.data(), data.size());
+        } catch (const std::runtime_error&) {
+          ++threw;
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(threw.load(), world) << "counts " << counts[0] << ","
+                                   << counts[1] << "," << counts[2];
+  }
 }
 
 TEST(SocketTransport, TrainedModelMatchesInProcessBitwise) {

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/gbdt.h"
 #include "core/model_io.h"
@@ -251,6 +254,38 @@ TEST(ModelIo, RejectsOutOfRangeCutsLine) {
     std::string error;
     EXPECT_FALSE(DeserializeModel(corrupted, &out, &error)) << bad;
     EXPECT_EQ(error, "bad cuts line") << bad;
+  }
+}
+
+// A split on a feature the cuts do not cover would index past them in
+// binned prediction and importance; the loader refuses it.
+TEST(ModelIo, RejectsSplitFeatureOutsideCuts) {
+  const GbdtModel model = TrainSmallModel();
+  const uint32_t num_features = model.cuts().num_features();
+  ASSERT_GT(num_features, 0u);
+  const std::string text = SerializeModel(model);
+  // The first split node of the first tree is its root.
+  const size_t node = text.find("\nnode ");
+  ASSERT_NE(node, std::string::npos);
+  const size_t end = text.find('\n', node + 1);
+  const std::string root = text.substr(node + 1, end - node - 1);
+  std::istringstream fields(root);
+  std::vector<std::string> parts;
+  for (std::string f; fields >> f;) parts.push_back(f);
+  ASSERT_EQ(parts.size(), 14u);
+  ASSERT_GE(std::stoll(parts[2]), 0) << "root must be a split: " << root;
+  for (const int64_t bad : {static_cast<int64_t>(num_features),
+                            static_cast<int64_t>(num_features) + 7,
+                            int64_t{-1}}) {
+    parts[5] = std::to_string(bad);
+    std::string line = parts[0];
+    for (size_t i = 1; i < parts.size(); ++i) line += " " + parts[i];
+    std::string corrupted = text;
+    corrupted.replace(node + 1, root.size(), line);
+    GbdtModel out;
+    std::string error;
+    EXPECT_FALSE(DeserializeModel(corrupted, &out, &error)) << bad;
+    EXPECT_EQ(error, "bad split feature") << bad;
   }
 }
 
