@@ -139,9 +139,8 @@ int main() {
        Measure(test.num_rows(),
                [&] { return predictor.PredictMargins(test, &pool); })});
 
-  // Serving-shaped inputs: short batches (below the 256-row block, the
-  // Predictor's scratch-free fast path) and one-row-at-a-time PredictRow.
-  // Both verified bit-identical to the full-batch flat path.
+  // Serving-shaped input: a short batch (one 256-row block, walked on the
+  // calling thread), verified bit-identical to the full-batch flat path.
   const uint32_t short_rows = std::min(64u, test.num_rows());
   const Dataset short_batch = test.Slice(0, short_rows);
   rows.push_back(
@@ -150,29 +149,6 @@ int main() {
                [&] { return NaiveRaw(model, short_batch, nullptr); }),
        Measure(short_rows,
                [&] { return predictor.PredictMargins(short_batch); })});
-
-  std::vector<float> dense_rows(
-      static_cast<size_t>(test.num_rows()) * test.num_features(),
-      kMissingValue);
-  for (uint32_t r = 0; r < test.num_rows(); ++r) {
-    float* row = dense_rows.data() +
-                 static_cast<size_t>(r) * test.num_features();
-    test.ForEachInRow(r, [&](uint32_t f, float v) { row[f] = v; });
-  }
-  rows.push_back(
-      {"row    x1",
-       Measure(test.num_rows(),
-               [&] { return NaiveRaw(model, test, nullptr); }),
-       Measure(test.num_rows(), [&] {
-         std::vector<double> margins(test.num_rows());
-         for (uint32_t r = 0; r < test.num_rows(); ++r) {
-           margins[r] = predictor.PredictRow(
-               dense_rows.data() +
-                   static_cast<size_t>(r) * test.num_features(),
-               test.num_features());
-         }
-         return margins;
-       })});
 
   for (const Row& r : rows) {
     CheckIdentical(r.naive.margins, r.flat.margins, r.name);
@@ -190,7 +166,7 @@ int main() {
                 r.naive.rows_per_sec, r.flat.rows_per_sec,
                 r.flat.rows_per_sec / r.naive.rows_per_sec);
   }
-  std::printf("\nall paths (incl. short-batch and single-row) verified "
+  std::printf("\nall paths (incl. the short batch) verified "
               "bit-identical to the RegTree oracle before timing "
               "(NT = %d threads).\n", Threads());
   return 0;

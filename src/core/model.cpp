@@ -90,27 +90,9 @@ std::vector<double> GbdtModel::Predict(const Dataset& dataset,
   return out;
 }
 
-std::vector<double> GbdtModel::PredictMarginsBinned(const BinnedMatrix& matrix,
-                                                    ThreadPool* pool,
-                                                    size_t num_trees) const {
-  const std::shared_ptr<const FlatForest> flat = FlatSnapshot();
-  return Predictor(*flat).PredictMargins(matrix, pool, num_trees);
-}
-
 BinnedMatrix GbdtModel::BinDataset(const Dataset& dataset,
                                    ThreadPool* pool) const {
   return BinnedMatrix::Build(dataset, cuts_, pool);
-}
-
-std::vector<int> GbdtModel::PredictLeafIndices(const BinnedMatrix& matrix,
-                                               size_t tree_index,
-                                               ThreadPool* pool) const {
-  HARP_CHECK_LT(tree_index, trees_.size());
-  // Flatten only the requested tree; leaf ids come back in RegTree
-  // numbering via the forest's orig_node table.
-  const FlatForest flat =
-      FlatForest::BuildFromTrees(&trees_[tree_index], 1);
-  return Predictor(flat).PredictLeafIndices(matrix, 0, pool);
 }
 
 double GbdtModel::Transform(double margin) const {

@@ -67,13 +67,6 @@ class GbdtModel {
                               ThreadPool* pool = nullptr,
                               size_t num_trees = 0) const;
 
-  // Fast path: margins for a matrix binned with THIS model's cuts (1-byte
-  // bin comparisons instead of float comparisons). Use BinDataset() to
-  // produce a compatible matrix.
-  std::vector<double> PredictMarginsBinned(const BinnedMatrix& matrix,
-                                           ThreadPool* pool = nullptr,
-                                           size_t num_trees = 0) const;
-
   // Flattens the ensemble into the SoA inference layout. Always builds a
   // fresh forest; prefer FlatSnapshot() unless you need an independent
   // copy (e.g. to mutate the model while keeping the old layout).
@@ -90,12 +83,6 @@ class GbdtModel {
   // Bins new raw data with the model's training-time cuts.
   BinnedMatrix BinDataset(const Dataset& dataset,
                           ThreadPool* pool = nullptr) const;
-
-  // Leaf index reached in tree `tree_index` for every binned row
-  // (embedding extraction, debugging).
-  std::vector<int> PredictLeafIndices(const BinnedMatrix& matrix,
-                                      size_t tree_index,
-                                      ThreadPool* pool = nullptr) const;
 
   // Margin transform for a single value.
   double Transform(double margin) const;

@@ -1,7 +1,9 @@
 #include "core/model_io.h"
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -23,6 +25,18 @@ std::string F(float v) { return StrFormat("%a", static_cast<double>(v)); }
 
 bool ParseHex(std::string_view text, double* out) {
   return ParseDouble(text, out);  // strtod accepts %a output
+}
+
+// Lines in `text`, an unterminated last line included. memchr keeps this
+// pass a small fraction of the parse on megabyte models.
+int64_t CountLines(std::string_view text) {
+  int64_t lines = 0;
+  for (const char *p = text.data(), *end = p + text.size(); p < end;
+       ++lines) {
+    const void* nl = std::memchr(p, '\n', static_cast<size_t>(end - p));
+    p = nl != nullptr ? static_cast<const char*>(nl) + 1 : end;
+  }
+  return lines;
 }
 
 }  // namespace
@@ -73,11 +87,15 @@ bool DeserializeModel(const std::string& text, GbdtModel* out,
                       std::string* error) {
   std::istringstream stream(text);
   std::string line;
+  // Lines not yet read: a tree's node count must fit in them before the
+  // tree is sized by it.
+  int64_t lines_left = CountLines(text);
   auto next_line = [&](const char* what) -> bool {
     if (!std::getline(stream, line)) {
       *error = std::string("unexpected end of input, expected ") + what;
       return false;
     }
+    --lines_left;
     return true;
   };
 
@@ -149,11 +167,15 @@ bool DeserializeModel(const std::string& text, GbdtModel* out,
     }
     for (size_t i = 1; i < parts.size(); ++i) {
       int64_t v = 0;
-      if (!ParseInt(parts[i], &v)) {
+      if (!ParseInt(parts[i], &v) || v < 0 || v > UINT32_MAX) {
         *error = "bad cut_ptr value";
         return false;
       }
       cut_ptr.push_back(static_cast<uint32_t>(v));
+    }
+    if (!QuantileCuts::ValidCutPtr(cut_ptr, static_cast<int>(max_bins))) {
+      *error = "bad cut_ptr line";
+      return false;
     }
   }
   std::vector<float> cut_values;
@@ -195,7 +217,8 @@ bool DeserializeModel(const std::string& text, GbdtModel* out,
     {
       const auto parts = SplitWhitespace(line);
       if (parts.size() != 2 || parts[0] != "tree" ||
-          !ParseInt(parts[1], &num_nodes) || num_nodes < 1) {
+          !ParseInt(parts[1], &num_nodes) || num_nodes < 1 ||
+          num_nodes > lines_left) {
         *error = "bad tree line";
         return false;
       }
@@ -244,12 +267,20 @@ bool DeserializeModel(const std::string& text, GbdtModel* out,
       n.sum.g = sum_g;
       n.sum.h = sum_h;
       n.num_rows = static_cast<uint32_t>(num_rows);
-      // With cuts, every split must name a feature they cover: binned
-      // prediction and importance index by it.
-      if (!n.IsLeaf() && num_features > 0 &&
-          (ints[4] < 0 || ints[4] >= num_features)) {
-        *error = "bad split feature";
-        return false;
+      // With cuts, every split must name a feature they cover and one of
+      // its value bins: binned prediction and importance index by the
+      // feature, and a bin past the last cut would route binned rows
+      // differently from raw ones.
+      if (!n.IsLeaf() && num_features > 0) {
+        if (ints[4] < 0 || ints[4] >= num_features) {
+          *error = "bad split feature";
+          return false;
+        }
+        if (ints[5] < 1 ||
+            ints[5] > model.cuts().NumCuts(static_cast<uint32_t>(ints[4]))) {
+          *error = "bad split bin";
+          return false;
+        }
       }
     }
     if (!tree.CheckValid()) {

@@ -540,17 +540,9 @@ bool ParseBinnedImage(const char* data, size_t size, const std::string& path,
   }
   if (!reader.ReadSection(&p->cut_ptr,
                           static_cast<uint64_t>(p->features) + 1) ||
-      p->cut_ptr.front() != 0) {
+      !QuantileCuts::ValidCutPtr(p->cut_ptr, p->max_bins)) {
     *error = "bad cut_ptr in " + path;
     return false;
-  }
-  for (uint32_t f = 0; f < p->features; ++f) {
-    const uint32_t bins_f = p->cut_ptr[f + 1] - p->cut_ptr[f] + 1;
-    if (p->cut_ptr[f + 1] < p->cut_ptr[f] ||
-        bins_f > static_cast<uint32_t>(p->max_bins)) {
-      *error = "bad cut_ptr in " + path;
-      return false;
-    }
   }
   if (!reader.ReadSection(&p->cuts, p->cut_ptr.back())) {
     *error = "bad cuts in " + path;

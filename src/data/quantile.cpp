@@ -272,4 +272,16 @@ QuantileCuts QuantileCuts::FromRaw(std::vector<float> cuts,
   return result;
 }
 
+bool QuantileCuts::ValidCutPtr(const std::vector<uint32_t>& cut_ptr,
+                               int max_bins) {
+  if (cut_ptr.empty() || cut_ptr.front() != 0) return false;
+  for (size_t f = 0; f + 1 < cut_ptr.size(); ++f) {
+    if (cut_ptr[f + 1] < cut_ptr[f] ||
+        cut_ptr[f + 1] - cut_ptr[f] >= static_cast<uint32_t>(max_bins)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace harp

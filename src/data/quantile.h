@@ -75,6 +75,13 @@ class QuantileCuts {
   static QuantileCuts FromRaw(std::vector<float> cuts,
                               std::vector<uint32_t> cut_ptr, int max_bins);
 
+  // Whether a cut_ptr read from outside the process is safe to index
+  // with: non-empty, starting at 0, never decreasing, and giving no
+  // feature more than max_bins - 1 cuts. Both readers check it before
+  // FromRaw.
+  static bool ValidCutPtr(const std::vector<uint32_t>& cut_ptr,
+                          int max_bins);
+
  private:
   std::vector<float> cuts_;      // concatenated per-feature cut values
   std::vector<uint32_t> cut_ptr_;  // size num_features + 1

@@ -25,9 +25,6 @@ struct FeaturePlan {
   std::vector<double> weight;      // label weight (0 for inactive features)
   std::vector<double> shift;       // distribution shift per feature
   std::vector<double> density;     // per-feature presence probability
-  // Multiclass: per-class weights over the active features, row-major
-  // [class][active feature index].
-  std::vector<double> class_weight;
 };
 
 FeaturePlan MakePlan(const SyntheticSpec& spec) {
@@ -60,10 +57,6 @@ FeaturePlan MakePlan(const SyntheticSpec& spec) {
   for (uint32_t f = 0; f < active; ++f) {
     // Alternate signs so the score is centered; magnitudes in [0.5, 1.5].
     plan.weight[f] = (f % 2 == 0 ? 1.0 : -1.0) * (0.5 + rng.NextDouble());
-  }
-  if (spec.label == LabelKind::kMulticlass) {
-    plan.class_weight.resize(static_cast<size_t>(spec.num_classes) * active);
-    for (double& w : plan.class_weight) w = rng.Normal();
   }
 
   // Per-feature density. Skewed draws use a FRESH derived stream so that
@@ -134,24 +127,6 @@ void DrawRow(const SyntheticSpec& spec, const FeaturePlan& plan, uint32_t row,
 
   if (spec.label == LabelKind::kRegression) {
     out->label = static_cast<float>(spec.margin_scale * score + rng.Normal());
-  } else if (spec.label == LabelKind::kMulticlass) {
-    // Argmax of per-class linear scores plus noise scaled inversely with
-    // the margin (larger margin_scale => cleaner classes).
-    int best_class = 0;
-    double best_score = -1e300;
-    for (uint32_t c = 0; c < spec.num_classes; ++c) {
-      double s = 0.0;
-      for (uint32_t f = 0; f < active; ++f) {
-        s += plan.class_weight[static_cast<size_t>(c) * active + f] *
-             latent[f];
-      }
-      s += rng.Normal() * (2.0 / std::max(0.5, spec.margin_scale));
-      if (s > best_score) {
-        best_score = s;
-        best_class = static_cast<int>(c);
-      }
-    }
-    out->label = static_cast<float>(best_class);
   } else {
     const double p = Sigmoid(spec.margin_scale * score);
     out->label = rng.Bernoulli(p) ? 1.0f : 0.0f;

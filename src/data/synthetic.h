@@ -25,7 +25,6 @@ enum class LabelKind {
   kBinaryNonlinear,  // logistic of a nonlinear score (default)
   kBinaryLinear,     // logistic of a linear score
   kRegression,       // continuous target = score + noise
-  kMulticlass,       // argmax of num_classes noisy linear scores
 };
 
 struct SyntheticSpec {
@@ -60,8 +59,6 @@ struct SyntheticSpec {
   std::vector<uint32_t> explicit_distinct;
 
   LabelKind label = LabelKind::kBinaryNonlinear;
-  // Class count for LabelKind::kMulticlass.
-  uint32_t num_classes = 3;
   // Larger => more separable classes (higher reachable AUC).
   double margin_scale = 2.0;
   // Number of leading features that influence the label.

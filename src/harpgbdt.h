@@ -17,7 +17,6 @@
 #include "core/metrics.h"       // Auc, LogLoss, Rmse, ErrorRate
 #include "core/model.h"         // GbdtModel
 #include "core/model_io.h"      // SaveModel / LoadModel
-#include "core/multiclass.h"    // MulticlassTrainer
 #include "core/params.h"        // TrainParams, GrowPolicy, ParallelMode
 #include "core/train_stats.h"   // TrainStats
 #include "data/binary_cache.h"  // Write/ReadDatasetCache, binned cache

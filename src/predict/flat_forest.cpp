@@ -20,7 +20,6 @@ void FlatForest::AppendTree(const RegTree& tree) {
   default_left_.resize(default_left_.size() + count, uint8_t{1});
   left_.resize(left_.size() + count, 0);
   leaf_value_.resize(leaf_value_.size() + count, 0.0);
-  orig_node_.resize(orig_node_.size() + count, -1);
 
   // Lay nodes out so siblings land in consecutive slots (right = left + 1,
   // the stepping invariant), renumbering freely; a pre-order walk that
@@ -38,7 +37,6 @@ void FlatForest::AppendTree(const RegTree& tree) {
     const auto [orig_id, flat, depth] = stack.back();
     stack.pop_back();
     const TreeNode& n = tree.node(orig_id);
-    orig_node_[flat] = orig_id;
     max_depth = std::max(max_depth, depth);
     if (n.IsLeaf()) {
       // Self-loop defaults from the resize fills stay in place; every
@@ -78,7 +76,6 @@ FlatForest FlatForest::BuildFromTrees(const RegTree* trees, size_t num_trees,
   forest.default_left_.reserve(total);
   forest.left_.reserve(total);
   forest.leaf_value_.reserve(total);
-  forest.orig_node_.reserve(total);
   for (size_t t = 0; t < num_trees; ++t) forest.AppendTree(trees[t]);
   return forest;
 }
@@ -92,7 +89,6 @@ size_t FlatForest::MemoryBytes() const {
   return split_feature_.size() * sizeof(uint32_t) + split_bin_.size() +
          split_value_.size() * sizeof(float) + default_left_.size() +
          left_.size() * sizeof(int32_t) + leaf_value_.size() * sizeof(double) +
-         orig_node_.size() * sizeof(int32_t) +
          (tree_offset_.size() + tree_depth_.size()) * sizeof(int32_t);
 }
 

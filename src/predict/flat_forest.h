@@ -21,9 +21,7 @@
 //   * Child indices are absolute (into the concatenated arrays), so the
 //     inner loop never adds a per-tree base.
 //
-// Nodes are renumbered during flattening (any RegTree shape is accepted);
-// orig_node keeps each flat slot's RegTree node id so leaf-index output
-// stays in the model's numbering.
+// Nodes are renumbered during flattening (any RegTree shape is accepted).
 #pragma once
 
 #include <cstddef>
@@ -71,7 +69,6 @@ class FlatForest {
   const uint8_t* default_left() const { return default_left_.data(); }
   const int32_t* left_child() const { return left_.data(); }
   const double* leaf_value() const { return leaf_value_.data(); }
-  const int32_t* orig_node() const { return orig_node_.data(); }
 
   // Resident bytes of the flat arrays (model-size reporting).
   size_t MemoryBytes() const;
@@ -85,7 +82,6 @@ class FlatForest {
   std::vector<uint8_t> default_left_;
   std::vector<int32_t> left_;        // absolute; self for leaves
   std::vector<double> leaf_value_;   // 0.0 for internal nodes
-  std::vector<int32_t> orig_node_;   // RegTree node id of each flat slot
   std::vector<int32_t> tree_offset_;  // size num_trees + 1
   std::vector<int32_t> tree_depth_;   // steps to guarantee a leaf
   double base_margin_ = 0.0;

@@ -26,6 +26,13 @@ size_t Predictor::ClampTreeCount(size_t num_trees) const {
                         : std::min(num_trees, forest_->num_trees());
 }
 
+const std::vector<size_t>& Predictor::Groups(
+    size_t tree_begin, size_t tree_end, std::vector<size_t>* local) const {
+  if (tree_begin == 0 && tree_end == forest_->num_trees()) return full_groups_;
+  *local = TreeGroups(tree_begin, tree_end);
+  return *local;
+}
+
 std::vector<size_t> Predictor::TreeGroups(size_t tree_begin,
                                           size_t tree_end) const {
   std::vector<size_t> bounds;
@@ -128,45 +135,32 @@ void Predictor::AccumulateBlockRaw(const Dataset& dataset, uint32_t r0,
                                    uint32_t r1, size_t t0, size_t t1,
                                    double* margins) const {
   const uint32_t num_features = dataset.num_features();
-
-  // Both layouts traverse from per-row dense float pointers. Sparse rows
-  // are expanded once per block into a NaN-initialized scratch — O(M +
-  // nnz) per row, repaid over every tree of the group, versus a binary
-  // search per traversal step through Dataset::At.
-  const bool dense = dataset.layout() == Dataset::Layout::kDense;
-  std::vector<float> scratch;
-  uint32_t block_rows = r1 - r0;
-  if (!dense) {
-    const size_t row_bytes = size_t{num_features} * sizeof(float);
-    block_rows = static_cast<uint32_t>(std::clamp<size_t>(
-        kMaxScratchBytes / std::max<size_t>(row_bytes, 1), 1, r1 - r0));
-    scratch.resize(static_cast<size_t>(block_rows) * num_features);
+  if (dataset.layout() == Dataset::Layout::kDense) {
+    TraverseDense(dataset.dense_data() + static_cast<size_t>(r0) * num_features,
+                  num_features, r1 - r0, t0, t1, margins + r0);
+    return;
   }
 
-  for (uint32_t c0 = r0; c0 < r1; c0 += block_rows) {
-    const uint32_t c1 = std::min(r1, c0 + block_rows);
-    const float* base;
-    size_t stride;
-    if (dense) {
-      base = dataset.dense_data() +
-             static_cast<size_t>(c0) * num_features;
-      stride = num_features;
-    } else {
-      std::fill(scratch.begin(),
-                scratch.begin() +
-                    static_cast<size_t>(c1 - c0) * num_features,
-                kMissingValue);
-      for (uint32_t r = c0; r < c1; ++r) {
-        float* out = scratch.data() +
-                     static_cast<size_t>(r - c0) * num_features;
-        dataset.ForEachInRow(
-            r, [&](uint32_t f, float value) { out[f] = value; });
-      }
-      base = scratch.data();
-      stride = num_features;
+  // Sparse rows are expanded chunk by chunk into a NaN-initialized dense
+  // scratch — O(M + nnz) per row, repaid over every tree of the group,
+  // versus a binary search per traversal step through Dataset::At.
+  const size_t row_bytes = size_t{num_features} * sizeof(float);
+  const uint32_t chunk_rows = static_cast<uint32_t>(std::clamp<size_t>(
+      kMaxScratchBytes / std::max<size_t>(row_bytes, 1), 1, r1 - r0));
+  std::vector<float> scratch(static_cast<size_t>(chunk_rows) * num_features);
+  for (uint32_t c0 = r0; c0 < r1; c0 += chunk_rows) {
+    const uint32_t c1 = std::min(r1, c0 + chunk_rows);
+    std::fill(scratch.begin(),
+              scratch.begin() + static_cast<size_t>(c1 - c0) * num_features,
+              kMissingValue);
+    for (uint32_t r = c0; r < c1; ++r) {
+      float* out =
+          scratch.data() + static_cast<size_t>(r - c0) * num_features;
+      dataset.ForEachInRow(r,
+                           [&](uint32_t f, float value) { out[f] = value; });
     }
-
-    TraverseDense(base, stride, c1 - c0, t0, t1, margins + c0);
+    TraverseDense(scratch.data(), num_features, c1 - c0, t0, t1,
+                  margins + c0);
   }
 }
 
@@ -177,11 +171,8 @@ void Predictor::AccumulateMarginsDense(const float* values, uint32_t num_rows,
   HARP_CHECK_LE(tree_end, forest_->num_trees());
   HARP_CHECK_GE(stride, forest_->min_features());
   if (tree_begin >= tree_end || num_rows == 0) return;
-  const bool full =
-      tree_begin == 0 && tree_end == forest_->num_trees();
   std::vector<size_t> local;
-  if (!full) local = TreeGroups(tree_begin, tree_end);
-  const std::vector<size_t>& groups = full ? full_groups_ : local;
+  const std::vector<size_t>& groups = Groups(tree_begin, tree_end, &local);
   // Blocks outer, groups inner: per row the groups still land in tree
   // order, so margins stay bit-identical to the Dataset paths.
   for (uint32_t r0 = 0; r0 < num_rows; r0 += kRowBlock) {
@@ -193,64 +184,13 @@ void Predictor::AccumulateMarginsDense(const float* values, uint32_t num_rows,
   }
 }
 
-double Predictor::PredictRow(const float* row, uint32_t num_features) const {
-  HARP_CHECK_GE(num_features, forest_->min_features());
-  const uint32_t* feat = forest_->split_feature();
-  const float* sval = forest_->split_value();
-  const uint8_t* dleft = forest_->default_left();
-  const int32_t* left = forest_->left_child();
-  const double* leaf = forest_->leaf_value();
-
-  double margin = forest_->base_margin();
-  const size_t num_trees = forest_->num_trees();
-  for (size_t t = 0; t < num_trees; ++t) {
-    int32_t idx = forest_->tree_offset(t);
-    const int32_t steps = forest_->tree_depth(t);
-    for (int32_t s = 0; s < steps; ++s) {
-      const float value = row[feat[idx]];
-      const bool go_left =
-          IsMissing(value) ? (dleft[idx] != 0) : (value <= sval[idx]);
-      idx = left[idx] + static_cast<int32_t>(!go_left);
-    }
-    margin += leaf[idx];
-  }
-  return margin;
-}
-
-void Predictor::AccumulateShortRaw(const Dataset& dataset, double* margins,
-                                   size_t tree_begin, size_t tree_end) const {
-  const uint32_t rows = dataset.num_rows();
-  const uint32_t num_features = dataset.num_features();
-  const bool full =
-      tree_begin == 0 && tree_end == forest_->num_trees();
-  std::vector<size_t> local;
-  if (!full) local = TreeGroups(tree_begin, tree_end);
-  const std::vector<size_t>& groups = full ? full_groups_ : local;
-
-  const float* base;
-  std::vector<float> scratch;
-  if (dataset.layout() == Dataset::Layout::kDense) {
-    base = dataset.dense_data();
-  } else {
-    scratch.assign(static_cast<size_t>(rows) * num_features, kMissingValue);
-    for (uint32_t r = 0; r < rows; ++r) {
-      float* out = scratch.data() + static_cast<size_t>(r) * num_features;
-      dataset.ForEachInRow(r,
-                           [&](uint32_t f, float value) { out[f] = value; });
-    }
-    base = scratch.data();
-  }
-  for (size_t g = 0; g + 1 < groups.size(); ++g) {
-    TraverseDense(base, num_features, rows, groups[g], groups[g + 1],
-                  margins);
-  }
-}
-
 namespace {
 
 // Shared driver: fans kRowBlock-sized row blocks out over the pool; each
 // thread sweeps its rows once per tree group so a group's nodes are
 // loaded into cache once and reused across every row the thread owns.
+// A single block (a short batch) runs inline: a pool region would wake
+// every thread for one task.
 template <typename BlockFn>
 void ForEachBlock(uint32_t num_rows, ThreadPool* pool,
                   const std::vector<size_t>& groups, const BlockFn& fn) {
@@ -268,7 +208,7 @@ void ForEachBlock(uint32_t num_rows, ThreadPool* pool,
       }
     }
   };
-  if (pool != nullptr) {
+  if (pool != nullptr && num_blocks > 1) {
     pool->ParallelFor(num_blocks, kernel);
   } else {
     kernel(0, num_blocks, 0);
@@ -283,7 +223,8 @@ void Predictor::AccumulateMargins(const BinnedMatrix& matrix, double* margins,
   HARP_CHECK_LE(tree_end, forest_->num_trees());
   HARP_CHECK_GE(matrix.num_features(), forest_->min_features());
   if (tree_begin >= tree_end || matrix.num_rows() == 0) return;
-  ForEachBlock(matrix.num_rows(), pool, TreeGroups(tree_begin, tree_end),
+  std::vector<size_t> local;
+  ForEachBlock(matrix.num_rows(), pool, Groups(tree_begin, tree_end, &local),
                [&](uint32_t r0, uint32_t r1, size_t t0, size_t t1) {
                  AccumulateBlockBinned(matrix, r0, r1, t0, t1, margins);
                });
@@ -295,13 +236,8 @@ void Predictor::AccumulateMargins(const Dataset& dataset, double* margins,
   HARP_CHECK_LE(tree_end, forest_->num_trees());
   HARP_CHECK_GE(dataset.num_features(), forest_->min_features());
   if (tree_begin >= tree_end || dataset.num_rows() == 0) return;
-  if (dataset.num_rows() < kRowBlock) {
-    // Short-batch fast path: a single block cannot use a pool fan-out,
-    // and the sub-4MB scratch clamp is pointless — skip both.
-    AccumulateShortRaw(dataset, margins, tree_begin, tree_end);
-    return;
-  }
-  ForEachBlock(dataset.num_rows(), pool, TreeGroups(tree_begin, tree_end),
+  std::vector<size_t> local;
+  ForEachBlock(dataset.num_rows(), pool, Groups(tree_begin, tree_end, &local),
                [&](uint32_t r0, uint32_t r1, size_t t0, size_t t1) {
                  AccumulateBlockRaw(dataset, r0, r1, t0, t1, margins);
                });
@@ -323,52 +259,6 @@ std::vector<double> Predictor::PredictMargins(const Dataset& dataset,
   AccumulateMargins(dataset, margins.data(), 0, ClampTreeCount(num_trees),
                     pool);
   return margins;
-}
-
-std::vector<int> Predictor::PredictLeafIndices(const BinnedMatrix& matrix,
-                                               size_t tree_index,
-                                               ThreadPool* pool) const {
-  HARP_CHECK_LT(tree_index, forest_->num_trees());
-  HARP_CHECK_GE(matrix.num_features(), forest_->min_features());
-  const uint32_t* feat = forest_->split_feature();
-  const uint8_t* sbin = forest_->split_bin();
-  const uint8_t* dleft = forest_->default_left();
-  const int32_t* left = forest_->left_child();
-  const int32_t* orig = forest_->orig_node();
-  const int32_t root = forest_->tree_offset(tree_index);
-  const int32_t steps = forest_->tree_depth(tree_index);
-
-  std::vector<int> leaves(matrix.num_rows());
-  auto kernel = [&](int64_t begin, int64_t end, int) {
-    for (int64_t r = begin; r < end; r += kInterleave) {
-      const int lanes = static_cast<int>(
-          std::min<int64_t>(kInterleave, end - r));
-      const uint8_t* rb[kInterleave];
-      int32_t idx[kInterleave];
-      for (int j = 0; j < lanes; ++j) {
-        rb[j] = matrix.RowBins(static_cast<uint32_t>(r + j));
-        idx[j] = root;
-      }
-      for (int32_t s = 0; s < steps; ++s) {
-        for (int j = 0; j < lanes; ++j) {
-          const int32_t i = idx[j];
-          const uint8_t bin = rb[j][feat[i]];
-          const bool go_left =
-              (bin == 0) ? (dleft[i] != 0) : (bin <= sbin[i]);
-          idx[j] = left[i] + static_cast<int32_t>(!go_left);
-        }
-      }
-      for (int j = 0; j < lanes; ++j) {
-        leaves[static_cast<size_t>(r + j)] = orig[idx[j]];
-      }
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(matrix.num_rows(), kernel);
-  } else {
-    kernel(0, matrix.num_rows(), 0);
-  }
-  return leaves;
 }
 
 }  // namespace harp

@@ -21,6 +21,9 @@
 // naive base + t0 + t1 + ... chain of RegTree::PredictBinned/PredictRaw,
 // which tests keep as the reference oracle.
 //
+// A batch of at most kRowBlock rows is a single block and runs on the
+// calling thread even when a pool is given.
+//
 // Raw-Dataset and BinnedMatrix inputs share the same flat layout: the
 // binned kernel compares 1-byte bin ids against split_bin, the raw kernel
 // compares float values against split_value (missing routes to the
@@ -67,12 +70,6 @@ class Predictor {
                          size_t tree_begin, size_t tree_end,
                          ThreadPool* pool = nullptr) const;
 
-  // Leaf reached in tree `tree_index` for every row, reported as RegTree
-  // node ids (FlatForest keeps the original numbering per slot).
-  std::vector<int> PredictLeafIndices(const BinnedMatrix& matrix,
-                                      size_t tree_index,
-                                      ThreadPool* pool = nullptr) const;
-
   // Sub-block entry point for the serving layer: margins[i] += trees
   // [tree_begin, tree_end) for `num_rows` dense float rows starting at
   // `values` with row stride `stride` floats (NaN = missing). Serial —
@@ -82,12 +79,6 @@ class Predictor {
   void AccumulateMarginsDense(const float* values, uint32_t num_rows,
                               uint32_t stride, double* margins,
                               size_t tree_begin, size_t tree_end) const;
-
-  // Single-row fast path: full-ensemble margin (base margin included) for
-  // one dense float row of at least min_features() values. No block
-  // scratch, no group plan allocation — the shape a one-request-at-a-time
-  // caller wants. Bit-identical to PredictMargins on a one-row dataset.
-  double PredictRow(const float* row, uint32_t num_features) const;
 
   const FlatForest& forest() const { return *forest_; }
 
@@ -110,14 +101,14 @@ class Predictor {
   void TraverseDense(const float* base, size_t stride, uint32_t rows,
                      size_t t0, size_t t1, double* margins) const;
 
-  // Short-batch path (rows < kRowBlock): no pool fan-out, no clamped
-  // block scratch — sparse rows densify into one rows x features buffer.
-  void AccumulateShortRaw(const Dataset& dataset, double* margins,
-                          size_t tree_begin, size_t tree_end) const;
-
   // Group boundaries covering [tree_begin, tree_end): consecutive trees
   // packed until a group exceeds kGroupNodeBudget nodes.
   std::vector<size_t> TreeGroups(size_t tree_begin, size_t tree_end) const;
+
+  // The cached full_groups_ when [tree_begin, tree_end) is the whole
+  // ensemble; otherwise TreeGroups(tree_begin, tree_end), built in *local.
+  const std::vector<size_t>& Groups(size_t tree_begin, size_t tree_end,
+                                    std::vector<size_t>* local) const;
 
   size_t ClampTreeCount(size_t num_trees) const;
 

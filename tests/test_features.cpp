@@ -308,7 +308,8 @@ TEST(BinnedPredict, MatchesRawPrediction) {
 
   const BinnedMatrix binned = model.BinDataset(test);
   const std::vector<double> raw = model.PredictMargins(test);
-  const std::vector<double> fast = model.PredictMarginsBinned(binned);
+  const std::vector<double> fast =
+      Predictor(*model.FlatSnapshot()).PredictMargins(binned);
   ASSERT_EQ(raw.size(), fast.size());
   for (size_t i = 0; i < raw.size(); ++i) {
     EXPECT_DOUBLE_EQ(raw[i], fast[i]) << "row " << i;
@@ -320,30 +321,18 @@ TEST(BinnedPredict, ParallelMatchesSerial) {
   const GbdtModel model = GbdtTrainer(Fast(5)).Train(train);
   const BinnedMatrix binned = model.BinDataset(train);
   ThreadPool pool(4);
-  EXPECT_EQ(model.PredictMarginsBinned(binned),
-            model.PredictMarginsBinned(binned, &pool));
-}
-
-TEST(BinnedPredict, LeafIndicesAreLeaves) {
-  const Dataset train = Learnable(1000);
-  const GbdtModel model = GbdtTrainer(Fast(4)).Train(train);
-  const BinnedMatrix binned = model.BinDataset(train);
-  for (size_t t = 0; t < model.NumTrees(); ++t) {
-    const std::vector<int> leaves = model.PredictLeafIndices(binned, t);
-    for (int leaf : leaves) {
-      ASSERT_GE(leaf, 0);
-      ASSERT_LT(leaf, model.tree(t).num_nodes());
-      EXPECT_TRUE(model.tree(t).node(leaf).IsLeaf());
-    }
-  }
+  const Predictor predictor(*model.FlatSnapshot());
+  EXPECT_EQ(predictor.PredictMargins(binned),
+            predictor.PredictMargins(binned, &pool));
 }
 
 TEST(BinnedPredict, TruncatedEnsemble) {
   const Dataset train = Learnable(800);
   const GbdtModel model = GbdtTrainer(Fast(6)).Train(train);
   const BinnedMatrix binned = model.BinDataset(train);
-  const auto all6 = model.PredictMarginsBinned(binned);
-  const auto first3 = model.PredictMarginsBinned(binned, nullptr, 3);
+  const Predictor predictor(*model.FlatSnapshot());
+  const auto all6 = predictor.PredictMargins(binned);
+  const auto first3 = predictor.PredictMargins(binned, nullptr, 3);
   // Margins with fewer trees differ and equal the raw truncated path.
   const auto raw3 = model.PredictMargins(train, nullptr, 3);
   EXPECT_NE(all6, first3);

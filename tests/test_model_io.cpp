@@ -1,6 +1,7 @@
 // Model serialization tests: bit-exact roundtrips and malformed input.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -32,6 +33,40 @@ GbdtModel TrainSmallModel(ObjectiveKind objective = ObjectiveKind::kLogistic) {
   p.objective = objective;
   GbdtTrainer trainer(p);
   return trainer.Train(train);
+}
+
+// `text` with the first line starting with `key` (and a space) replaced.
+std::string WithLine(const std::string& text, const std::string& key,
+                     const std::string& line) {
+  const size_t at = text.find("\n" + key + " ");
+  EXPECT_NE(at, std::string::npos) << key;
+  const size_t begin = at + 1;
+  const size_t end = text.find('\n', begin);
+  std::string out = text;
+  out.replace(begin, end - begin, line);
+  return out;
+}
+
+// The fields of the first node line: the root of the first tree, which
+// must be a split.
+std::vector<std::string> RootFields(const std::string& text) {
+  const size_t begin = text.find("\nnode ") + 1;
+  std::istringstream line(text.substr(begin, text.find('\n', begin) - begin));
+  std::vector<std::string> parts;
+  for (std::string f; line >> f;) parts.push_back(f);
+  EXPECT_EQ(parts.size(), 14u);
+  EXPECT_GE(std::stoll(parts[2]), 0) << "root must be a split";
+  return parts;
+}
+
+// `text` with field `field` of the root node line set to `value`.
+std::string WithRootField(const std::string& text, size_t field,
+                          int64_t value) {
+  std::vector<std::string> parts = RootFields(text);
+  parts[field] = std::to_string(value);
+  std::string line = parts[0];
+  for (size_t i = 1; i < parts.size(); ++i) line += " " + parts[i];
+  return WithLine(text, "node", line);
 }
 
 TEST(ModelIo, SerializeDeserializeRoundtripExact) {
@@ -127,7 +162,7 @@ TEST(ModelIo, SaveLoadFlattenPredictsIdentically) {
   EXPECT_EQ(flat.num_nodes(), model.TotalNodes());
   const Predictor predictor(flat);
   EXPECT_EQ(predictor.PredictMargins(binned),
-            model.PredictMarginsBinned(binned));
+            Predictor(*model.FlatSnapshot()).PredictMargins(binned));
   EXPECT_EQ(predictor.PredictMargins(test), model.PredictMargins(test));
 }
 
@@ -264,29 +299,100 @@ TEST(ModelIo, RejectsSplitFeatureOutsideCuts) {
   const uint32_t num_features = model.cuts().num_features();
   ASSERT_GT(num_features, 0u);
   const std::string text = SerializeModel(model);
-  // The first split node of the first tree is its root.
-  const size_t node = text.find("\nnode ");
-  ASSERT_NE(node, std::string::npos);
-  const size_t end = text.find('\n', node + 1);
-  const std::string root = text.substr(node + 1, end - node - 1);
-  std::istringstream fields(root);
-  std::vector<std::string> parts;
-  for (std::string f; fields >> f;) parts.push_back(f);
-  ASSERT_EQ(parts.size(), 14u);
-  ASSERT_GE(std::stoll(parts[2]), 0) << "root must be a split: " << root;
   for (const int64_t bad : {static_cast<int64_t>(num_features),
                             static_cast<int64_t>(num_features) + 7,
                             int64_t{-1}}) {
-    parts[5] = std::to_string(bad);
-    std::string line = parts[0];
-    for (size_t i = 1; i < parts.size(); ++i) line += " " + parts[i];
-    std::string corrupted = text;
-    corrupted.replace(node + 1, root.size(), line);
     GbdtModel out;
     std::string error;
-    EXPECT_FALSE(DeserializeModel(corrupted, &out, &error)) << bad;
+    EXPECT_FALSE(DeserializeModel(WithRootField(text, 5, bad), &out, &error))
+        << bad;
     EXPECT_EQ(error, "bad split feature") << bad;
   }
+}
+
+// A cut_ptr that does not start at 0, decreases, or gives a feature more
+// than max_bins - 1 cuts makes NumCuts wrap or exceed the one-byte bin
+// range: binned prediction then reads past the cut values.
+TEST(ModelIo, RejectsMalformedCutPtr) {
+  const GbdtModel model = TrainSmallModel();
+  const QuantileCuts& cuts = model.cuts();
+  const std::vector<uint32_t>& ptr = cuts.cut_ptr();
+  ASSERT_EQ(ptr.size(), 7u);
+  const std::string text = SerializeModel(model);
+  auto line = [](const std::vector<uint32_t>& values) {
+    std::string out = "cut_ptr";
+    for (uint32_t v : values) out += " " + std::to_string(v);
+    return out;
+  };
+  // Every variant keeps cut_ptr.back(), so the cut_values line still
+  // has the declared length.
+  std::vector<uint32_t> shifted = ptr;
+  shifted[0] = 1;
+  std::vector<uint32_t> decreasing(ptr.size(), ptr.back());
+  decreasing[0] = 0;
+  decreasing[1] = ptr.back() + 6;
+  uint32_t widest = 0;
+  for (uint32_t f = 0; f < cuts.num_features(); ++f) {
+    widest = std::max(widest, cuts.NumCuts(f));
+  }
+  ASSERT_GE(widest, 2u);
+  // max_bins = the widest feature's cut count leaves it one cut too many.
+  const std::string narrow = WithLine(
+      text, "cuts",
+      "cuts " + std::to_string(cuts.num_features()) + " " +
+          std::to_string(widest));
+  for (const std::string& bad :
+       {WithLine(text, "cut_ptr", line(shifted)),
+        WithLine(text, "cut_ptr", line(decreasing)), narrow}) {
+    GbdtModel out;
+    std::string error;
+    EXPECT_FALSE(DeserializeModel(bad, &out, &error));
+    EXPECT_EQ(error, "bad cut_ptr line");
+  }
+}
+
+// A node count beyond the lines left in the file is refused before the
+// tree is sized by it.
+TEST(ModelIo, RejectsTreeLargerThanFile) {
+  const std::string text = SerializeModel(TrainSmallModel());
+  const size_t begin = text.find("\ntree ") + 1;
+  const size_t end = text.find('\n', begin);
+  const int64_t nodes = std::stoll(text.substr(begin + 5, end - begin - 5));
+  const int64_t lines_after =
+      std::count(text.begin() + static_cast<std::ptrdiff_t>(end), text.end(),
+                 '\n');
+  for (const int64_t bad : {int64_t{99999999999999}, lines_after + 1}) {
+    ASSERT_GT(bad, nodes);
+    GbdtModel out;
+    std::string error;
+    EXPECT_FALSE(DeserializeModel(
+        WithLine(text, "tree", "tree " + std::to_string(bad)), &out, &error))
+        << bad;
+    EXPECT_EQ(error, "bad tree line") << bad;
+  }
+}
+
+// A split bin past its feature's last cut sends every present binned
+// value left while the raw threshold still splits them: binned and raw
+// predictions would disagree.
+TEST(ModelIo, RejectsSplitBinOutsideCuts) {
+  const GbdtModel model = TrainSmallModel();
+  const std::string text = SerializeModel(model);
+  const uint32_t feature =
+      static_cast<uint32_t>(std::stoul(RootFields(text)[5]));
+  const int64_t num_cuts = model.cuts().NumCuts(feature);
+  for (const int64_t bad : {num_cuts + 1, int64_t{300}}) {
+    GbdtModel out;
+    std::string error;
+    EXPECT_FALSE(DeserializeModel(WithRootField(text, 6, bad), &out, &error))
+        << bad;
+    EXPECT_EQ(error, "bad split bin") << bad;
+  }
+  // The last cut's bin is still a split.
+  GbdtModel out;
+  std::string error;
+  EXPECT_TRUE(DeserializeModel(WithRootField(text, 6, num_cuts), &out, &error))
+      << error;
 }
 
 TEST(ModelIo, RejectsTruncatedModel) {

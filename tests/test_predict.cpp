@@ -1,15 +1,15 @@
 // FlatForest / Predictor tests: bit-identical margins vs the RegTree
 // reference oracle (binned and raw, dense and sparse, truncated
-// ensembles), leaf-index parity, multiclass prob parity, thread-count
-// invariance, and flattening of hand-built tree shapes.
+// ensembles, short batches), thread-count invariance, and flattening of
+// hand-built tree shapes.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <optional>
 
 #include "core/gbdt.h"
-#include "core/multiclass.h"
-#include "data/synthetic.h"
 #include "parallel/thread_pool.h"
 #include "predict/flat_forest.h"
 #include "predict/predictor.h"
@@ -91,21 +91,31 @@ TEST(FlatForest, LayoutInvariants) {
   for (size_t t = 0; t < flat.num_trees(); ++t) {
     EXPECT_EQ(flat.NodesInTree(t), model.tree(t).num_nodes());
     EXPECT_GE(flat.tree_depth(t), 0);
+    std::vector<double> flat_leaves;
     for (int32_t i = flat.tree_offset(t); i < flat.tree_offset(t + 1); ++i) {
-      const int orig = flat.orig_node()[i];
-      ASSERT_GE(orig, 0);
-      ASSERT_LT(orig, model.tree(t).num_nodes());
       if (left[i] == i) {
-        // Leaf: self-loop with the model's leaf value.
-        EXPECT_TRUE(model.tree(t).node(orig).IsLeaf());
-        EXPECT_EQ(leaf[i], model.tree(t).node(orig).leaf_value);
+        // Leaf: self-loop that every input follows "left".
+        EXPECT_EQ(flat.split_bin()[i], 255);
+        EXPECT_EQ(flat.split_value()[i],
+                  std::numeric_limits<float>::infinity());
+        EXPECT_EQ(flat.default_left()[i], 1);
+        flat_leaves.push_back(leaf[i]);
       } else {
         // Internal: siblings in consecutive slots inside the same tree.
-        EXPECT_FALSE(model.tree(t).node(orig).IsLeaf());
         EXPECT_GT(left[i], i);
         EXPECT_LT(left[i] + 1, flat.tree_offset(t + 1));
       }
     }
+    // The flat leaves are the model's leaves, renumbered.
+    std::vector<double> model_leaves;
+    for (int n = 0; n < model.tree(t).num_nodes(); ++n) {
+      if (model.tree(t).node(n).IsLeaf()) {
+        model_leaves.push_back(model.tree(t).node(n).leaf_value);
+      }
+    }
+    std::sort(flat_leaves.begin(), flat_leaves.end());
+    std::sort(model_leaves.begin(), model_leaves.end());
+    EXPECT_EQ(flat_leaves, model_leaves) << "tree " << t;
   }
 }
 
@@ -119,7 +129,8 @@ TEST(Predict, BinnedBitIdenticalToOracle) {
       const BinnedMatrix binned = model.BinDataset(test);
 
       const std::vector<double> oracle = OracleBinned(model, binned);
-      const std::vector<double> flat = model.PredictMarginsBinned(binned);
+      const std::vector<double> flat =
+          Predictor(*model.FlatSnapshot()).PredictMargins(binned);
       ASSERT_EQ(flat.size(), oracle.size());
       for (size_t i = 0; i < oracle.size(); ++i) {
         EXPECT_EQ(flat[i], oracle[i])  // bit-identical, not approximately
@@ -160,29 +171,13 @@ TEST(Predict, TruncatedEnsembleBitIdentical) {
   const Dataset train = MakeDataset(700, 8, 0.85, 51);
   const GbdtModel model = GbdtTrainer(Params(10, 8)).Train(train);
   const BinnedMatrix binned = model.BinDataset(train);
+  const Predictor predictor(*model.FlatSnapshot());
   for (const size_t limit : {size_t{1}, size_t{4}, size_t{10}, size_t{99}}) {
     const std::vector<double> oracle = OracleBinned(model, binned, limit);
     const std::vector<double> flat =
-        model.PredictMarginsBinned(binned, nullptr, limit);
+        predictor.PredictMargins(binned, nullptr, limit);
     for (size_t i = 0; i < oracle.size(); ++i) {
       EXPECT_EQ(flat[i], oracle[i]) << "limit " << limit << " row " << i;
-    }
-  }
-}
-
-TEST(Predict, LeafIndexParityWithOracle) {
-  const Dataset train = MakeDataset(600, 8, 0.8, 61);
-  const GbdtModel model = GbdtTrainer(Params(6, 16)).Train(train);
-  const BinnedMatrix binned = model.BinDataset(train);
-  ThreadPool pool(3);
-  for (size_t t = 0; t < model.NumTrees(); ++t) {
-    const std::vector<int> leaves = model.PredictLeafIndices(binned, t);
-    const std::vector<int> pooled =
-        model.PredictLeafIndices(binned, t, &pool);
-    EXPECT_EQ(leaves, pooled);
-    for (uint32_t r = 0; r < binned.num_rows(); ++r) {
-      EXPECT_EQ(leaves[r], model.tree(t).PredictLeafBinned(binned.RowBins(r)))
-          << "tree " << t << " row " << r;
     }
   }
 }
@@ -191,54 +186,16 @@ TEST(Predict, ThreadCountInvariance) {
   const Dataset train = MakeDataset(1100, 10, 0.8, 71);
   const GbdtModel model = GbdtTrainer(Params(12, 8)).Train(train);
   const BinnedMatrix binned = model.BinDataset(train);
+  const Predictor predictor(*model.FlatSnapshot());
 
-  const std::vector<double> serial = model.PredictMarginsBinned(binned);
+  const std::vector<double> serial = predictor.PredictMargins(binned);
   const std::vector<double> serial_raw = model.PredictMargins(train);
   for (const int threads : {1, 2, 5}) {
     ThreadPool pool(threads);
-    EXPECT_EQ(model.PredictMarginsBinned(binned, &pool), serial)
+    EXPECT_EQ(predictor.PredictMargins(binned, &pool), serial)
         << threads << " threads (binned)";
     EXPECT_EQ(model.PredictMargins(train, &pool), serial_raw)
         << threads << " threads (raw)";
-  }
-}
-
-TEST(Predict, MulticlassProbParity) {
-  SyntheticSpec spec;
-  spec.rows = 600;
-  spec.features = 8;
-  spec.density = 0.9;
-  spec.seed = 81;
-  spec.label = LabelKind::kMulticlass;
-  spec.num_classes = 3;
-  const Dataset train = GenerateSynthetic(spec);
-
-  TrainParams p = Params(5, 6);
-  MulticlassTrainer trainer(p);
-  const MulticlassModel model = trainer.Train(train);
-
-  // Oracle: per-class raw RegTree walks -> sigmoid -> row normalization.
-  const int k = model.num_classes();
-  std::vector<double> expected(static_cast<size_t>(train.num_rows()) * k);
-  for (int c = 0; c < k; ++c) {
-    const std::vector<double> margins =
-        OracleRaw(model.class_model(c), train);
-    for (uint32_t r = 0; r < train.num_rows(); ++r) {
-      expected[static_cast<size_t>(r) * k + c] =
-          1.0 / (1.0 + std::exp(-margins[r]));
-    }
-  }
-  for (uint32_t r = 0; r < train.num_rows(); ++r) {
-    double sum = 0.0;
-    for (int c = 0; c < k; ++c) sum += expected[static_cast<size_t>(r) * k + c];
-    if (sum <= 0.0) sum = 1.0;
-    for (int c = 0; c < k; ++c) expected[static_cast<size_t>(r) * k + c] /= sum;
-  }
-
-  const std::vector<double> probs = model.PredictProbs(train);
-  ASSERT_EQ(probs.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(probs[i], expected[i]) << "entry " << i;
   }
 }
 
@@ -281,7 +238,8 @@ TEST(Predict, SingleLeafAndChainTrees) {
 
   const BinnedMatrix binned = model.BinDataset(data);
   const std::vector<double> oracle = OracleBinned(model, binned);
-  const std::vector<double> flat = model.PredictMarginsBinned(binned);
+  const std::vector<double> flat =
+      Predictor(*model.FlatSnapshot()).PredictMargins(binned);
   const std::vector<double> flat_raw = model.PredictMargins(data);
   for (size_t i = 0; i < oracle.size(); ++i) {
     EXPECT_EQ(flat[i], oracle[i]) << "row " << i;
@@ -307,38 +265,39 @@ TEST(Predict, AccumulateMarginsMatchesIncrementalOracle) {
 }
 
 TEST(Predict, ShortBatchesBitIdenticalToOracle) {
-  // Every size below kRowBlock takes the short-batch fast path (plus one
-  // above it for the regular block path); dense and sparse inputs.
+  // A batch of at most kRowBlock rows is one block and runs on the calling
+  // thread even with a pool; one row more fans two blocks out. Dense and
+  // sparse inputs, with no pool and with pools of 1 and 3 threads, over
+  // the whole ensemble and over split tree ranges.
   const Dataset train = MakeDataset(400, 10, 0.8, /*seed=*/19);
   GbdtTrainer trainer(Params(12, 8));
   const GbdtModel model = trainer.Train(train);
   const Predictor predictor(*model.FlatSnapshot());
-  for (uint32_t rows :
-       {1u, 2u, 7u, 63u, 255u, Predictor::kRowBlock + 1}) {
-    const Dataset batch = MakeDataset(rows, 10, 0.7, /*seed=*/rows);
-    const std::vector<double> oracle = OracleRaw(model, batch);
-    const std::vector<double> dense = predictor.PredictMargins(batch);
-    const std::vector<double> sparse =
-        predictor.PredictMargins(ToCsr(batch));
-    for (uint32_t r = 0; r < rows; ++r) {
-      ASSERT_EQ(dense[r], oracle[r]) << rows << " rows, row " << r;
-      ASSERT_EQ(sparse[r], oracle[r]) << rows << " rows, row " << r;
+  const size_t num_trees = model.NumTrees();
+  for (const int threads : {0, 1, 3}) {
+    std::optional<ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    ThreadPool* const p = pool ? &*pool : nullptr;
+    for (uint32_t rows : {1u, 2u, 7u, 63u, Predictor::kRowBlock - 1,
+                          Predictor::kRowBlock, Predictor::kRowBlock + 1}) {
+      const Dataset batch = MakeDataset(rows, 10, 0.7, /*seed=*/rows);
+      const Dataset sparse = ToCsr(batch);
+      const std::vector<double> oracle = OracleRaw(model, batch);
+      const std::vector<double> dense = predictor.PredictMargins(batch, p);
+      const std::vector<double> csr = predictor.PredictMargins(sparse, p);
+      // Trees [0, 5) then [5, num_trees): two partial-range plans.
+      std::vector<double> split(rows, model.base_margin());
+      predictor.AccumulateMargins(batch, split.data(), 0, 5, p);
+      predictor.AccumulateMargins(sparse, split.data(), 5, num_trees, p);
+      for (uint32_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(dense[r], oracle[r])
+            << threads << " threads, " << rows << " rows, row " << r;
+        ASSERT_EQ(csr[r], oracle[r])
+            << threads << " threads, " << rows << " rows, row " << r;
+        ASSERT_EQ(split[r], oracle[r])
+            << threads << " threads, " << rows << " rows, row " << r;
+      }
     }
-  }
-}
-
-TEST(Predict, PredictRowBitIdenticalToOracle) {
-  const Dataset train = MakeDataset(300, 8, 0.75, /*seed=*/29);
-  GbdtTrainer trainer(Params(10, 8));
-  const GbdtModel model = trainer.Train(train);
-  const Predictor predictor(*model.FlatSnapshot());
-  const std::vector<double> oracle = OracleRaw(model, train);
-  // Rows come straight from the dense storage (missing already NaN).
-  const uint32_t width = train.num_features();
-  for (uint32_t r = 0; r < 50; ++r) {
-    const float* row =
-        train.dense_values().data() + static_cast<size_t>(r) * width;
-    ASSERT_EQ(predictor.PredictRow(row, width), oracle[r]) << "row " << r;
   }
 }
 
