@@ -195,6 +195,10 @@ bool DeserializeModel(const std::string& text, GbdtModel* out,
       }
       cut_values.push_back(static_cast<float>(v));
     }
+    if (!QuantileCuts::ValidCutValues(cut_values, cut_ptr)) {
+      *error = "bad cut values";
+      return false;
+    }
   }
   model.set_cuts(QuantileCuts::FromRaw(std::move(cut_values),
                                        std::move(cut_ptr),

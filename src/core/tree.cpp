@@ -79,21 +79,33 @@ double RegTree::PredictRaw(const Dataset& dataset, uint32_t row) const {
 }
 
 bool RegTree::CheckValid() const {
-  for (int id = 0; id < num_nodes(); ++id) {
+  if (nodes_[0].parent != -1) return false;
+  // Walk from the root: a node reached twice (a cycle or a shared child)
+  // or never (an orphan) is refused, so every walk ends at a leaf.
+  const int count = num_nodes();
+  std::vector<uint8_t> reached(static_cast<size_t>(count), 0);
+  std::vector<int> stack = {0};
+  int visited = 0;
+  while (!stack.empty()) {
+    const int id = stack.back();
+    stack.pop_back();
+    if (reached[static_cast<size_t>(id)]) return false;
+    reached[static_cast<size_t>(id)] = 1;
+    ++visited;
     const TreeNode& n = nodes_[static_cast<size_t>(id)];
     if (n.IsLeaf()) {
       if (n.right >= 0) return false;
       if (!std::isfinite(n.leaf_value)) return false;
       continue;
     }
-    if (n.left >= num_nodes() || n.right >= num_nodes()) return false;
-    if (n.left == n.right) return false;
-    if (nodes_[static_cast<size_t>(n.left)].parent != id) return false;
-    if (nodes_[static_cast<size_t>(n.right)].parent != id) return false;
     if (n.split_bin < 1) return false;
+    for (const int child : {n.left, n.right}) {
+      if (child < 1 || child >= count) return false;
+      if (nodes_[static_cast<size_t>(child)].parent != id) return false;
+      stack.push_back(child);
+    }
   }
-  if (nodes_[0].parent != -1) return false;
-  return true;
+  return visited == count;
 }
 
 }  // namespace harp

@@ -64,8 +64,9 @@ class RegTree {
   // Leaf value for a raw row of `dataset`.
   double PredictRaw(const Dataset& dataset, uint32_t row) const;
 
-  // Structural invariants (tests): parent/child links consistent, every
-  // internal node has two children, leaf values finite.
+  // Structural invariants (model loading, tests): every node is reached
+  // exactly once from the root, both children of a split lie in
+  // [1, num_nodes()) and link back to it, leaf values are finite.
   bool CheckValid() const;
 
   const std::vector<TreeNode>& nodes() const { return nodes_; }

@@ -544,7 +544,8 @@ bool ParseBinnedImage(const char* data, size_t size, const std::string& path,
     *error = "bad cut_ptr in " + path;
     return false;
   }
-  if (!reader.ReadSection(&p->cuts, p->cut_ptr.back())) {
+  if (!reader.ReadSection(&p->cuts, p->cut_ptr.back()) ||
+      !QuantileCuts::ValidCutValues(p->cuts, p->cut_ptr)) {
     *error = "bad cuts in " + path;
     return false;
   }

@@ -1,6 +1,7 @@
 #include "data/quantile.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/logging.h"
@@ -279,6 +280,17 @@ bool QuantileCuts::ValidCutPtr(const std::vector<uint32_t>& cut_ptr,
     if (cut_ptr[f + 1] < cut_ptr[f] ||
         cut_ptr[f + 1] - cut_ptr[f] >= static_cast<uint32_t>(max_bins)) {
       return false;
+    }
+  }
+  return true;
+}
+
+bool QuantileCuts::ValidCutValues(const std::vector<float>& cuts,
+                                  const std::vector<uint32_t>& cut_ptr) {
+  for (size_t f = 0; f + 1 < cut_ptr.size(); ++f) {
+    for (uint32_t i = cut_ptr[f]; i < cut_ptr[f + 1]; ++i) {
+      if (std::isnan(cuts[i])) return false;
+      if (i > cut_ptr[f] && cuts[i] < cuts[i - 1]) return false;
     }
   }
   return true;

@@ -82,6 +82,13 @@ class QuantileCuts {
   static bool ValidCutPtr(const std::vector<uint32_t>& cut_ptr,
                           int max_bins);
 
+  // Whether cut values read from outside the process bin like computed
+  // ones: no NaN, and non-decreasing within each feature (computed cuts
+  // may repeat a value). `cut_ptr` must pass ValidCutPtr and end at
+  // cuts.size(). Both readers check it next to ValidCutPtr.
+  static bool ValidCutValues(const std::vector<float>& cuts,
+                             const std::vector<uint32_t>& cut_ptr);
+
  private:
   std::vector<float> cuts_;      // concatenated per-feature cut values
   std::vector<uint32_t> cut_ptr_;  // size num_features + 1

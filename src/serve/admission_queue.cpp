@@ -1,5 +1,6 @@
 #include "serve/admission_queue.h"
 
+#include <chrono>
 #include <cstring>
 
 #include "common/logging.h"
@@ -43,17 +44,16 @@ AdmissionQueue::AdmissionQueue(uint32_t block_rows, uint32_t num_features)
 ServeTicket AdmissionQueue::Submit(const float* row,
                                    std::function<void(double)> callback) {
   const int64_t now = NowNs();
-  std::shared_ptr<RequestBatch> sealed;
   ServeTicket ticket;
-  bool opened = false;
+  bool wake = false;
   {
-    std::lock_guard<SpinMutex> lock(admit_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     HARP_CHECK(!stopped_) << "Submit after Stop";
     if (open_ == nullptr) {
       open_ = std::make_shared<RequestBatch>(next_seq_++, block_rows_,
                                              num_features_);
       open_->first_submit_ns = now;
-      opened = true;
+      wake = true;  // an idle worker starts timing this batch's deadline
     }
     RequestBatch& batch = *open_;
     const uint32_t slot = batch.size_++;
@@ -69,61 +69,52 @@ ServeTicket AdmissionQueue::Submit(const float* row,
     ticket = ServeTicket(open_, slot);
     ++counters_.submitted;
     if (batch.size_ == batch.capacity_) {
-      sealed = std::move(open_);
+      ready_.push_back(std::move(open_));
       ++counters_.full_seals;
       ++counters_.batches;
+      wake = true;
     }
   }
-  // Queue handoff happens outside the spin lock: Enqueue takes a real
-  // mutex and may wake a sleeping worker, neither belongs in a spin
-  // critical section.
-  if (sealed != nullptr) {
-    Enqueue(std::move(sealed));
-  } else if (opened) {
-    // First row of a fresh batch: re-arm the flusher so its sleep covers
-    // this batch's deadline.
-    flush_event_.Set();
-  }
+  if (wake) wake_.notify_one();
   return ticket;
 }
 
-int64_t AdmissionQueue::SealExpired(int64_t now_ns, int64_t deadline_ns,
-                                    bool force) {
-  std::shared_ptr<RequestBatch> sealed;
-  int64_t next_deadline = -1;
+void AdmissionQueue::SealOpen() {
   {
-    std::lock_guard<SpinMutex> lock(admit_mutex_);
-    if (open_ != nullptr && open_->size_ > 0) {
-      const int64_t expires = open_->first_submit_ns + deadline_ns;
-      if (force || now_ns >= expires) {
-        sealed = std::move(open_);
-        sealed->deadline_seal = !force;
-        ++(force ? counters_.forced_seals : counters_.deadline_seals);
-        ++counters_.batches;
-      } else {
-        next_deadline = expires;
-      }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (open_ == nullptr) return;
+    ready_.push_back(std::move(open_));
+    ++counters_.forced_seals;
+    ++counters_.batches;
+  }
+  wake_.notify_one();
+}
+
+bool AdmissionQueue::WaitPop(int64_t deadline_ns,
+                             std::shared_ptr<RequestBatch>* out) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    if (!ready_.empty()) {
+      *out = std::move(ready_.front());
+      ready_.pop_front();
+      break;
     }
+    if (open_ != nullptr) {
+      const int64_t expires = open_->first_submit_ns + deadline_ns;
+      const int64_t now = NowNs();
+      if (now >= expires) {
+        *out = std::move(open_);
+        (*out)->deadline_seal = true;
+        ++counters_.deadline_seals;
+        ++counters_.batches;
+        break;
+      }
+      wake_.wait_for(lock, std::chrono::nanoseconds(expires - now));
+      continue;
+    }
+    if (stopped_) return false;  // stopped and drained
+    wake_.wait(lock);
   }
-  if (sealed != nullptr) Enqueue(std::move(sealed));
-  return next_deadline;
-}
-
-void AdmissionQueue::Enqueue(std::shared_ptr<RequestBatch> batch) {
-  batch->sealed_ns = NowNs();
-  {
-    std::lock_guard<std::mutex> lock(ready_mutex_);
-    ready_.push_back(std::move(batch));
-  }
-  ready_cv_.notify_one();
-}
-
-bool AdmissionQueue::WaitPop(std::shared_ptr<RequestBatch>* out) {
-  std::unique_lock<std::mutex> lock(ready_mutex_);
-  ready_cv_.wait(lock, [&] { return !ready_.empty() || stop_dispatch_; });
-  if (ready_.empty()) return false;  // stopped and drained
-  *out = std::move(ready_.front());
-  ready_.pop_front();
   lock.unlock();
   (*out)->dispatch_ns = NowNs();
   return true;
@@ -131,21 +122,15 @@ bool AdmissionQueue::WaitPop(std::shared_ptr<RequestBatch>* out) {
 
 void AdmissionQueue::Stop() {
   {
-    std::lock_guard<SpinMutex> lock(admit_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    HARP_CHECK(open_ == nullptr) << "Stop with unsealed rows; SealOpen first";
     stopped_ = true;
-    HARP_CHECK(open_ == nullptr || open_->size_ == 0)
-        << "Stop with unsealed rows; force SealExpired first";
   }
-  {
-    std::lock_guard<std::mutex> lock(ready_mutex_);
-    stop_dispatch_ = true;
-  }
-  ready_cv_.notify_all();
-  flush_event_.Set();
+  wake_.notify_all();
 }
 
 AdmissionCounters AdmissionQueue::GetCounters() const {
-  std::lock_guard<SpinMutex> lock(admit_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   return counters_;
 }
 

@@ -4,16 +4,23 @@
 // The flat Predictor amortizes its costs (tree-group planning, cache-
 // resident node walks, interleaved lanes) over blocks of kRowBlock rows;
 // serving traffic arrives one row at a time. The queue bridges the two:
-// submitters copy their row into the currently open batch under a spin
-// mutex (the critical section is a memcpy plus a few stores, exactly the
-// regime the training-side SpinMutex was built for), and a batch is
-// sealed — handed to the dispatch side — when it fills or when a flush
-// deadline expires, whichever comes first. Full seals happen inline on
-// the submitting thread; deadline seals are driven by the server's
-// flusher thread through SealExpired(). That is the adaptive flush
-// policy: under load batches fill in well under the deadline and latency
-// is dominated by service time, while a trickle of traffic still gets
-// out within ~deadline instead of waiting for 255 neighbours.
+// submitters copy their row into the currently open batch under the
+// queue mutex, and a batch is sealed — handed to the dispatch side —
+// when it fills or when a flush deadline expires, whichever comes first.
+// Full seals happen inline on the submitting thread; deadline seals are
+// made by an idle dispatch worker inside WaitPop(), which sleeps until
+// the open batch's deadline when there is nothing sealed to serve. That
+// is the adaptive flush policy: under load batches fill in well under the
+// deadline and latency is dominated by service time, while a trickle of
+// traffic still gets out within ~deadline instead of waiting for 255
+// neighbours.
+//
+//   Submit ─► open batch ─┬─ fills (inline) ───────────► ready deque ─► WaitPop
+//                         ├─ SealOpen (Flush/Shutdown) ─► ready deque
+//                         └─ deadline passed ────────────────────────► WaitPop
+//
+// One mutex and one condition variable guard both the open batch and the
+// ready deque; a submit notifies when it opens or fills a batch.
 //
 // Completion flows backwards through the batch itself: dispatch workers
 // write per-row margins into the batch and call MarkDone(); submitters
@@ -29,9 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <vector>
-
-#include "parallel/notify.h"
-#include "parallel/spin_mutex.h"
 
 namespace harp {
 
@@ -61,7 +65,6 @@ class RequestBatch {
 
   // Timeline + provenance, written by the pipeline stages.
   int64_t first_submit_ns = 0;  // admission: first row landed
-  int64_t sealed_ns = 0;        // admission: handed to the ready queue
   int64_t dispatch_ns = 0;      // worker: popped for processing
   int64_t done_ns = 0;          // worker: margins complete
   bool deadline_seal = false;   // sealed by flush deadline, not by filling
@@ -151,53 +154,35 @@ class AdmissionQueue {
   // Must not be called after Stop().
   ServeTicket Submit(const float* row, std::function<void(double)> callback);
 
-  // Seals the open batch if its deadline (first_submit + deadline_ns) has
-  // passed at `now_ns`, or unconditionally when `force` is set. Returns
-  // the absolute ns deadline of the (possibly new) open batch, or -1 when
-  // no batch is open — the flusher sleeps on that. Thread-safe.
-  int64_t SealExpired(int64_t now_ns, int64_t deadline_ns, bool force);
+  // Seals the open batch, if any, as a forced seal (Flush and the
+  // shutdown drain).
+  void SealOpen();
 
-  // Dispatch side: blocks for the next sealed batch. Returns false only
-  // after Stop() once the ready queue has drained — every sealed batch is
-  // always handed to some worker.
-  bool WaitPop(std::shared_ptr<RequestBatch>* out);
+  // Dispatch side: takes the oldest sealed batch; with none sealed, seals
+  // the open batch once its first row has waited `deadline_ns` (a
+  // deadline seal) and takes it; otherwise sleeps until that deadline or
+  // a notify. Returns false only after Stop() once the ready queue has
+  // drained — every sealed batch is always handed to some worker.
+  bool WaitPop(int64_t deadline_ns, std::shared_ptr<RequestBatch>* out);
 
   // Stops admission (further Submit calls are a programming error) and
   // wakes dispatch waiters so they can drain and exit. Does NOT seal the
-  // open batch — callers force a final SealExpired first so no row is
-  // dropped.
+  // open batch — callers SealOpen() first so no row is dropped.
   void Stop();
 
-  // Signaled when a submit opens a fresh batch (re-arms the flusher) and
-  // on Stop().
-  AutoResetEvent& flush_event() { return flush_event_; }
-
   AdmissionCounters GetCounters() const;
-  // Contention counters of the admission lock (observability).
-  SpinCounters GetSpinCounters() const { return admit_mutex_.GetCounters(); }
 
  private:
-  // Moves a sealed batch to the ready queue and wakes one worker.
-  void Enqueue(std::shared_ptr<RequestBatch> batch);
-
   const uint32_t block_rows_;
   const uint32_t num_features_;
 
-  // Admission side: open batch under a spin lock (short critical
-  // sections: row memcpy + bookkeeping).
-  mutable SpinMutex admit_mutex_;
+  mutable std::mutex mutex_;
+  std::condition_variable wake_;
   std::shared_ptr<RequestBatch> open_;
+  std::deque<std::shared_ptr<RequestBatch>> ready_;  // in seal order
   uint64_t next_seq_ = 0;
   bool stopped_ = false;
   AdmissionCounters counters_;
-
-  AutoResetEvent flush_event_;
-
-  // Dispatch side: sealed batches in seal order.
-  std::mutex ready_mutex_;
-  std::condition_variable ready_cv_;
-  std::deque<std::shared_ptr<RequestBatch>> ready_;
-  bool stop_dispatch_ = false;
 };
 
 }  // namespace harp

@@ -9,29 +9,21 @@
 #include "common/timer.h"
 #include "core/model.h"
 #include "parallel/thread_pool.h"
-#include "predict/flat_forest.h"
 
 namespace harp {
-
-namespace {
-
-// The flusher parks on the flush event; a submit that opens a batch
-// re-arms it, so the idle timeout is only a safety net.
-constexpr int64_t kIdleParkNs = 50 * 1000 * 1000;  // 50 ms
-
-}  // namespace
 
 std::string ServeStats::Summary() const {
   std::string out;
   out += StrFormat(
       "serve: %lld rows in %lld batches (fill %.1f/%u-row blocks), "
-      "seals full=%lld deadline=%lld forced=%lld\n",
+      "seals full=%lld deadline=%lld forced=%lld, %lld rows rejected\n",
       static_cast<long long>(rows_served),
       static_cast<long long>(batches_served), avg_batch_fill,
       static_cast<unsigned>(Predictor::kRowBlock),
       static_cast<long long>(full_seals),
       static_cast<long long>(deadline_seals),
-      static_cast<long long>(forced_seals));
+      static_cast<long long>(forced_seals),
+      static_cast<long long>(rows_rejected));
   out += StrFormat(
       "serve: model v%llu, %lld reloads, snapshots retired=%lld "
       "freed=%lld\n",
@@ -39,12 +31,6 @@ std::string ServeStats::Summary() const {
       static_cast<long long>(reloads),
       static_cast<long long>(snapshots_retired),
       static_cast<long long>(snapshots_freed));
-  out += StrFormat(
-      "serve: admission lock %lld acquires, %lld contended, "
-      "%.3f ms spinning\n",
-      static_cast<long long>(admission_lock.acquires),
-      static_cast<long long>(admission_lock.contended),
-      NsToMs(admission_lock.wait_ns));
   out += request_ns.Summary("serve: request") + "\n";
   out += queue_ns.Summary("serve: queued ") + "\n";
   out += service_ns.Summary("serve: service");
@@ -59,90 +45,96 @@ ModelServer::ModelServer(const GbdtModel& model, ServeConfig config)
   const std::shared_ptr<const FlatForest> flat = model.FlatSnapshot();
   row_width_ = std::max<uint32_t>(
       {1u, model.cuts().num_features(), flat->min_features()});
+  model_ = MakeSnapshot(flat, /*version=*/1);
 
   const int threads = config_.num_threads > 0
                           ? config_.num_threads
                           : ThreadPool::DefaultThreads();
-  pool_ = std::make_unique<ThreadPool>(threads);
-  holder_ = std::make_unique<SnapshotHolder>(
-      threads, std::make_unique<const ModelSnapshot>(flat, /*version=*/1));
   queue_ = std::make_unique<AdmissionQueue>(config_.block_rows, row_width_);
   worker_stats_ = std::make_unique<WorkerStats[]>(static_cast<size_t>(threads));
-
-  flusher_ = std::thread([this] { FlusherLoop(); });
-  // The pool's threads enter one region for the server's whole lifetime;
-  // RunOnAllThreads blocks its caller (who participates as thread 0), so
-  // a dedicated host thread carries the region.
-  region_host_ = std::thread([this] {
-    pool_->RunOnAllThreads([this](int thread_id) { WorkerLoop(thread_id); });
-  });
+  workers_.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    workers_.emplace_back([this, t] { WorkerLoop(t); });
+  }
 }
 
 ModelServer::~ModelServer() { Shutdown(); }
 
+std::shared_ptr<const ModelSnapshot> ModelServer::MakeSnapshot(
+    std::shared_ptr<const FlatForest> forest, uint64_t version) {
+  return std::shared_ptr<const ModelSnapshot>(
+      new ModelSnapshot(std::move(forest), version),
+      [this](const ModelSnapshot* snapshot) {
+        delete snapshot;
+        snapshots_freed_.fetch_add(1, std::memory_order_relaxed);
+      });
+}
+
+std::shared_ptr<const ModelSnapshot> ModelServer::Current() const {
+  std::lock_guard<std::mutex> lock(model_mutex_);
+  return model_;
+}
+
+uint64_t ModelServer::ModelVersion() const {
+  std::lock_guard<std::mutex> lock(model_mutex_);
+  return model_->version();
+}
+
 ServeTicket ModelServer::Submit(const float* row, uint32_t num_features) {
-  HARP_CHECK_EQ(num_features, row_width_);
+  if (num_features != row_width_) {
+    rows_rejected_.fetch_add(1, std::memory_order_relaxed);
+    return ServeTicket();
+  }
   return queue_->Submit(row, nullptr);
 }
 
-void ModelServer::SubmitWithCallback(const float* row, uint32_t num_features,
+bool ModelServer::SubmitWithCallback(const float* row, uint32_t num_features,
                                      std::function<void(double)> done) {
-  HARP_CHECK_EQ(num_features, row_width_);
-  HARP_CHECK(done != nullptr);
+  if (num_features != row_width_ || done == nullptr) {
+    rows_rejected_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
   queue_->Submit(row, std::move(done));
+  return true;
 }
 
-void ModelServer::Reload(const GbdtModel& model) {
+bool ModelServer::Reload(const GbdtModel& model, std::string* error) {
   const std::shared_ptr<const FlatForest> flat = model.FlatSnapshot();
-  HARP_CHECK_LE(flat->min_features(), row_width_)
-      << "reloaded model references features beyond the serving row width";
-  std::lock_guard<std::mutex> lock(reload_mutex_);
-  holder_->Publish(
-      std::make_unique<const ModelSnapshot>(flat, next_version_++));
+  if (flat->min_features() > row_width_) {
+    if (error != nullptr) {
+      *error = StrFormat(
+          "reloaded model references %u features, beyond the serving row "
+          "width %u",
+          flat->min_features(), row_width_);
+    }
+    return false;
+  }
+  std::shared_ptr<const ModelSnapshot> retired;
+  {
+    // Building the snapshot under the lock keeps versions in publish
+    // order across concurrent reloads; it only plans tree groups.
+    std::lock_guard<std::mutex> lock(model_mutex_);
+    retired = std::exchange(model_, MakeSnapshot(flat, model_->version() + 1));
+  }
   reloads_.fetch_add(1, std::memory_order_relaxed);
+  return true;  // `retired` drops here, outside the model lock
 }
 
-void ModelServer::Flush() {
-  queue_->SealExpired(NowNs(), config_.flush_deadline_ns, /*force=*/true);
-}
+void ModelServer::Flush() { queue_->SealOpen(); }
 
 void ModelServer::Shutdown() {
   if (shutdown_done_) return;
   shutdown_done_ = true;
-  stop_.store(true, std::memory_order_release);
   // Seal any straggler rows, then let the workers drain the ready queue
-  // and exit the region. Queue::Stop checks nothing was left unsealed.
-  queue_->SealExpired(NowNs(), config_.flush_deadline_ns, /*force=*/true);
+  // and exit. Queue::Stop checks nothing was left unsealed.
+  queue_->SealOpen();
   queue_->Stop();
-  if (flusher_.joinable()) flusher_.join();
-  if (region_host_.joinable()) region_host_.join();
-  // Workers are gone, so every pin is released: all retired generations
-  // are reclaimable now (post-shutdown stats show retired == freed).
-  holder_->TryReclaim();
-}
-
-void ModelServer::FlusherLoop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    const int64_t next_deadline =
-        queue_->SealExpired(NowNs(), config_.flush_deadline_ns,
-                            /*force=*/false);
-    if (next_deadline < 0) {
-      // No open batch: park until a submit opens one (event re-arms us).
-      queue_->flush_event().WaitFor(kIdleParkNs);
-      continue;
-    }
-    const int64_t now = NowNs();
-    if (next_deadline > now) {
-      // Sleep to the deadline; an earlier full-seal + new batch also
-      // wakes us via the event and we just recompute.
-      queue_->flush_event().WaitFor(next_deadline - now);
-    }
-  }
+  for (std::thread& worker : workers_) worker.join();
 }
 
 void ModelServer::WorkerLoop(int thread_id) {
   std::shared_ptr<RequestBatch> batch;
-  while (queue_->WaitPop(&batch)) {
+  while (queue_->WaitPop(config_.flush_deadline_ns, &batch)) {
     ProcessBatch(thread_id, std::move(batch));
     batch.reset();
   }
@@ -151,16 +143,16 @@ void ModelServer::WorkerLoop(int thread_id) {
 void ModelServer::ProcessBatch(int thread_id,
                                std::shared_ptr<RequestBatch> batch) {
   {
-    const SnapshotHolder::ReadGuard guard = holder_->Acquire(thread_id);
-    const FlatForest& forest = guard->forest();
-    batch->served_version = guard->version();
+    const std::shared_ptr<const ModelSnapshot> snapshot = Current();
+    const FlatForest& forest = snapshot->forest();
+    batch->served_version = snapshot->version();
     const uint32_t rows = batch->size();
     double* margins = batch->margins();
     std::fill_n(margins, rows, forest.base_margin());
-    guard->predictor().AccumulateMarginsDense(
+    snapshot->predictor().AccumulateMarginsDense(
         batch->rows(), rows, batch->num_features(), margins,
         /*tree_begin=*/0, /*tree_end=*/forest.num_trees());
-  }  // release the snapshot pin before waking waiters
+  }  // drop the snapshot copy before waking waiters
   batch->done_ns = NowNs();
 
   // Account BEFORE signalling completion: a client that has watched its
@@ -218,16 +210,16 @@ ServeStats ModelServer::Stats() const {
   ServeStats out;
   const AdmissionCounters admission = queue_->GetCounters();
   out.rows_submitted = admission.submitted;
+  out.rows_rejected = rows_rejected_.load(std::memory_order_relaxed);
   out.full_seals = admission.full_seals;
   out.deadline_seals = admission.deadline_seals;
   out.forced_seals = admission.forced_seals;
   out.reloads = reloads_.load(std::memory_order_relaxed);
-  out.snapshots_retired = holder_->retired_total();
-  out.snapshots_freed = holder_->freed_total();
-  out.model_version = holder_->CurrentVersion();
-  out.admission_lock = queue_->GetSpinCounters();
-  for (int t = 0; t < pool_->num_threads(); ++t) {
-    const WorkerStats& stats = worker_stats_[static_cast<size_t>(t)];
+  out.snapshots_retired = out.reloads;
+  out.snapshots_freed = snapshots_freed_.load(std::memory_order_relaxed);
+  out.model_version = ModelVersion();
+  for (size_t t = 0; t < workers_.size(); ++t) {
+    const WorkerStats& stats = worker_stats_[t];
     std::lock_guard<std::mutex> lock(stats.mutex);
     out.rows_served += stats.rows;
     out.batches_served += stats.batches;

@@ -1,30 +1,35 @@
 // ModelServer: low-latency online inference over a hot-swappable model.
 //
-// Composition of the two serve primitives plus the training-side
-// ThreadPool:
-//
-//   Submit(row) ──► AdmissionQueue ──► ready queue ──► dispatch workers
-//                   (coalesce into      (sealed          (pool threads in ONE
-//                    block_rows          batches)         persistent region)
-//                    blocks)                                 │
-//   flusher thread ──┘ (deadline seals)                      ▼
-//                                            SnapshotHolder::Acquire(tid)
+//   Submit(row) ──► AdmissionQueue ──► WaitPop ──► dispatch workers
+//                   (coalesce into      (sealed or   (num_threads plain
+//                    block_rows          deadline-    std::threads)
+//                    blocks)             expired           │
+//                                        batches)          ▼
+//                                            copy the model shared_ptr
 //                                            AccumulateMarginsDense
 //                                            MarkDone → tickets/callbacks
 //
-// Threading model. The pool's parallel regions are collective and cannot
-// be nested, so the server does not launch a region per batch — a host
-// thread enters RunOnAllThreads ONCE at construction and every pool
-// thread becomes a dispatch worker for the server's lifetime. Each
-// worker serves whole batches serially; parallelism comes from many
-// batches being in flight, which matches the latency goal (a batch never
-// pays a fan-out barrier) and keeps per-batch work on one core's cache.
+// Threading model. The server starts `num_threads` worker threads that
+// loop on AdmissionQueue::WaitPop. An idle worker also makes the deadline
+// seal: with nothing sealed to serve it sleeps until the open batch's
+// flush deadline and then takes that batch itself. Each worker serves
+// whole batches serially; parallelism comes from many batches being in
+// flight, which matches the latency goal (a batch never pays a fan-out
+// barrier) and keeps per-batch work on one core's cache.
 //
-// Hot swap. Reload() publishes a new immutable snapshot through the
-// epoch-based SnapshotHolder; in-flight batches finish on the snapshot
-// they pinned, later batches see the new one. A batch records which
-// version served it (served_version), so callers can verify bit-identity
-// against the right generation across a swap.
+// Hot swap. The served generation is an immutable ModelSnapshot behind a
+// shared_ptr under one mutex. A worker copies the pointer once per batch
+// (up to block_rows rows), so the lock is taken once per batch, never per
+// row. Reload() swaps the pointer, and with it the version, under the
+// same lock; in-flight batches finish on the snapshot they copied, and
+// the old generation is freed when its last copy drops. A batch records
+// which version served it (served_version), so callers can verify
+// bit-identity against the right generation across a swap.
+//
+// Bad input fails only itself. A Submit of the wrong width is refused
+// (invalid ticket, or false for the callback flavor) and counted in
+// rows_rejected; a Reload of a model that needs more features than
+// row_width() returns false and keeps the old generation serving.
 //
 // Completion. Ticket waiters are released the moment their batch's
 // margins are written (MarkDone), independently across batches.
@@ -33,10 +38,10 @@
 // when row j was admitted first — the property a streaming client needs
 // to pipeline responses without reordering buffers.
 //
-// Shutdown. Stop admission, force-seal the open batch, drain the ready
-// queue (every accepted row is served), then join the flusher and the
-// region host. Submit must not race with Shutdown — callers stop their
-// traffic first (checked).
+// Shutdown. Force-seal the open batch, stop admission, let the workers
+// drain the ready queue (every accepted row is served) and join them.
+// Submit must not race with Shutdown — callers stop their traffic first
+// (checked).
 #pragma once
 
 #include <atomic>
@@ -47,18 +52,40 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/aligned.h"
 #include "common/stats.h"
-#include "parallel/sync_stats.h"
+#include "predict/flat_forest.h"
 #include "predict/predictor.h"
 #include "serve/admission_queue.h"
-#include "serve/snapshot.h"
 
 namespace harp {
 
 class GbdtModel;
-class ThreadPool;
+
+// One immutable served generation: the flat ensemble, its predictor
+// (tree-group plan precomputed), and a version for observability.
+class ModelSnapshot {
+ public:
+  ModelSnapshot(std::shared_ptr<const FlatForest> forest, uint64_t version)
+      : forest_(std::move(forest)),
+        predictor_(*forest_),
+        version_(version) {}
+
+  ModelSnapshot(const ModelSnapshot&) = delete;
+  ModelSnapshot& operator=(const ModelSnapshot&) = delete;
+
+  const FlatForest& forest() const { return *forest_; }
+  const Predictor& predictor() const { return predictor_; }
+  uint64_t version() const { return version_; }
+
+ private:
+  std::shared_ptr<const FlatForest> forest_;
+  Predictor predictor_;
+  uint64_t version_;
+};
 
 struct ServeConfig {
   // Coalescing target: rows per dispatched batch (the Predictor's cache
@@ -67,30 +94,28 @@ struct ServeConfig {
   // Adaptive flush: a non-full batch is dispatched once its oldest row
   // has waited this long.
   int64_t flush_deadline_ns = 200 * 1000;  // 200 microseconds
-  // Dispatch workers (= pool threads = snapshot reader slots);
-  // 0 = ThreadPool::DefaultThreads().
+  // Dispatch worker threads; 0 = ThreadPool::DefaultThreads().
   int num_threads = 0;
 };
 
 // Aggregated server observability snapshot (Stats()).
 struct ServeStats {
   int64_t rows_submitted = 0;
+  int64_t rows_rejected = 0;  // wrong-width or callback-less submits
   int64_t rows_served = 0;
   int64_t batches_served = 0;
   int64_t full_seals = 0;
   int64_t deadline_seals = 0;
   int64_t forced_seals = 0;
   int64_t reloads = 0;
-  int64_t snapshots_retired = 0;
-  int64_t snapshots_freed = 0;
+  int64_t snapshots_retired = 0;  // generations swapped out by Reload
+  int64_t snapshots_freed = 0;    // generations whose last copy dropped
   uint64_t model_version = 0;
   double avg_batch_fill = 0.0;  // rows served / batches served
 
   LatencyRecorder request_ns;  // per row: submit -> margins done
   LatencyRecorder queue_ns;    // per row: submit -> batch dispatched
   LatencyRecorder service_ns;  // per batch: dispatch -> margins done
-
-  SpinCounters admission_lock;
 
   // Multi-line human-readable report (IngestStats-style).
   std::string Summary() const;
@@ -99,9 +124,8 @@ struct ServeStats {
 class ModelServer {
  public:
   // Snapshots `model` (via its cached FlatSnapshot) and starts the
-  // dispatch region + flusher. `model` itself is not retained; Reload()
-  // accepts any model whose referenced features fit the server's row
-  // width.
+  // dispatch workers. `model` itself is not retained; Reload() accepts
+  // any model whose referenced features fit the server's row width.
   explicit ModelServer(const GbdtModel& model, ServeConfig config = {});
   ~ModelServer();
 
@@ -114,22 +138,26 @@ class ModelServer {
 
   // Enqueues one dense row (`num_features` == row_width(); NaN =
   // missing). Returns a ticket; ticket.Wait() blocks until the row's raw
-  // margin is computed. Thread-safe, wait-free against model swaps.
+  // margin is computed. A row of the wrong width is refused with an
+  // invalid ticket (valid() == false). Thread-safe.
   ServeTicket Submit(const float* row, uint32_t num_features);
 
   // Callback flavor: `done(margin)` fires after the batch completes,
-  // in global submission order across all batches.
-  void SubmitWithCallback(const float* row, uint32_t num_features,
+  // in global submission order across all batches. Returns false, and
+  // never calls `done`, for a row of the wrong width or a null `done`.
+  bool SubmitWithCallback(const float* row, uint32_t num_features,
                           std::function<void(double)> done);
 
   // Hot-swaps the served model. In-flight batches keep the snapshot they
-  // pinned; the old generation is reclaimed once the last reader drops
-  // it. Serialized internally; cheap when the model's flat cache is warm.
-  void Reload(const GbdtModel& model);
+  // copied; the old generation is freed once the last of them drops it.
+  // Returns false with `error` set, keeping the old generation serving,
+  // when `model` references features beyond row_width(). Thread-safe;
+  // cheap when the model's flat cache is warm.
+  bool Reload(const GbdtModel& model, std::string* error = nullptr);
 
   // Version currently being handed to new batches (1 = initial model,
-  // +1 per Reload).
-  uint64_t ModelVersion() const { return holder_->CurrentVersion(); }
+  // +1 per successful Reload).
+  uint64_t ModelVersion() const;
 
   // Force-seals the open batch regardless of deadline (test hooks,
   // latency-sensitive drains).
@@ -153,35 +181,37 @@ class ModelServer {
     int64_t batches = 0;
   };
 
+  std::shared_ptr<const ModelSnapshot> MakeSnapshot(
+      std::shared_ptr<const FlatForest> forest, uint64_t version);
+  std::shared_ptr<const ModelSnapshot> Current() const;
   void WorkerLoop(int thread_id);
   void ProcessBatch(int thread_id, std::shared_ptr<RequestBatch> batch);
   // Sequence-gated retirement: fires callbacks in batch-seq order.
   void RetireBatch(std::shared_ptr<RequestBatch> batch);
-  void FlusherLoop();
 
   ServeConfig config_;
   uint32_t row_width_ = 0;
 
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<SnapshotHolder> holder_;
+  // Declared before model_: the snapshot deleter counts into it, and the
+  // last snapshot is freed when model_ is destroyed.
+  std::atomic<int64_t> snapshots_freed_{0};
+  mutable std::mutex model_mutex_;
+  std::shared_ptr<const ModelSnapshot> model_;  // guarded by model_mutex_
+  std::atomic<int64_t> reloads_{0};
+  std::atomic<int64_t> rows_rejected_{0};
+
   std::unique_ptr<AdmissionQueue> queue_;
   std::unique_ptr<WorkerStats[]> worker_stats_;
-
-  std::atomic<bool> stop_{false};
-  bool shutdown_done_ = false;
-  std::thread flusher_;
-  std::thread region_host_;
-
-  // Reload serialization + version allocation.
-  std::mutex reload_mutex_;
-  uint64_t next_version_ = 2;  // ctor publishes version 1
-  std::atomic<int64_t> reloads_{0};
 
   // Callback ordering gate.
   std::mutex retire_mutex_;
   uint64_t next_retire_seq_ = 0;
   bool retiring_ = false;
   std::map<uint64_t, std::shared_ptr<RequestBatch>> pending_retire_;
+
+  // Last: the workers use every member above.
+  std::vector<std::thread> workers_;
+  bool shutdown_done_ = false;
 };
 
 }  // namespace harp

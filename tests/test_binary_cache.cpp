@@ -3,8 +3,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "data/binary_cache.h"
+#include "data/binned_matrix.h"
+#include "data/quantile.h"
 #include "data/synthetic.h"
 
 namespace harp {
@@ -233,6 +238,54 @@ TEST(BinaryCache, V1FormatRejectedWithRegenerateHint) {
   EXPECT_FALSE(ReadDatasetCache(path, &ds, &error));
   EXPECT_NE(error.find("v1"), std::string::npos) << error;
   EXPECT_NE(error.find("re-generate"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+// A binned cache whose cut values hold a NaN or run backwards within a
+// feature is refused on both read paths, even with a valid checksum; a
+// repeated value, which computed cuts can hold, still loads.
+TEST(BinaryCache, BinnedCacheWithNanOrUnorderedCutsRejected) {
+  SyntheticSpec spec;
+  spec.rows = 300;
+  spec.features = 5;
+  const Dataset data = GenerateSynthetic(spec);
+  const QuantileCuts cuts = QuantileCuts::Compute(data, 16);
+  uint32_t feature = 0;
+  while (cuts.NumCuts(feature) < 2) ++feature;
+  const uint32_t first = cuts.cut_ptr()[feature];
+  auto write_with = [&](const std::string& path, std::vector<float> values) {
+    const BinnedMatrix matrix = BinnedMatrix::Build(
+        data, QuantileCuts::FromRaw(std::move(values), cuts.cut_ptr(),
+                                    cuts.max_bins()));
+    std::string error;
+    EXPECT_TRUE(WriteBinnedCache(path, matrix, data.labels(), &error))
+        << error;
+  };
+  std::vector<float> nan_cut = cuts.cuts();
+  nan_cut[first + 1] = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> swapped = cuts.cuts();
+  std::swap(swapped[first], swapped[first + 1]);
+  std::vector<float> repeated = cuts.cuts();
+  repeated[first + 1] = repeated[first];
+  const std::string path = "/tmp/harp_cache_bad_cuts.bin";
+  CacheReadOptions mapped;
+  mapped.use_mmap = true;
+  for (const CacheReadOptions& opts : {CacheReadOptions{}, mapped}) {
+    for (const std::vector<float>& bad : {nan_cut, swapped}) {
+      write_with(path, bad);
+      BinnedMatrix matrix;
+      std::vector<float> labels;
+      std::string error;
+      EXPECT_FALSE(ReadBinnedCache(path, &matrix, &labels, &error, opts));
+      EXPECT_NE(error.find("bad cuts"), std::string::npos) << error;
+    }
+    write_with(path, repeated);
+    BinnedMatrix matrix;
+    std::vector<float> labels;
+    std::string error;
+    EXPECT_TRUE(ReadBinnedCache(path, &matrix, &labels, &error, opts))
+        << error;
+  }
   std::remove(path.c_str());
 }
 

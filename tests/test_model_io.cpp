@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,6 +69,36 @@ std::string WithRootField(const std::string& text, size_t field,
   std::string line = parts[0];
   for (size_t i = 1; i < parts.size(); ++i) line += " " + parts[i];
   return WithLine(text, "node", line);
+}
+
+int64_t FirstTreeNodes(const std::string& text) {
+  const size_t begin = text.find("\ntree ") + 1;
+  return std::stoll(
+      text.substr(begin + 5, text.find('\n', begin) - begin - 5));
+}
+
+// `text` with `extra` node lines appended to the first tree and its node
+// count raised to match: the new nodes get ids from the old count up.
+std::string WithNodesAppendedToFirstTree(
+    const std::string& text, const std::vector<std::string>& extra) {
+  const int64_t nodes = FirstTreeNodes(text);
+  size_t after = text.find('\n', text.find("\ntree ") + 1) + 1;
+  for (int64_t i = 0; i < nodes; ++i) after = text.find('\n', after) + 1;
+  std::string added;
+  for (const std::string& line : extra) added += line + "\n";
+  std::string out = text;
+  out.insert(after, added);
+  const int64_t total = nodes + static_cast<int64_t>(extra.size());
+  return WithLine(out, "tree", "tree " + std::to_string(total));
+}
+
+// A node line with the given links: a leaf when `left` < 0, else a split
+// on feature 0 at bin 1.
+std::string NodeLine(int64_t parent, int64_t left, int64_t right) {
+  const bool leaf = left < 0;
+  return "node " + std::to_string(parent) + " " + std::to_string(left) + " " +
+         std::to_string(right) + " 1 0 " + (leaf ? "0" : "1") +
+         " 0x0p+0 0 0x0p+0 0x1p-1 0x0p+0 0x0p+0 0";
 }
 
 TEST(ModelIo, SerializeDeserializeRoundtripExact) {
@@ -393,6 +425,90 @@ TEST(ModelIo, RejectsSplitBinOutsideCuts) {
   std::string error;
   EXPECT_TRUE(DeserializeModel(WithRootField(text, 6, num_cuts), &out, &error))
       << error;
+}
+
+// A split whose right child is negative used to be indexed by it while
+// the tree was checked; the loader refuses it.
+TEST(ModelIo, RejectsNegativeRightChild) {
+  const std::string text = SerializeModel(TrainSmallModel());
+  for (const int64_t bad : {int64_t{-1}, int64_t{-7}}) {
+    GbdtModel out;
+    std::string error;
+    EXPECT_FALSE(DeserializeModel(WithRootField(text, 3, bad), &out, &error))
+        << bad;
+    EXPECT_EQ(error, "invalid tree structure") << bad;
+  }
+}
+
+// Nodes no walk from the root reaches: one orphan leaf, and two splits
+// that are each other's parent and left child (a cycle whose links are
+// otherwise consistent). Flattening such a tree used to CHECK-abort.
+TEST(ModelIo, RejectsUnreachableNodes) {
+  const std::string text = SerializeModel(TrainSmallModel());
+  const int64_t n = FirstTreeNodes(text);
+  const std::string orphan_leaf =
+      WithNodesAppendedToFirstTree(text, {NodeLine(-1, -1, -1)});
+  // n and n+1 form the cycle; n+2 and n+3 are their right leaves.
+  const std::string cycle = WithNodesAppendedToFirstTree(
+      text, {NodeLine(n + 1, n + 1, n + 2), NodeLine(n, n, n + 3),
+             NodeLine(n, -1, -1), NodeLine(n + 1, -1, -1)});
+  for (const std::string& bad : {orphan_leaf, cycle}) {
+    GbdtModel out;
+    std::string error;
+    EXPECT_FALSE(DeserializeModel(bad, &out, &error));
+    EXPECT_EQ(error, "invalid tree structure");
+  }
+  // The helper itself keeps a well-formed file loadable.
+  GbdtModel out;
+  std::string error;
+  EXPECT_TRUE(DeserializeModel(WithNodesAppendedToFirstTree(text, {}), &out,
+                               &error))
+      << error;
+}
+
+// A NaN cut or cuts out of order within a feature would bin rows
+// differently from the trainer's cuts; a repeated value, which computed
+// cuts can hold, still loads.
+TEST(ModelIo, RejectsNanAndUnorderedCutValues) {
+  const GbdtModel model = TrainSmallModel();
+  const QuantileCuts& cuts = model.cuts();
+  uint32_t feature = 0;
+  while (cuts.NumCuts(feature) < 2) ++feature;
+  const uint32_t first = cuts.cut_ptr()[feature];
+  const std::string text = SerializeModel(model);
+  auto with_cuts = [&](const std::vector<float>& values) {
+    std::string line = "cut_values";
+    for (const float v : values) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%a", static_cast<double>(v));
+      line += std::string(" ") + buf;
+    }
+    return WithLine(text, "cut_values", line);
+  };
+  std::vector<float> nan_cut = cuts.cuts();
+  nan_cut[first + 1] = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> swapped = cuts.cuts();
+  std::swap(swapped[first], swapped[first + 1]);
+  for (const std::string& bad : {with_cuts(nan_cut), with_cuts(swapped)}) {
+    GbdtModel out;
+    std::string error;
+    EXPECT_FALSE(DeserializeModel(bad, &out, &error));
+    EXPECT_EQ(error, "bad cut values");
+  }
+  // Training data holding "inf" puts an infinite last cut in the model
+  // file, so infinities load as long as they keep the order.
+  std::vector<float> repeated = cuts.cuts();
+  repeated[first + 1] = repeated[first];
+  std::vector<float> infinite = cuts.cuts();
+  infinite[cuts.cut_ptr()[feature + 1] - 1] =
+      std::numeric_limits<float>::infinity();
+  for (const std::string& good : {with_cuts(repeated), with_cuts(infinite)}) {
+    GbdtModel out;
+    std::string error;
+    EXPECT_TRUE(DeserializeModel(good, &out, &error)) << error;
+  }
+  // Unchanged values re-serialize to the same line.
+  EXPECT_EQ(with_cuts(cuts.cuts()), text);
 }
 
 TEST(ModelIo, RejectsTruncatedModel) {

@@ -1,11 +1,11 @@
-// Serving-layer tests: epoch-based snapshot reclamation (pins keep
-// generations alive, quiescent generations are freed, concurrent
-// publish/read stress), admission-queue sealing (full / deadline /
+// Serving-layer tests: admission-queue sealing (full / deadline /
 // forced) and drain semantics, and ModelServer end-to-end — bit-identical
 // margins vs the batch Predictor, deadline flushing without an explicit
-// Flush, global callback ordering, and hot swap under concurrent load
-// with per-version bit-exact verification. The concurrent tests double as
-// the TSan targets for the serve subsystem.
+// Flush, global callback ordering, hot swap under concurrent load with
+// per-version bit-exact verification and every retired generation freed,
+// and refusal of bad requests and bad swaps without disturbing the
+// server. The concurrent tests double as the TSan targets for the serve
+// subsystem.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,11 +18,10 @@
 
 #include "common/timer.h"
 #include "core/gbdt.h"
+#include "core/model.h"
 #include "data/dataset.h"
-#include "predict/flat_forest.h"
 #include "serve/admission_queue.h"
 #include "serve/model_server.h"
-#include "serve/snapshot.h"
 #include "test_util.h"
 
 namespace harp {
@@ -38,14 +37,6 @@ TrainParams Params(int trees, int tree_size) {
   return p;
 }
 
-// Tree-less snapshot whose base margin encodes its version, so readers
-// can detect a torn or stale-freed generation by cross-checking.
-std::unique_ptr<const ModelSnapshot> TaggedSnapshot(uint64_t version) {
-  auto forest = std::make_shared<const FlatForest>(FlatForest::BuildFromTrees(
-      nullptr, 0, /*base_margin=*/static_cast<double>(version)));
-  return std::make_unique<const ModelSnapshot>(std::move(forest), version);
-}
-
 // Densifies `dataset` rows to `width` floats (NaN = missing) for Submit.
 std::vector<float> DenseRows(const Dataset& dataset, uint32_t width) {
   std::vector<float> out(
@@ -57,71 +48,6 @@ std::vector<float> DenseRows(const Dataset& dataset, uint32_t width) {
     });
   }
   return out;
-}
-
-TEST(SnapshotHolder, PublishRetiresAndFreesQuiescentGenerations) {
-  SnapshotHolder holder(2, TaggedSnapshot(1));
-  EXPECT_EQ(holder.CurrentVersion(), 1u);
-  // No readers: each publish retires the previous generation and can free
-  // it immediately (no pin protects it).
-  for (uint64_t v = 2; v <= 5; ++v) holder.Publish(TaggedSnapshot(v));
-  EXPECT_EQ(holder.CurrentVersion(), 5u);
-  EXPECT_EQ(holder.retired_total(), 4);
-  EXPECT_EQ(holder.freed_total(), 4);
-  EXPECT_EQ(holder.TryReclaim(), 0u);
-}
-
-TEST(SnapshotHolder, PinKeepsOldGenerationReadable) {
-  SnapshotHolder holder(2, TaggedSnapshot(1));
-  {
-    const SnapshotHolder::ReadGuard guard = holder.Acquire(0);
-    EXPECT_EQ(guard->version(), 1u);
-    holder.Publish(TaggedSnapshot(2));
-    // The pinned generation must stay alive and intact across the swap.
-    EXPECT_EQ(guard->version(), 1u);
-    EXPECT_EQ(guard->forest().base_margin(), 1.0);
-    EXPECT_EQ(holder.retired_total(), 1);
-    EXPECT_EQ(holder.freed_total(), 0);
-    EXPECT_EQ(holder.TryReclaim(), 1u);  // still pinned
-    // A fresh acquire on another slot sees the new generation.
-    const SnapshotHolder::ReadGuard fresh = holder.Acquire(1);
-    EXPECT_EQ(fresh->version(), 2u);
-  }
-  EXPECT_EQ(holder.TryReclaim(), 0u);
-  EXPECT_EQ(holder.freed_total(), 1);
-}
-
-TEST(SnapshotHolder, ConcurrentReadersNeverSeeReclaimedGeneration) {
-  constexpr int kReaders = 3;
-  static constexpr uint64_t kVersions = 400;
-  SnapshotHolder holder(kReaders, TaggedSnapshot(1));
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&holder, &stop, t] {
-      while (!stop.load(std::memory_order_acquire)) {
-        const SnapshotHolder::ReadGuard guard = holder.Acquire(t);
-        // Version/base-margin agreement is the torn-read detector: a
-        // freed-too-early snapshot trips ASan/TSan, a torn one trips
-        // this.
-        ASSERT_EQ(guard->forest().base_margin(),
-                  static_cast<double>(guard->version()));
-        ASSERT_GE(guard->version(), 1u);
-        ASSERT_LE(guard->version(), kVersions);
-      }
-    });
-  }
-  for (uint64_t v = 2; v <= kVersions; ++v) {
-    holder.Publish(TaggedSnapshot(v));
-    if (v % 64 == 0) std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& r : readers) r.join();
-  // Once every reader exited, everything retired must be reclaimable.
-  EXPECT_EQ(holder.TryReclaim(), 0u);
-  EXPECT_EQ(holder.retired_total(), static_cast<int64_t>(kVersions - 1));
-  EXPECT_EQ(holder.freed_total(), static_cast<int64_t>(kVersions - 1));
 }
 
 TEST(AdmissionQueue, FullBlockSealsInline) {
@@ -139,7 +65,7 @@ TEST(AdmissionQueue, FullBlockSealsInline) {
 
   for (int b = 0; b < 2; ++b) {
     std::shared_ptr<RequestBatch> batch;
-    ASSERT_TRUE(queue.WaitPop(&batch));
+    ASSERT_TRUE(queue.WaitPop(/*deadline_ns=*/0, &batch));
     EXPECT_EQ(batch->seq(), static_cast<uint64_t>(b));
     EXPECT_EQ(batch->size(), 4u);
     EXPECT_FALSE(batch->deadline_seal);
@@ -158,37 +84,37 @@ TEST(AdmissionQueue, FullBlockSealsInline) {
 TEST(AdmissionQueue, DeadlineAndForcedSeals) {
   AdmissionQueue queue(/*block_rows=*/4, /*num_features=*/1);
   const float row = 7.0f;
+  const int64_t before = NowNs();
   ServeTicket ticket = queue.Submit(&row, nullptr);
   ASSERT_TRUE(ticket.valid());
 
+  // An idle WaitPop with nothing sealed sleeps until the open batch's
+  // deadline, then seals it itself, flagged as deadline-sealed.
   const int64_t deadline_ns = 1000 * 1000;
-  // Before the deadline: nothing seals, the expiry comes back.
-  const int64_t expiry =
-      queue.SealExpired(NowNs(), deadline_ns, /*force=*/false);
-  EXPECT_GT(expiry, 0);
-  EXPECT_EQ(queue.GetCounters().batches, 0);
-  // At the deadline: the partial batch seals, flagged as deadline-sealed.
-  EXPECT_EQ(queue.SealExpired(expiry, deadline_ns, /*force=*/false), -1);
-  EXPECT_EQ(queue.GetCounters().deadline_seals, 1);
-
   std::shared_ptr<RequestBatch> batch;
-  ASSERT_TRUE(queue.WaitPop(&batch));
+  ASSERT_TRUE(queue.WaitPop(deadline_ns, &batch));
+  EXPECT_GE(NowNs() - before, deadline_ns);
   EXPECT_EQ(batch->size(), 1u);
   EXPECT_TRUE(batch->deadline_seal);
+  EXPECT_EQ(queue.GetCounters().deadline_seals, 1);
+  EXPECT_EQ(queue.GetCounters().batches, 1);
   batch->MarkDone();
 
-  // Forced seal (shutdown/Flush path) with a fresh partial batch.
+  // Forced seal (shutdown/Flush path) with a fresh partial batch: it is
+  // ready at once, whatever the deadline.
   (void)queue.Submit(&row, nullptr);
-  EXPECT_EQ(queue.SealExpired(NowNs(), deadline_ns, /*force=*/true), -1);
+  queue.SealOpen();
   EXPECT_EQ(queue.GetCounters().forced_seals, 1);
-  ASSERT_TRUE(queue.WaitPop(&batch));
+  ASSERT_TRUE(queue.WaitPop(/*deadline_ns=*/int64_t{1} << 50, &batch));
   EXPECT_FALSE(batch->deadline_seal);
   batch->MarkDone();
+  queue.SealOpen();  // nothing open: no seal counted
+  EXPECT_EQ(queue.GetCounters().forced_seals, 1);
 
   // Stop drains: WaitPop keeps handing out queued batches, then reports
   // shutdown.
   queue.Stop();
-  EXPECT_FALSE(queue.WaitPop(&batch));
+  EXPECT_FALSE(queue.WaitPop(deadline_ns, &batch));
 }
 
 TEST(ModelServer, ServedMarginsBitIdenticalToBatchPredictor) {
@@ -232,26 +158,33 @@ TEST(ModelServer, DeadlineFlushServesPartialBatchWithoutFlushCall) {
   const GbdtModel model = trainer.Train(data);
   const std::vector<double> expect = model.PredictMargins(data);
 
-  ServeConfig config;
-  config.num_threads = 1;
-  config.flush_deadline_ns = 200 * 1000;
-  ModelServer server(model, config);
-  const uint32_t width = server.row_width();
-  const std::vector<float> rows = DenseRows(data, width);
+  // One worker must time the deadline between batches on its own; with
+  // three, the idle ones race for the seal.
+  for (const int workers : {1, 3}) {
+    SCOPED_TRACE(workers);
+    ServeConfig config;
+    config.num_threads = workers;
+    config.flush_deadline_ns = 200 * 1000;
+    ModelServer server(model, config);
+    const uint32_t width = server.row_width();
+    const std::vector<float> rows = DenseRows(data, width);
 
-  // 10 rows never fill a 256-row block; only the flusher can seal them.
-  std::vector<ServeTicket> tickets(data.num_rows());
-  for (uint32_t r = 0; r < data.num_rows(); ++r) {
-    tickets[r] =
-        server.Submit(rows.data() + static_cast<size_t>(r) * width, width);
+    // 10 rows never fill a 256-row block; only the deadline can seal
+    // them.
+    std::vector<ServeTicket> tickets(data.num_rows());
+    for (uint32_t r = 0; r < data.num_rows(); ++r) {
+      tickets[r] =
+          server.Submit(rows.data() + static_cast<size_t>(r) * width, width);
+    }
+    for (uint32_t r = 0; r < data.num_rows(); ++r) {
+      EXPECT_EQ(tickets[r].Wait(), expect[r]);
+    }
+    const ServeStats stats = server.Stats();
+    EXPECT_GE(stats.deadline_seals, 1);
+    EXPECT_EQ(stats.full_seals, 0);
+    EXPECT_EQ(stats.forced_seals, 0);
+    server.Shutdown();
   }
-  for (uint32_t r = 0; r < data.num_rows(); ++r) {
-    EXPECT_EQ(tickets[r].Wait(), expect[r]);
-  }
-  const ServeStats stats = server.Stats();
-  EXPECT_GE(stats.deadline_seals, 1);
-  EXPECT_EQ(stats.full_seals, 0);
-  server.Shutdown();
 }
 
 TEST(ModelServer, CallbacksFireInGlobalSubmissionOrder) {
@@ -358,8 +291,10 @@ TEST(ModelServer, HotSwapUnderLoadServesExactlyOneGeneration) {
   EXPECT_EQ(checked.load(), kSubmitters * kPerThread);
   EXPECT_GE(stats.reloads, 1);
   server.Shutdown();
-  // After shutdown every worker released its pin: retired == freed.
+  // After shutdown no worker holds a snapshot copy: every generation a
+  // reload retired has been freed.
   const ServeStats after = server.Stats();
+  EXPECT_EQ(after.snapshots_retired, after.reloads);
   EXPECT_EQ(after.snapshots_retired, after.snapshots_freed);
 }
 
@@ -371,8 +306,8 @@ TEST(ModelServer, ReloadBumpsVersionAndKeepsServing) {
 
   ModelServer server(model, ServeConfig{});
   EXPECT_EQ(server.ModelVersion(), 1u);
-  server.Reload(model);
-  server.Reload(model);
+  EXPECT_TRUE(server.Reload(model));
+  EXPECT_TRUE(server.Reload(model));
   EXPECT_EQ(server.ModelVersion(), 3u);
 
   const uint32_t width = server.row_width();
@@ -382,6 +317,118 @@ TEST(ModelServer, ReloadBumpsVersionAndKeepsServing) {
   EXPECT_EQ(ticket.Wait(), expect[0]);
   EXPECT_EQ(ticket.batch().served_version, 3u);
   server.Shutdown();
+}
+
+// A cut-less model of one tree splitting on `feature`: serving it needs
+// rows at least feature + 1 wide.
+GbdtModel ModelSplittingOn(uint32_t feature) {
+  RegTree tree;
+  SplitInfo split;
+  split.gain = 1.0;
+  split.feature = feature;
+  split.bin = 1;
+  const auto [left, right] = tree.ApplySplit(0, split, /*split_value=*/0.5f);
+  tree.mutable_node(left).leaf_value = -1.0;
+  tree.mutable_node(right).leaf_value = 1.0;
+  GbdtModel model;
+  model.AddTree(std::move(tree));
+  return model;
+}
+
+TEST(ModelServer, WrongWidthSubmitReturnsInvalidTicket) {
+  const Dataset data = MakeDataset(20, 6, 0.9, /*seed=*/31);
+  GbdtTrainer trainer(Params(4, 4));
+  const GbdtModel model = trainer.Train(data);
+  const std::vector<double> expect = model.PredictMargins(data);
+
+  ServeConfig config;
+  config.num_threads = 1;
+  ModelServer server(model, config);
+  const uint32_t width = server.row_width();
+  const std::vector<float> rows = DenseRows(data, width);
+
+  EXPECT_FALSE(server.Submit(rows.data(), width + 1).valid());
+  EXPECT_FALSE(server.Submit(rows.data(), width - 1).valid());
+  // The server keeps serving well-formed rows.
+  ServeTicket ticket = server.Submit(rows.data(), width);
+  ASSERT_TRUE(ticket.valid());
+  server.Flush();
+  EXPECT_EQ(ticket.Wait(), expect[0]);
+  const ServeStats stats = server.Stats();
+  EXPECT_EQ(stats.rows_rejected, 2);
+  EXPECT_EQ(stats.rows_submitted, 1);
+  EXPECT_EQ(stats.rows_served, 1);
+  server.Shutdown();
+}
+
+TEST(ModelServer, WrongWidthCallbackIsRefusedAndNeverCalled) {
+  const Dataset data = MakeDataset(20, 6, 0.9, /*seed=*/37);
+  GbdtTrainer trainer(Params(4, 4));
+  const GbdtModel model = trainer.Train(data);
+  const std::vector<double> expect = model.PredictMargins(data);
+
+  ServeConfig config;
+  config.num_threads = 2;
+  ModelServer server(model, config);
+  const uint32_t width = server.row_width();
+  const std::vector<float> rows = DenseRows(data, width);
+
+  std::atomic<int> refused_calls{0};
+  EXPECT_FALSE(server.SubmitWithCallback(
+      rows.data(), width + 3, [&](double) { refused_calls.fetch_add(1); }));
+  EXPECT_FALSE(server.SubmitWithCallback(rows.data(), width, nullptr));
+  std::atomic<bool> served{false};
+  double margin = 0.0;
+  EXPECT_TRUE(server.SubmitWithCallback(rows.data(), width, [&](double m) {
+    margin = m;
+    served.store(true, std::memory_order_release);
+  }));
+  server.Shutdown();  // serves every accepted row before returning
+  EXPECT_TRUE(served.load(std::memory_order_acquire));
+  EXPECT_EQ(margin, expect[0]);
+  EXPECT_EQ(refused_calls.load(), 0);
+  EXPECT_EQ(server.Stats().rows_rejected, 2);
+  EXPECT_EQ(server.Stats().rows_served, 1);
+}
+
+TEST(ModelServer, ReloadOfWiderModelIsRefusedAndOldGenerationKeepsServing) {
+  const Dataset data = MakeDataset(30, 6, 0.9, /*seed=*/41);
+  GbdtTrainer trainer(Params(4, 4));
+  const GbdtModel model = trainer.Train(data);
+  const std::vector<double> expect = model.PredictMargins(data);
+
+  ServeConfig config;
+  config.num_threads = 2;
+  ModelServer server(model, config);
+  const uint32_t width = server.row_width();
+  ASSERT_EQ(width, 6u);
+  const std::vector<float> rows = DenseRows(data, width);
+
+  std::string error;
+  EXPECT_FALSE(server.Reload(ModelSplittingOn(width), &error));
+  EXPECT_NE(error.find("row width"), std::string::npos) << error;
+  EXPECT_FALSE(server.Reload(ModelSplittingOn(40)));  // error is optional
+  EXPECT_EQ(server.ModelVersion(), 1u);
+  // A model that fits the width still swaps in.
+  EXPECT_TRUE(server.Reload(ModelSplittingOn(width - 1), &error));
+  EXPECT_EQ(server.ModelVersion(), 2u);
+  EXPECT_TRUE(server.Reload(model));
+  EXPECT_EQ(server.ModelVersion(), 3u);
+
+  std::vector<ServeTicket> tickets(data.num_rows());
+  for (uint32_t r = 0; r < data.num_rows(); ++r) {
+    tickets[r] =
+        server.Submit(rows.data() + static_cast<size_t>(r) * width, width);
+  }
+  server.Flush();
+  for (uint32_t r = 0; r < data.num_rows(); ++r) {
+    EXPECT_EQ(tickets[r].Wait(), expect[r]) << "row " << r;
+    EXPECT_EQ(tickets[r].batch().served_version, 3u);
+  }
+  const ServeStats stats = server.Stats();
+  EXPECT_EQ(stats.reloads, 2);
+  server.Shutdown();
+  EXPECT_EQ(server.Stats().snapshots_freed, 2);
 }
 
 }  // namespace
