@@ -127,6 +127,9 @@ inline TrainParams HarpParams(int tree_size, ParallelMode mode,
   // inputs (YFCC) still get explicit feature blocks in their benches.
   p.feature_blk_size = 0;
   p.node_blk_size = 32;
+  // The paper holds algorithm-level tricks out of its controlled
+  // comparison, and the baselines build every child directly.
+  p.use_hist_subtraction = false;
   return p;
 }
 

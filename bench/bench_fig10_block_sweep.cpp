@@ -35,6 +35,7 @@ int main() {
     p.num_threads = Threads();
     p.feature_blk_size = feature_blk;
     p.node_blk_size = node_blk;
+    p.use_hist_subtraction = false;  // as the paper's controlled runs
     TrainStats stats;
     GbdtTrainer(p).TrainBinned(data.matrix, data.train.labels(), &stats);
     return stats.SecondsPerTree();

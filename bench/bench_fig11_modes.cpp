@@ -40,6 +40,7 @@ int main() {
       p.feature_blk_size = 4;
       p.node_blk_size = 32;
     }
+    p.use_hist_subtraction = false;  // as the paper's controlled runs
     TrainStats stats;
     GbdtTrainer(p).TrainBinned(data.matrix, data.train.labels(), &stats);
     return stats;

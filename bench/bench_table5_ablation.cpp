@@ -43,6 +43,7 @@ int main() {
       p.mode = base_mode;
       p.grow_policy = GrowPolicy::kLeafwise;
       p.use_membuf = false;
+      p.use_hist_subtraction = false;  // not one of Table V's items
       p.node_blk_size = 1;
       p.feature_blk_size =
           base_mode == ParallelMode::kMP ? 1 : 0;  // standard baselines

@@ -10,6 +10,10 @@
 //                    [--colsample 1.0] [--valid valid.csv]
 //                    [--early-stopping 0] [--label-column 0] [--header]
 //                    [--quantize] [--quant-stochastic] [--simd auto]
+//                    [--membuf-off] [--subtraction-off]
+//                    --subtraction-off scans both children of every
+//                    split (the oracle for the default parent - sibling
+//                    subtraction; same model bytes).
 //                    --quantize accumulates histograms in 16-bit
 //                    fixed-point (faster, accuracy within the
 //                    quantization error bound); --simd forces the
@@ -51,7 +55,8 @@
 //                    [--model out.model] [any other train flag]
 //                    Sharded training over the collective layer; it takes
 //                    train's training flags (--mode DP|MP|SYNC, --objective,
-//                    --alpha, --subtraction, --subsample, --quantize, ...)
+//                    --alpha, --subtraction-off, --subsample, --quantize,
+//                    ...)
 //                    with the defaults shown, and --threads sizes each
 //                    worker's pool. --mode ASYNC is refused. Default:
 //                    N in-process workers (threads). With --rank/--world/
@@ -139,13 +144,13 @@ struct Args {
 // The flags each command reads, as " name name ... " lists. Switches take
 // no value; every other flag takes one.
 constexpr char kSwitches[] =
-    " header zero-based membuf-off subtraction raw quantize quant-stochastic"
-    " mmap ";
+    " header zero-based membuf-off subtraction-off raw quantize"
+    " quant-stochastic mmap ";
 constexpr char kLoadFlags[] =
     " data format label-column header zero-based threads ";
 constexpr char kTrainFlags[] =
     " trees tree-size eta lambda gamma min-child-weight k subsample"
-    " colsample membuf-off subtraction quantize quant-stochastic simd grow"
+    " colsample membuf-off subtraction-off quantize quant-stochastic simd grow"
     " mode objective alpha max-delta-step ndcg-k metric model ";
 
 // Empty for an unknown command.
@@ -177,7 +182,7 @@ int Usage() {
                "           [--workers N | --rank R --world W --port P]\n"
                "           [--compress dense|sparse] [--model F]\n"
                "           [train's training flags, e.g. --mode SYNC\n"
-               "           --subtraction --quantize --objective O]\n"
+               "           --subtraction-off --quantize --objective O]\n"
                "  predict: --data F --model F [--output F] [--raw]\n"
                "           [--threads N]  (--raw predicts on raw floats\n"
                "           instead of binning first; both report rows/sec)\n"
@@ -254,7 +259,7 @@ void ParseTrainParams(const Args& args, TrainParams* p) {
   p->subsample = args.GetDouble("subsample", p->subsample);
   p->colsample_bytree = args.GetDouble("colsample", p->colsample_bytree);
   if (args.Has("membuf-off")) p->use_membuf = false;
-  if (args.Has("subtraction")) p->use_hist_subtraction = true;
+  if (args.Has("subtraction-off")) p->use_hist_subtraction = false;
   if (args.Has("quantize")) p->quantize_hist = true;
   if (args.Has("quant-stochastic")) p->quant_stochastic = true;
   p->simd = args.Get("simd", p->simd);

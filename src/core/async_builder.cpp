@@ -32,6 +32,7 @@ struct alignas(64) WorkerPhase {
   int64_t apply_ns = 0;
   int64_t starve_ns = 0;  // empty-queue spinning, reclassified as wait
   int64_t hist_updates = 0;
+  int64_t hist_builds = 0;
 };
 
 }  // namespace
@@ -133,6 +134,7 @@ void HarpTreeBuilder::AsyncGrow(RegTree& tree, GrowQueue& queue,
       BuildHistSerial(ctx, right, right_hist);
       ph.hist_updates += static_cast<int64_t>(left_rows + right_rows) *
                          static_cast<int64_t>(num_features);
+      ph.hist_builds += 2;
       ph.build_ns += NowNs() - build_start;
 
       // --- FindSplit for both children.
@@ -176,6 +178,7 @@ void HarpTreeBuilder::AsyncGrow(RegTree& tree, GrowQueue& queue,
     find_ns_ += ph.find_ns;
     apply_ns_ += ph.apply_ns;
     hist_updates_ += ph.hist_updates;
+    hist_builds_ += ph.hist_builds;
     pool_.ReclassifyBusyAsWait(static_cast<int>(t), ph.starve_ns);
   }
   pool_.AddSpinCounters(shared.LockCounters());

@@ -74,6 +74,30 @@ void GrowQueue::PopBatchInto(int k, int max_batch,
   }
 }
 
+void GrowQueue::TopInPopOrder(size_t n, std::vector<int>* out) {
+  out->clear();
+  if (heap_.empty() || n == 0) return;
+  // Before() is a strict total order (node ids are unique), so pop order
+  // is sorted order. A heap entry's parent always pops before it, so the
+  // next candidate in pop order is the top or a child of one already
+  // taken: a frontier heap over those children yields them in order.
+  const auto later = [this](size_t a, size_t b) {
+    return Before(heap_[b], heap_[a]);
+  };
+  frontier_.assign(1, 0);
+  while (!frontier_.empty() && out->size() < n) {
+    std::pop_heap(frontier_.begin(), frontier_.end(), later);
+    const size_t i = frontier_.back();
+    frontier_.pop_back();
+    out->push_back(heap_[i].node_id);
+    for (const size_t child : {2 * i + 1, 2 * i + 2}) {
+      if (child >= heap_.size()) break;
+      frontier_.push_back(child);
+      std::push_heap(frontier_.begin(), frontier_.end(), later);
+    }
+  }
+}
+
 std::vector<Candidate> GrowQueue::PopBatch(int k, int max_batch) {
   std::vector<Candidate> batch;
   PopBatchInto(k, max_batch, &batch);

@@ -39,6 +39,11 @@ class GrowQueue {
   // growth can reuse one batch vector instead of allocating per step.
   void PopBatchInto(int k, int max_batch, std::vector<Candidate>* out);
 
+  // Node ids of the first `n` queued candidates in pop order (the order
+  // successive pops return them), into `out` (cleared first). Walks the
+  // heap from its top, so it costs O(n log n) however long the queue is.
+  void TopInPopOrder(size_t n, std::vector<int>* out);
+
   // Drops all queued candidates (start of a new tree on a reused queue).
   void Clear() { heap_.clear(); }
 
@@ -52,6 +57,7 @@ class GrowQueue {
 
   GrowPolicy policy_;
   std::vector<Candidate> heap_;  // binary heap ordered by Before()
+  std::vector<size_t> frontier_;  // TopInPopOrder scratch: heap indices
 };
 
 }  // namespace harp

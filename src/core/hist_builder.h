@@ -22,6 +22,7 @@
 // feature_blk=0,node_blk=1,row blocks = XGB-Hist-style DP).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -60,6 +61,21 @@ struct BuildContext {
 // (`Range` — contiguous half-open [first, second) — comes from
 // hist_kernels.h, the layer the builders dispatch into.)
 
+// Replica budget of the auto DP node block (node_blk_size = 0): a fixed
+// constant, not a knob, so block counts do not depend on the machine.
+inline constexpr size_t kDpReplicaBudgetBytes = size_t{1} << 20;
+
+// Nodes per DP block for a batch of `batch` nodes: node_blk_size when set,
+// else clamp(kDpReplicaBudgetBytes / (threads x TotalBins x cell bytes),
+// 1, batch), where the cell is the replica's (16-byte GHPair or 8-byte
+// quantized int64).
+size_t DpNodeBlock(const BuildContext& ctx, size_t batch);
+
+// Nodes per MP cube: node_blk_size when set, else 1.
+inline size_t MpNodeBlock(const TrainParams& params) {
+  return static_cast<size_t>(std::max(1, params.node_blk_size));
+}
+
 // Feature ranges of at most `feature_blk_size` features (0 = one block).
 std::vector<Range> MakeFeatureBlocks(uint32_t num_features,
                                      int feature_blk_size);
@@ -95,6 +111,7 @@ class HistBuilderDP {
     int64_t node_blocks = 0;      // node blocks processed
     int64_t regions_touched = 0;  // (thread, node) regions dirtied+cleared
     int64_t regions_total = 0;    // threads x block nodes, summed
+    size_t max_block_nodes = 0;   // largest node block staged
   };
 
   // Builds histograms for `nodes` (already acquired in ctx.hists).
@@ -128,7 +145,7 @@ class HistBuilderDP {
   // loops execute what these staged. Shared by both schedulers.
   void BeginBuild(const BuildContext& ctx);
   void StageBlock(const BuildContext& ctx, std::span<const int> nodes,
-                  size_t block_begin);
+                  size_t block_begin, size_t block_size);
   void ClearThread(int thread_id);
   void RunRowTask(const BuildContext& ctx, int thread_id, size_t task_index);
   void PrepReduce(const BuildContext& ctx);

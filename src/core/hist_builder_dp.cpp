@@ -26,6 +26,18 @@ std::vector<Range> MakeFeatureBlocks(uint32_t num_features,
   return blocks;
 }
 
+size_t DpNodeBlock(const BuildContext& ctx, size_t batch) {
+  if (ctx.params.node_blk_size > 0) {
+    return static_cast<size_t>(ctx.params.node_blk_size);
+  }
+  const size_t cell_bytes =
+      ctx.quant != nullptr ? sizeof(int64_t) : sizeof(GHPair);
+  const size_t per_node = static_cast<size_t>(ctx.pool.num_threads()) *
+                          ctx.matrix.TotalBins() * cell_bytes;
+  const size_t fit = kDpReplicaBudgetBytes / std::max<size_t>(1, per_node);
+  return std::clamp<size_t>(fit, 1, std::max<size_t>(1, batch));
+}
+
 void HistBuilderDP::BeginBuild(const BuildContext& ctx) {
   total_bins_ = ctx.matrix.TotalBins();
   threads_ = ctx.pool.num_threads();
@@ -57,12 +69,12 @@ void HistBuilderDP::BeginBuild(const BuildContext& ctx) {
 
 void HistBuilderDP::StageBlock(const BuildContext& ctx,
                                std::span<const int> nodes,
-                               size_t block_begin) {
-  const size_t step =
-      static_cast<size_t>(std::max(1, ctx.params.node_blk_size));
+                               size_t block_begin, size_t block_size) {
   block_ = nodes.subspan(block_begin,
-                         std::min(step, nodes.size() - block_begin));
+                         std::min(block_size, nodes.size() - block_begin));
   const size_t block_nodes = block_.size();
+  replica_stats_.max_block_nodes =
+      std::max(replica_stats_.max_block_nodes, block_nodes);
 
   // Row-block task list: (node index in block, row range).
   int64_t total_rows = 0;
@@ -253,12 +265,11 @@ int64_t HistBuilderDP::Build(const BuildContext& ctx,
   BeginBuild(ctx);
   int64_t reduce_ns = 0;
 
-  // One "parallel for" per node block: node_blk_size trades fewer barriers
+  // One "parallel for" per node block: the block trades fewer barriers
   // against larger per-thread replicas (Section IV-D).
-  const size_t step =
-      static_cast<size_t>(std::max(1, ctx.params.node_blk_size));
+  const size_t step = DpNodeBlock(ctx, nodes.size());
   for (size_t begin = 0; begin < nodes.size(); begin += step) {
-    StageBlock(ctx, nodes, begin);
+    StageBlock(ctx, nodes, begin, step);
 
     std::atomic<int64_t> cursor{0};
     ctx.pool.RunOnAllThreads([&](int thread_id) {
@@ -291,8 +302,7 @@ void HistBuilderDP::BuildInRegion(const BuildContext& ctx,
                                   std::span<const int> nodes,
                                   ThreadPool::FusedRegion& region,
                                   int thread_id, int64_t* reduce_ns) {
-  const size_t step =
-      static_cast<size_t>(std::max(1, ctx.params.node_blk_size));
+  const size_t step = DpNodeBlock(ctx, nodes.size());
   const size_t num_blocks =
       nodes.empty() ? 0 : (nodes.size() + step - 1) / step;
 
@@ -302,7 +312,7 @@ void HistBuilderDP::BuildInRegion(const BuildContext& ctx,
   // matches the region-per-phase path's launch count one-for-one.
   region.Barrier(thread_id, [&] {
     BeginBuild(ctx);
-    if (num_blocks > 0) StageBlock(ctx, nodes, 0);
+    if (num_blocks > 0) StageBlock(ctx, nodes, 0, step);
   });
 
   for (size_t b = 0; b < num_blocks; ++b) {
@@ -325,7 +335,7 @@ void HistBuilderDP::BuildInRegion(const BuildContext& ctx,
     region.Barrier(thread_id, [&] {
       *reduce_ns += NowNs() - reduce_start_ns_;
       UpdateLedger();
-      if (b + 1 < num_blocks) StageBlock(ctx, nodes, (b + 1) * step);
+      if (b + 1 < num_blocks) StageBlock(ctx, nodes, (b + 1) * step, step);
     });
   }
 }

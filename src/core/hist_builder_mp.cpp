@@ -9,8 +9,7 @@ size_t HistBuilderMP::StageTasks(const BuildContext& ctx,
                                  std::span<const int> nodes) {
   FillFeatureBlocks(ctx.matrix.num_features(), ctx.params.feature_blk_size,
                     &feature_blocks_);
-  const size_t nstep =
-      static_cast<size_t>(std::max(1, ctx.params.node_blk_size));
+  const size_t nstep = MpNodeBlock(ctx.params);
   const size_t cap_before = feature_blocks_.capacity() +
                             node_blocks_.capacity() + tasks_.capacity();
   node_blocks_.clear();

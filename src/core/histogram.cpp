@@ -44,12 +44,34 @@ bool HistogramPool::Has(int node_id) const {
   return in_use_.find(node_id) != in_use_.end();
 }
 
+void HistogramPool::Transfer(int from, int to) {
+  std::lock_guard<SpinMutex> lock(mutex_);
+  auto it = in_use_.find(from);
+  HARP_CHECK(it != in_use_.end()) << "node " << from << " has no histogram";
+  Buffer buffer = std::move(it->second);
+  in_use_.erase(it);
+  const bool inserted = in_use_.emplace(to, std::move(buffer)).second;
+  HARP_CHECK(inserted) << "node " << to << " already owns a histogram";
+}
+
 void HistogramPool::Release(int node_id) {
   std::lock_guard<SpinMutex> lock(mutex_);
   auto it = in_use_.find(node_id);
   HARP_CHECK(it != in_use_.end()) << "node " << node_id << " has no histogram";
   free_list_.push_back(std::move(it->second));
   in_use_.erase(it);
+}
+
+void HistogramPool::RetainOnly(std::span<const int> keep) {
+  std::lock_guard<SpinMutex> lock(mutex_);
+  for (auto it = in_use_.begin(); it != in_use_.end();) {
+    if (std::find(keep.begin(), keep.end(), it->first) != keep.end()) {
+      ++it;
+      continue;
+    }
+    free_list_.push_back(std::move(it->second));
+    it = in_use_.erase(it);
+  }
 }
 
 void HistogramPool::ReleaseAll() {
@@ -72,9 +94,9 @@ void AddHistogram(GHPair* __restrict dst, const GHPair* __restrict src,
   for (size_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-void SubtractHistogram(GHPair* __restrict out, const GHPair* __restrict parent,
+void SubtractHistogram(GHPair* __restrict hist,
                        const GHPair* __restrict sibling, size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = parent[i] - sibling[i];
+  for (size_t i = 0; i < n; ++i) hist[i] -= sibling[i];
 }
 
 void ClearHistogram(GHPair* hist, size_t n) {

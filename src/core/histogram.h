@@ -3,13 +3,16 @@
 // Each node's histogram is a flat array of TotalBins() GHPair slots
 // (16 bytes each), indexed by BinOffset(feature) + bin. A pool recycles
 // buffers across nodes and trees — at most O(active nodes) buffers live at
-// once — and supports the parent-minus-sibling subtraction trick. Acquire/
-// Release are guarded by a spin mutex so ASYNC worker threads can allocate
-// node histograms concurrently.
+// once — and supports the parent-minus-sibling subtraction trick in place:
+// Transfer hands the parent's buffer to its larger child, which becomes
+// parent - sibling without a second buffer. Acquire/Release are guarded by
+// a spin mutex so ASYNC worker threads can allocate node histograms
+// concurrently.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -37,8 +40,15 @@ class HistogramPool {
 
   bool Has(int node_id) const;
 
+  // Re-registers the buffer of `from` (must exist) under `to` (must not
+  // own one), contents untouched. Thread safe.
+  void Transfer(int from, int to);
+
   // Returns the buffer of `node_id` to the free list. Thread safe.
   void Release(int node_id);
+
+  // Releases every buffer whose node is not in `keep`. Thread safe.
+  void RetainOnly(std::span<const int> keep);
 
   // Releases everything (start of a new tree).
   void ReleaseAll();
@@ -59,10 +69,9 @@ class HistogramPool {
 // dst[i] += src[i] over `n` slots.
 void AddHistogram(GHPair* dst, const GHPair* src, size_t n);
 
-// out[i] = parent[i] - sibling[i] over `n` slots (the subtraction trick:
-// the larger child's histogram for free).
-void SubtractHistogram(GHPair* out, const GHPair* parent,
-                       const GHPair* sibling, size_t n);
+// hist[i] -= sibling[i] over `n` slots (the subtraction trick: a parent's
+// histogram becomes its larger child's for free).
+void SubtractHistogram(GHPair* hist, const GHPair* sibling, size_t n);
 
 // Zeroes `n` slots.
 void ClearHistogram(GHPair* hist, size_t n);

@@ -54,7 +54,7 @@ const TrainParams& TrainParams::Validate() const {
   HARP_CHECK_GE(topk, 1);
   HARP_CHECK_GE(num_threads, 0);
   HARP_CHECK_GE(row_blk_size, 0);
-  HARP_CHECK_GE(node_blk_size, 1);
+  HARP_CHECK_GE(node_blk_size, 0);
   HARP_CHECK_GE(feature_blk_size, 0);
   HARP_CHECK_GT(subsample, 0.0);
   HARP_CHECK_LE(subsample, 1.0);

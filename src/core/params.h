@@ -64,8 +64,12 @@ struct TrainParams {
   int num_threads = 0;             // 0 = ThreadPool::DefaultThreads()
   // Row block size for DP task scheduling; 0 = auto (batch_rows / threads).
   int64_t row_blk_size = 0;
-  // Candidate nodes grouped per task/replica (1..K).
-  int node_blk_size = 1;
+  // Candidate nodes grouped per DP replica block / MP cube. 0 = auto: DP
+  // groups as many nodes as keep the per-thread replicas (threads x block
+  // x TotalBins x cell bytes) within a fixed 1 MiB cache budget, at least
+  // one and never more than the batch; MP cubes stay one node wide. The
+  // block never changes the model, only the barrier count per batch.
+  int node_blk_size = 0;
   // Features per block; 0 = all features in one block (pure DP layout).
   int feature_blk_size = 0;
   // Fused-step scheduler: run each TopK batch (apply / build / reduce /
@@ -79,7 +83,17 @@ struct TrainParams {
 
   // --- memory optimizations (Section IV-E) ---
   bool use_membuf = true;           // (rowid, g, h) node buffers, Fig. 7
-  bool use_hist_subtraction = false;  // parent - sibling trick (ablatable)
+  // Parent - sibling trick: only the smaller child of a split is scanned,
+  // and the parent's buffer becomes the larger child's in place. Between
+  // steps only the candidates the next pop can take keep a histogram (the
+  // first min(K, leaves left) in pop order), so live histograms stay at
+  // 2K; a popped candidate without one builds both children. On by
+  // default for f64 and quantized histograms alike: quantized sums are
+  // integers, and f64 sums of float gradients stay exact at these sizes,
+  // so models match the direct build byte for byte (DefaultBlocking in
+  // tests/test_tree_builder.cpp, HIGGS- and CRITEO-shaped data). ASYNC
+  // node tasks always build both children directly.
+  bool use_hist_subtraction = true;
   // Quantized histograms (core/quantize.h): per-round fixed-point packing
   // of (g, h) into one int32 and int64 accumulator cells, halving the hot
   // loop's gradient-read and GHSum-write traffic. Off = the f64 accuracy

@@ -35,12 +35,12 @@ std::string TrainStats::Report() const {
                    static_cast<long long>(nodes_split),
                    static_cast<long long>(leaves), max_tree_depth);
   out += StrFormat(
-      "memory: hist_updates=%lld (%.2f ns/update) cell=%zuB hist_peak=%s "
-      "write_region=%s\n",
+      "memory: hist_updates=%lld (%.2f ns/update) hist_builds=%lld "
+      "cell=%zuB hist_peak=%s write_region=%s node_blk=%zu\n",
       static_cast<long long>(hist_updates), NsPerHistUpdate(),
-      hist_cell_bytes,
+      static_cast<long long>(hist_builds), hist_cell_bytes,
       HumanBytes(static_cast<double>(hist_peak_bytes)).c_str(),
-      HumanBytes(static_cast<double>(write_region_bytes)).c_str());
+      HumanBytes(static_cast<double>(write_region_bytes)).c_str(), node_blk);
   out += StrFormat(
       "apply: splits=%lld batches=%lld barriers=%lld moved=%s allocs=%lld\n",
       static_cast<long long>(apply_splits),

@@ -38,10 +38,14 @@ struct TrainStats {
 
   // Memory-behaviour proxies.
   int64_t hist_updates = 0;       // number of (row, feature) increments
+  int64_t hist_builds = 0;        // histograms built by scanning rows (the
+                                  // rest come from parent - sibling)
   size_t hist_peak_bytes = 0;     // peak live histogram memory
   size_t hist_cell_bytes = 0;     // accumulator cell size the hot loop
                                   // writes: 16 (f64 GHPair) or 8 (int64)
   size_t write_region_bytes = 0;  // cell x bins in one task's write window
+  size_t node_blk = 0;            // resolved node block: the largest DP
+                                  // block built (MP mode: the cube extent)
 
   // ApplySplit-phase counters (RowPartitioner PartitionStats deltas over
   // the measured interval). With the arena partitioner, bytes_moved is

@@ -45,11 +45,6 @@ HarpTreeBuilder::HarpTreeBuilder(const BinnedMatrix& matrix,
       << "ASYNC mode cannot train sharded: its node tasks split nodes "
          "independently, with no point at which shards agree on a "
          "histogram; use DP, MP or SYNC";
-  if (params.use_hist_subtraction && params.mode == ParallelMode::kASYNC) {
-    HARP_LOG(Warning) << "histogram subtraction is not supported in ASYNC "
-                         "mode (node tasks build children directly); "
-                         "ignoring use_hist_subtraction";
-  }
   if (params.quantize_hist && params.mode == ParallelMode::kASYNC) {
     HARP_LOG(Warning) << "quantized histograms are not supported in ASYNC "
                          "mode (serial node tasks use the f64 path); "
@@ -72,7 +67,7 @@ size_t HarpTreeBuilder::ScratchCapacity() const {
   return split_tasks_.capacity() + batch_.capacity() + children_.capacity() +
          child_rows_.capacity() + build_list_.capacity() +
          reduce_hists_.capacity() + subtract_list_.capacity() +
-         found_.capacity() + find_partial_.capacity() +
+         retain_.capacity() + found_.capacity() + find_partial_.capacity() +
          find_hist_.capacity() + find_sums_.capacity() + slots_cap_ +
          node_remaining_cap_ + build_pos_.capacity() +
          build_child_pos_.capacity() + sub_of_build_.capacity();
@@ -213,41 +208,43 @@ void HarpTreeBuilder::FindSplitsBatch(const RegTree& tree,
 
 void HarpTreeBuilder::PlanBuild(RegTree& tree) {
   // Decide which children get a direct build. With subtraction, only the
-  // smaller sibling is scanned; the larger one is parent - sibling.
+  // smaller sibling is scanned; the larger one takes over the parent's
+  // buffer and becomes parent - sibling in place. A parent whose
+  // histogram was not retained builds both children.
   build_list_.clear();
   build_child_pos_.clear();
   subtract_list_.clear();
   sub_of_build_.clear();
   for (size_t i = 0; i < batch_.size(); ++i) {
-    const int left = children_[2 * i];
-    const int right = children_[2 * i + 1];
-    if (!use_subtraction_) {
-      build_list_.push_back(left);
-      build_child_pos_.push_back(static_cast<uint32_t>(2 * i));
-      sub_of_build_.push_back(-1);
-      build_list_.push_back(right);
-      build_child_pos_.push_back(static_cast<uint32_t>(2 * i + 1));
-      sub_of_build_.push_back(-1);
+    const int parent = batch_[i].node_id;
+    if (!use_subtraction_ || !hists_.Has(parent)) {
+      const uint32_t first = static_cast<uint32_t>(2 * i);
+      for (uint32_t pos : {first, first + 1}) {
+        build_list_.push_back(children_[pos]);
+        build_child_pos_.push_back(pos);
+        sub_of_build_.push_back(-1);
+      }
       continue;
     }
+    const int left = children_[2 * i];
+    const int right = children_[2 * i + 1];
     const bool left_smaller =
         tree.node(left).num_rows <= tree.node(right).num_rows;
     const int small = left_smaller ? left : right;
     const int large = left_smaller ? right : left;
+    hists_.Transfer(parent, large);
     build_list_.push_back(small);
     build_child_pos_.push_back(
         static_cast<uint32_t>(2 * i + (left_smaller ? 0 : 1)));
     sub_of_build_.push_back(static_cast<int32_t>(subtract_list_.size()));
     subtract_list_.push_back(SubtractJob{
-        large, small, batch_[i].node_id,
-        static_cast<uint32_t>(2 * i + (left_smaller ? 1 : 0)), nullptr,
+        large, small, static_cast<uint32_t>(2 * i + (left_smaller ? 1 : 0)),
         nullptr, nullptr});
   }
 
-  for (int child : children_) hists_.Acquire(child);
+  for (int node : build_list_) hists_.Acquire(node);
   for (SubtractJob& job : subtract_list_) {
     job.child_h = hists_.Get(job.child);
-    job.parent_h = hists_.Get(job.parent);
     job.sibling_h = hists_.Get(job.sibling);
   }
 
@@ -256,6 +253,7 @@ void HarpTreeBuilder::PlanBuild(RegTree& tree) {
   plan_mode_ = ChooseMode(build_list_.size(), build_rows_);
   hist_updates_ +=
       build_rows_ * static_cast<int64_t>(matrix_.num_features());
+  hist_builds_ += static_cast<int64_t>(build_list_.size());
 }
 
 void HarpTreeBuilder::BuildAndFind(RegTree& tree) {
@@ -280,12 +278,9 @@ void HarpTreeBuilder::BuildAndFind(RegTree& tree) {
           [&](int64_t begin, int64_t end, int) {
             for (int64_t i = begin; i < end; ++i) {
               const SubtractJob& job = subtract_list_[static_cast<size_t>(i)];
-              SubtractHistogram(job.child_h, job.parent_h, job.sibling_h,
-                                total_bins);
+              SubtractHistogram(job.child_h, job.sibling_h, total_bins);
             }
           });
-      // Parent histograms have served their purpose.
-      for (const Candidate& cand : batch_) hists_.Release(cand.node_id);
     }
     build_ns_ += watch.ElapsedNs();
   }
@@ -324,18 +319,26 @@ void HarpTreeBuilder::SyncGrow(RegTree& tree, GrowQueue& queue,
     }
 
     for (const Candidate& cand : found_) {
-      const bool eligible =
-          cand.split.IsValid() && cand.depth < max_depth;
-      if (eligible) {
-        queue.Push(cand);
-        // Without subtraction the histogram is only needed for FindSplit.
-        if (!use_subtraction_) hists_.Release(cand.node_id);
-      } else {
-        hists_.Release(cand.node_id);
-      }
+      if (cand.split.IsValid() && cand.depth < max_depth) queue.Push(cand);
     }
+    RetainHistograms(queue, leaves);
     if (ScratchCapacity() != cap_before) ++scratch_grows_;
   }
+}
+
+void HarpTreeBuilder::RetainHistograms(GrowQueue& queue, int64_t leaves) {
+  // Only queued candidates and unpushed children own histograms here.
+  // Without subtraction a histogram is only needed for FindSplit. With
+  // it, the next pop takes exactly the first min(K, leaves left) queued
+  // candidates in pop order, and one ranked beyond the leaves left can
+  // never pop. The queue is the same on every shard, so retention is too.
+  const int64_t keep =
+      use_subtraction_ ? std::min<int64_t>(params_.EffectiveTopK(),
+                                           params_.MaxLeaves() - leaves)
+                       : 0;
+  queue.TopInPopOrder(static_cast<size_t>(std::max<int64_t>(0, keep)),
+                      &retain_);
+  hists_.RetainOnly(retain_);
 }
 
 void HarpTreeBuilder::FinalizeLeaves(RegTree& tree) const {
@@ -349,6 +352,7 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
                                    TrainStats* stats) {
   build_ns_ = reduce_ns_ = find_ns_ = apply_ns_ = quantize_ns_ = 0;
   hist_updates_ = 0;
+  hist_builds_ = 1;  // the root
   topk_batches_ = 0;
   const PartitionStats apply_before = partitioner_.stats();
 
@@ -410,14 +414,11 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
     const int root_nodes[] = {0};
     FindSplitsBatch(tree, root_nodes);
     find_ns_ += find_watch.ElapsedNs();
-    const bool eligible = found_[0].split.IsValid() && max_leaves > 1 &&
-                          params_.MaxDepth() > 0;
-    if (eligible) {
+    if (found_[0].split.IsValid() && max_leaves > 1 &&
+        params_.MaxDepth() > 0) {
       queue_.Push(found_[0]);
-      if (!use_subtraction_) hists_.Release(0);
-    } else {
-      hists_.Release(0);
     }
+    RetainHistograms(queue_, leaves);
   }
 
   const SyncSnapshot grow_before = pool_.Snapshot();
@@ -439,9 +440,7 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
             .size();
     const size_t bins_per_block = matrix_.TotalBins() / std::max<size_t>(1, fblocks);
     const size_t node_span =
-        params_.mode == ParallelMode::kMP
-            ? static_cast<size_t>(params_.node_blk_size)
-            : 1;
+        params_.mode == ParallelMode::kMP ? MpNodeBlock(params_) : 1;
     // max, not =, for consistency with hist_peak_bytes: the value is a
     // per-configuration constant, and accumulating with = silently kept
     // only the last tree's (identical) value anyway. Quantized mode
@@ -450,6 +449,10 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
     const size_t cell_bytes =
         use_quant_ ? sizeof(int64_t) : sizeof(GHPair);
     stats->hist_cell_bytes = cell_bytes;
+    stats->node_blk = std::max(
+        stats->node_blk, params_.mode == ParallelMode::kMP
+                             ? MpNodeBlock(params_)
+                             : dp_.replica_stats().max_block_nodes);
     stats->write_region_bytes =
         std::max(stats->write_region_bytes,
                  cell_bytes * bins_per_block * node_span);
@@ -464,6 +467,7 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
     stats->apply_split_ns += apply_ns_;
     stats->quantize_ns += quantize_ns_;
     stats->hist_updates += hist_updates_;
+    stats->hist_builds += hist_builds_;
     const PartitionStats apply_after = partitioner_.stats();
     stats->apply_splits += apply_after.splits - apply_before.splits;
     stats->apply_batches += apply_after.batches - apply_before.batches;

@@ -54,7 +54,7 @@ void ScatterLeafValues(const RegTree& tree, const RowPartitioner& partitioner,
                        ThreadPool& pool, std::vector<double>* margins);
 
 // HarpGBDT's builder: block-wise DP/MP, SYNC phase mixing, ASYNC node
-// parallelism, MemBuf, optional histogram subtraction.
+// parallelism, MemBuf, in-place histogram subtraction.
 class HarpTreeBuilder final : public TreeBuilderBase {
  public:
   // `reducer` non-null makes this builder one shard of a sharded run (see
@@ -125,14 +125,20 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   // Global sum of the live histograms of `nodes` (reducer only).
   void ReduceHists(std::span<const int> nodes);
   // Decides which children get a direct build vs. parent - sibling
-  // subtraction, acquires child histograms, picks the batch's DP/MP mode
-  // (fills build_list_ / subtract_list_ / plan_mode_; shared).
+  // subtraction (a parent whose histogram was released builds both),
+  // hands each subtracting parent's buffer to its larger child, acquires
+  // the directly built ones, picks the batch's DP/MP mode (fills
+  // build_list_ / subtract_list_ / plan_mode_; shared).
   void PlanBuild(RegTree& tree);
   // PlanBuild + histogram build + subtraction + FindSplitsBatch over the
   // children (fills found_, one Candidate per child, possibly invalid).
   void BuildAndFind(RegTree& tree);
   // FindSplit for nodes whose histograms are live (fills found_).
   void FindSplitsBatch(const RegTree& tree, std::span<const int> nodes);
+  // After a step's pushes, releases every histogram except, with
+  // subtraction, those of the first min(K, leaves left) queued candidates
+  // in pop order: the only ones the next pop can take.
+  void RetainHistograms(GrowQueue& queue, int64_t leaves);
 
   // Shared find pieces: stage the nodes x feature-block grid, run one
   // grid cell, serially merge the partials into found_ (fixed fb order,
@@ -159,8 +165,8 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   void RunOverlapTask(const BuildContext& ctx, int32_t id);
   void PushTask(int32_t id);
   void PushFinds(uint32_t child_pos);
-  // Final barrier epilogue: merge find partials, release parent
-  // histograms, stamp the step-end timestamp.
+  // Final barrier epilogue: merge find partials, stamp the step-end
+  // timestamp.
   void FinishStep(RegTree& tree);
 
   // Sets leaf_value on every leaf from its gradient sum.
@@ -198,15 +204,14 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   std::vector<int> build_list_;
   std::vector<GHPair*> reduce_hists_;
   struct SubtractJob {
-    int child;            // large child: parent - sibling
+    int child;            // large child: holds the parent's buffer
     int sibling;          // small child (directly built)
-    int parent;
     uint32_t child_pos;   // index of `child` in children_
     GHPair* child_h;      // resolved in PlanBuild, after Acquire
-    GHPair* parent_h;
     GHPair* sibling_h;
   };
   std::vector<SubtractJob> subtract_list_;
+  std::vector<int> retain_;  // RetainHistograms scratch
   std::vector<Candidate> found_;
   int64_t build_rows_ = 0;
   ParallelMode plan_mode_ = ParallelMode::kDP;
@@ -248,6 +253,7 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   int64_t quantize_ns_ = 0;
   int64_t trees_built_ = 0;  // rounds completed (stochastic-rounding seed)
   int64_t hist_updates_ = 0;
+  int64_t hist_builds_ = 0;
   // Fused-step phase boundary timestamps (written in barrier epilogues).
   int64_t t_apply_end_ = 0;
   int64_t t_build_end_ = 0;

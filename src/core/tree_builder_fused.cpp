@@ -143,8 +143,7 @@ void HarpTreeBuilder::RunOverlapTask(const BuildContext& ctx, int32_t id) {
   } else if (id < num_builds + num_subs) {
     const SubtractJob& job =
         subtract_list_[static_cast<size_t>(id - num_builds)];
-    SubtractHistogram(job.child_h, job.parent_h, job.sibling_h,
-                      matrix_.TotalBins());
+    SubtractHistogram(job.child_h, job.sibling_h, matrix_.TotalBins());
     PushFinds(job.child_pos);
   } else {
     RunFindTask(static_cast<size_t>(id - num_builds - num_subs));
@@ -180,10 +179,6 @@ void HarpTreeBuilder::OverlapRun(ThreadPool::FusedRegion& region,
 
 void HarpTreeBuilder::FinishStep(RegTree& tree) {
   MergeFound(tree);
-  // Parent histograms have served their purpose (subtraction inputs).
-  if (!subtract_list_.empty()) {
-    for (const Candidate& cand : batch_) hists_.Release(cand.node_id);
-  }
   t_find_end_ = NowNs();
 }
 
@@ -213,7 +208,7 @@ void HarpTreeBuilder::FusedStep(RegTree& tree) {
               for (int64_t i = begin; i < end; ++i) {
                 const SubtractJob& job =
                     subtract_list_[static_cast<size_t>(i)];
-                SubtractHistogram(job.child_h, job.parent_h, job.sibling_h,
+                SubtractHistogram(job.child_h, job.sibling_h,
                                   matrix_.TotalBins());
               }
             });

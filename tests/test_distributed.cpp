@@ -1181,17 +1181,29 @@ TEST(DistributedGbdt, SubtractionExchangesOneChildPerSplit) {
       2 * DenseHistBytes(1, static_cast<uint32_t>(cells));
   std::string models[2];
   for (bool subtraction : {false, true}) {
-    const TrainParams p =
+    TrainParams p =
         IdentityParams(ParallelMode::kSYNC, subtraction, /*quant=*/true);
     const DistributedResult result =
         DistributedGbdt::Train(data, 2, p, kWorkerThreads);
-    int64_t hists = 0;
+    // The shards grow the single-process trees from the same queue, so
+    // they build exactly the histograms a single process builds: the
+    // root, the smaller child of each split, and both children of a
+    // popped candidate whose histogram was not retained.
+    p.num_threads = kWorkerThreads;
+    TrainStats single;
+    GbdtTrainer(p).Train(data, &single);
+    int64_t splits = 0;
     for (const RegTree& tree : result.model.trees()) {
-      const int64_t splits = tree.num_nodes() / 2;
-      hists += 1 + (subtraction ? 1 : 2) * splits;
+      splits += tree.num_nodes() / 2;
+    }
+    const int64_t trees = static_cast<int64_t>(result.model.trees().size());
+    EXPECT_GE(single.hist_builds, trees + splits);
+    EXPECT_LE(single.hist_builds, trees + 2 * splits);
+    if (!subtraction) {
+      EXPECT_EQ(single.hist_builds, trees + 2 * splits);
     }
     for (const CommStats& rank : result.per_rank) {
-      EXPECT_EQ(rank.hist_dense_bytes, hists * per_hist)
+      EXPECT_EQ(rank.hist_dense_bytes, single.hist_builds * per_hist)
           << "subtraction=" << subtraction;
     }
     models[subtraction] = SerializeModel(result.model);

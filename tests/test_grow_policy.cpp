@@ -42,6 +42,28 @@ TEST(GrowQueue, TopKPopsKBestByGain) {
   EXPECT_EQ(q.Size(), 2u);
 }
 
+// TopInPopOrder lists exactly what successive pops return, in order,
+// without popping; ties break on node id as the pops do.
+TEST(GrowQueue, TopInPopOrderMatchesSuccessivePops) {
+  for (GrowPolicy policy : {GrowPolicy::kTopK, GrowPolicy::kDepthwise}) {
+    GrowQueue q(policy);
+    const double gains[] = {0.3, 2.0, 0.3, 1.1, 0.9, 2.0, 0.05, 1.1, 0.7};
+    for (int i = 0; i < 9; ++i) q.Push(Cand(i + 1, 1 + i % 3, gains[i]));
+    std::vector<int> top;
+    for (size_t n : {size_t{0}, size_t{4}, size_t{9}, size_t{20}}) {
+      q.TopInPopOrder(n, &top);
+      EXPECT_EQ(top.size(), std::min<size_t>(n, 9));
+    }
+    q.TopInPopOrder(9, &top);
+    EXPECT_EQ(q.Size(), 9u);
+    std::vector<int> popped;
+    while (!q.Empty()) {
+      for (const Candidate& c : q.PopBatch(1, 1)) popped.push_back(c.node_id);
+    }
+    EXPECT_EQ(top, popped) << ToString(policy);
+  }
+}
+
 TEST(GrowQueue, TopKOneEqualsLeafwise) {
   GrowQueue topk(GrowPolicy::kTopK);
   GrowQueue leaf(GrowPolicy::kLeafwise);

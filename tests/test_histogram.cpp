@@ -54,12 +54,34 @@ TEST(HistogramPool, HasAndGet) {
   EXPECT_FALSE(pool.Has(5));
 }
 
+TEST(HistogramPool, TransferKeepsContentsAndRetainOnlyReleasesTheRest) {
+  HistogramPool pool(2);
+  GHPair* parent = pool.Acquire(1);
+  parent[1] = GHPair{3.0, 4.0};
+  pool.Acquire(2);
+  pool.Acquire(3);
+  pool.Transfer(1, 4);
+  EXPECT_FALSE(pool.Has(1));
+  EXPECT_EQ(pool.Get(4), parent);
+  EXPECT_EQ(pool.Get(4)[1], (GHPair{3.0, 4.0}));
+  const int keep[] = {4, 3, 7};
+  pool.RetainOnly(keep);
+  EXPECT_TRUE(pool.Has(4));
+  EXPECT_TRUE(pool.Has(3));
+  EXPECT_FALSE(pool.Has(2));
+  // A transfer moves a buffer, so it never raises the peak.
+  EXPECT_EQ(pool.PeakBytes(), 3 * 2 * sizeof(GHPair));
+}
+
 TEST(HistogramPoolDeath, DoubleAcquireAndMissingGet) {
   HistogramPool pool(2);
   pool.Acquire(1);
   EXPECT_DEATH(pool.Acquire(1), "already owns");
   EXPECT_DEATH(pool.Get(9), "no histogram");
   EXPECT_DEATH(pool.Release(9), "no histogram");
+  EXPECT_DEATH(pool.Transfer(9, 2), "no histogram");
+  pool.Acquire(2);
+  EXPECT_DEATH(pool.Transfer(1, 2), "already owns");
 }
 
 TEST(HistogramPool, ConcurrentAcquireRelease) {
@@ -80,8 +102,8 @@ TEST(HistogramPool, ConcurrentAcquireRelease) {
 TEST(HistogramKernels, AddAndSubtract) {
   std::vector<GHPair> parent{{5, 5}, {3, 1}, {0, 0}};
   std::vector<GHPair> small{{2, 1}, {1, 1}, {0, 0}};
-  std::vector<GHPair> large(3);
-  SubtractHistogram(large.data(), parent.data(), small.data(), 3);
+  std::vector<GHPair> large = parent;  // in place: parent becomes large
+  SubtractHistogram(large.data(), small.data(), 3);
   EXPECT_EQ(large[0], (GHPair{3, 4}));
   EXPECT_EQ(large[1], (GHPair{2, 0}));
   AddHistogram(large.data(), small.data(), 3);
@@ -224,9 +246,8 @@ TEST(HistogramSubtraction, MatchesDirectBuild) {
                               });
   const std::vector<GHPair> left = NaiveHist(matrix, gh, left_rows);
   const std::vector<GHPair> right_direct = NaiveHist(matrix, gh, right_rows);
-  std::vector<GHPair> right_sub(matrix.TotalBins());
-  SubtractHistogram(right_sub.data(), parent_hist.data(), left.data(),
-                    matrix.TotalBins());
+  std::vector<GHPair> right_sub = parent_hist;
+  SubtractHistogram(right_sub.data(), left.data(), matrix.TotalBins());
   for (size_t s = 0; s < right_sub.size(); ++s) {
     EXPECT_NEAR(right_sub[s].g, right_direct[s].g, 1e-9);
     EXPECT_NEAR(right_sub[s].h, right_direct[s].h, 1e-9);
