@@ -1,8 +1,8 @@
 // Fused-step execution layer: PhaseBarrier and ThreadPool::FusedRegion
 // primitives, then the grow scheduler built on them — the fused path must
 // produce bit-identical trees to the region-per-phase oracle across
-// DP/MP/SYNC x subtraction x thread count, while collapsing the region
-// count to exactly one launch per TopK batch.
+// DP/MP/SYNC x subtraction x quantized histograms x thread count, while
+// collapsing the region count to exactly one launch per TopK batch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -227,35 +227,39 @@ TEST(FusedStep, BitIdenticalToRegionPerPhase) {
   for (ParallelMode mode :
        {ParallelMode::kDP, ParallelMode::kMP, ParallelMode::kSYNC}) {
     for (bool subtraction : {false, true}) {
-      for (int threads : {1, 4}) {
-        TrainParams p;
-        p.grow_policy = GrowPolicy::kTopK;
-        p.topk = 4;
-        p.tree_size = 6;
-        p.min_split_loss = 0.0;
-        p.min_child_weight = 0.1;
-        p.mode = mode;
-        p.use_hist_subtraction = subtraction;
-        p.node_blk_size = 2;
-        p.feature_blk_size = 4;
+      for (bool quantize : {false, true}) {
+        for (int threads : {1, 4}) {
+          TrainParams p;
+          p.grow_policy = GrowPolicy::kTopK;
+          p.topk = 4;
+          p.tree_size = 6;
+          p.min_split_loss = 0.0;
+          p.min_child_weight = 0.1;
+          p.mode = mode;
+          p.use_hist_subtraction = subtraction;
+          p.quantize_hist = quantize;
+          p.node_blk_size = 2;
+          p.feature_blk_size = 4;
 
-        p.use_fused_step = false;
-        TrainStats oracle_stats;
-        const RegTree oracle = BuildWith(env, p, threads, &oracle_stats);
+          p.use_fused_step = false;
+          TrainStats oracle_stats;
+          const RegTree oracle = BuildWith(env, p, threads, &oracle_stats);
 
-        p.use_fused_step = true;
-        TrainStats fused_stats;
-        const RegTree fused = BuildWith(env, p, threads, &fused_stats);
+          p.use_fused_step = true;
+          TrainStats fused_stats;
+          const RegTree fused = BuildWith(env, p, threads, &fused_stats);
 
-        const std::string label =
-            "mode=" + ToString(mode) +
-            " sub=" + std::to_string(subtraction) +
-            " threads=" + std::to_string(threads);
-        EXPECT_TRUE(TreesEqual(oracle, fused)) << label;
-        EXPECT_GT(oracle.num_nodes(), 5) << label;
-        // Same trees means the same grow steps on both schedulers.
-        EXPECT_EQ(oracle_stats.topk_batches, fused_stats.topk_batches)
-            << label;
+          const std::string label =
+              "mode=" + ToString(mode) +
+              " sub=" + std::to_string(subtraction) +
+              " quant=" + std::to_string(quantize) +
+              " threads=" + std::to_string(threads);
+          EXPECT_TRUE(TreesEqual(oracle, fused)) << label;
+          EXPECT_GT(oracle.num_nodes(), 5) << label;
+          // Same trees means the same grow steps on both schedulers.
+          EXPECT_EQ(oracle_stats.topk_batches, fused_stats.topk_batches)
+              << label;
+        }
       }
     }
   }
