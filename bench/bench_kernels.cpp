@@ -58,7 +58,7 @@ struct KernelFixture {
         f->row_ids[r] = r;
       }
       f->scales = ComputeQuantScales(f->gh, nullptr);
-      QuantizeGradients(f->gh, f->scales, /*stochastic=*/false, 0,
+      QuantizeGradients(f->gh, f->scales,
                         static_cast<int>(SimdLevel::kScalar), nullptr,
                         &f->packed);
       return f;

@@ -9,15 +9,16 @@
 //                    [--ndcg-k 10] [--metric NAME] [--subsample 1.0]
 //                    [--colsample 1.0] [--valid valid.csv]
 //                    [--early-stopping 0] [--label-column 0] [--header]
-//                    [--quantize] [--quant-stochastic] [--simd auto]
+//                    [--quantize] [--simd auto]
 //                    [--membuf-off] [--subtraction-off]
 //                    --subtraction-off scans both children of every
 //                    split (the oracle for the default parent - sibling
 //                    subtraction; same model bytes).
 //                    --quantize accumulates histograms in 16-bit
 //                    fixed-point (faster, accuracy within the
-//                    quantization error bound); --simd forces the
-//                    kernel dispatch level (auto|scalar|avx2).
+//                    quantization error bound; refused with --mode
+//                    ASYNC); --simd forces the kernel dispatch level
+//                    (auto|scalar|avx2).
 //                    --alpha sets the quantile for --objective quantile;
 //                    --max-delta-step stabilizes poisson; lambdarank
 //                    needs libsvm data with qid: columns and optimizes
@@ -144,13 +145,12 @@ struct Args {
 // The flags each command reads, as " name name ... " lists. Switches take
 // no value; every other flag takes one.
 constexpr char kSwitches[] =
-    " header zero-based membuf-off subtraction-off raw quantize"
-    " quant-stochastic mmap ";
+    " header zero-based membuf-off subtraction-off raw quantize mmap ";
 constexpr char kLoadFlags[] =
     " data format label-column header zero-based threads ";
 constexpr char kTrainFlags[] =
     " trees tree-size eta lambda gamma min-child-weight k subsample"
-    " colsample membuf-off subtraction-off quantize quant-stochastic simd grow"
+    " colsample membuf-off subtraction-off quantize simd grow"
     " mode objective alpha max-delta-step ndcg-k metric model ";
 
 // Empty for an unknown command.
@@ -261,7 +261,6 @@ void ParseTrainParams(const Args& args, TrainParams* p) {
   if (args.Has("membuf-off")) p->use_membuf = false;
   if (args.Has("subtraction-off")) p->use_hist_subtraction = false;
   if (args.Has("quantize")) p->quantize_hist = true;
-  if (args.Has("quant-stochastic")) p->quant_stochastic = true;
   p->simd = args.Get("simd", p->simd);
   if (p->simd != "auto" && p->simd != "scalar" && p->simd != "avx2") {
     BadValue("simd", p->simd, "auto|scalar|avx2");
@@ -281,6 +280,9 @@ void ParseTrainParams(const Args& args, TrainParams* p) {
   p->max_delta_step = args.GetDouble("max-delta-step", p->max_delta_step);
   p->ndcg_k = args.GetInt("ndcg-k", p->ndcg_k);
   p->eval_metric = args.Get("metric", p->eval_metric);
+  if (p->quantize_hist && p->mode == ParallelMode::kASYNC) {
+    throw FlagError("--quantize is not supported with --mode ASYNC");
+  }
 }
 
 int CmdTrain(const Args& args) {

@@ -196,23 +196,12 @@ class HistBuilderMP {
  public:
   void Build(const BuildContext& ctx, std::span<const int> nodes);
 
-  // Fused-step support: stages the <node_blk x feature_blk> cube task
-  // list for `nodes` into member scratch (serial; grow-only) and returns
-  // the task count. Distinct tasks write disjoint histogram regions, so
-  // any thread may RunTask any staged index in any order —
-  // this is what lets the builder's overlap scheduler start a node's
-  // subtract/find as soon as that node's cubes drain.
-  size_t StageTasks(const BuildContext& ctx, std::span<const int> nodes);
-  void RunTask(const BuildContext& ctx, size_t task_index) const;
-  // Nodes written by staged task `task_index` (its node block).
-  std::span<const int> TaskNodes(size_t task_index) const;
-
-  // Quantized mode: converts `node`'s staged int64 accumulator into its
-  // pool f64 histogram (no-op otherwise). The fused overlap scheduler
-  // calls this from the cube-drain event, BEFORE publishing the node's
-  // subtract/find tasks — exactly one thread per node reaches that event,
-  // so no synchronization beyond the existing publish is needed.
-  void DequantizeNode(int node) const;
+  // Fused-step form of Build: collective, every region thread calls it
+  // with its id. Cubes are staged in a leading barrier epilogue; each
+  // phase (cubes, then the quantized dequantize pass) ends in a barrier.
+  // Bit-identical to Build (same tasks, same kernels).
+  void BuildInRegion(const BuildContext& ctx, std::span<const int> nodes,
+                     ThreadPool::FusedRegion& region, int thread_id);
 
   int64_t grow_events() const { return grow_events_; }
 
@@ -221,6 +210,16 @@ class HistBuilderMP {
     uint32_t node_block;
     uint32_t feature_block;
   };
+
+  // Stages the <node_blk x feature_blk> cube task list for `nodes` into
+  // member scratch (serial; grow-only) and returns the task count.
+  // Distinct tasks write disjoint histogram regions, so any thread may
+  // RunTask any staged index in any order.
+  size_t StageTasks(const BuildContext& ctx, std::span<const int> nodes);
+  void RunTask(size_t task_index) const;
+  // Quantized mode: converts `node`'s int64 accumulator into its pool f64
+  // histogram (no-op otherwise); runs once all cubes have drained.
+  void DequantizeNode(int node) const;
 
   // Cached geometry + per-call staging (grow-only member scratch).
   std::vector<Range> feature_blocks_;
@@ -241,7 +240,6 @@ class HistBuilderMP {
   AlignedVector<int64_t> qhists_;
   std::vector<int64_t*> qhist_of_;
   size_t qstride_ = 0;
-  size_t staged_nodes_ = 0;
   size_t total_bins_ = 0;
   int64_t grow_events_ = 0;
 };

@@ -62,6 +62,9 @@ const TrainParams& TrainParams::Validate() const {
   HARP_CHECK_LE(colsample_bytree, 1.0);
   HARP_CHECK(simd == "auto" || simd == "scalar" || simd == "avx2")
       << "simd must be auto|scalar|avx2, got '" << simd << "'";
+  HARP_CHECK(!(quantize_hist && mode == ParallelMode::kASYNC))
+      << "quantize_hist is not supported in ASYNC mode (its serial node "
+         "tasks have no quantized path); use DP, MP or SYNC";
   HARP_CHECK(comm_compress == "dense" || comm_compress == "sparse")
       << "comm_compress must be dense|sparse, got '" << comm_compress << "'";
   return *this;

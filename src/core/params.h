@@ -77,8 +77,9 @@ struct TrainParams {
   // phase barriers instead of one region launch per phase. Off = the
   // region-per-phase path, kept as the bit-identity oracle (outputs are
   // identical either way). Ignored by ASYNC, which has its own one-region
-  // node-task scheduler, and by sharded training (DistributedGbdt), whose
-  // histogram reduce sits between the build and find phases.
+  // node-task scheduler, and by sharded training (DistributedGbdt): the
+  // fused step has no reduce phase yet, and the histogram reduce must sit
+  // between the build and the subtract/find phases.
   bool use_fused_step = true;
 
   // --- memory optimizations (Section IV-E) ---
@@ -97,12 +98,10 @@ struct TrainParams {
   // Quantized histograms (core/quantize.h): per-round fixed-point packing
   // of (g, h) into one int32 and int64 accumulator cells, halving the hot
   // loop's gradient-read and GHSum-write traffic. Off = the f64 accuracy
-  // oracle. Ignored (with a warning) by ASYNC. Results change within the
-  // quantization error bound, but are deterministic for a fixed config.
+  // oracle. ASYNC has no quantized path, so Validate refuses the pair.
+  // Results change within the quantization error bound, but are
+  // deterministic for a fixed config.
   bool quantize_hist = false;
-  // Stochastic (unbiased, row-hashed) rounding instead of round-to-
-  // nearest-even when quantizing. Only meaningful with quantize_hist.
-  bool quant_stochastic = false;
   // Histogram-kernel dispatch level: "auto" (cpuid probe, overridable via
   // the HARP_SIMD env var), "scalar", or "avx2". Named levels that the
   // binary/CPU cannot run fall back to scalar with a warning.

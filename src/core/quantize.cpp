@@ -24,9 +24,10 @@ struct ChunkStats {
 };
 
 // Largest exponent k with 2^k * max_abs <= fit_limit and
-// 2^k * sum_abs + n <= kQuantSumLimit. The +n slack covers worst-case
-// rounding drift: deterministic rounding moves each row by at most 1/2,
-// stochastic by at most 1 — one whole unit per row bounds both modes.
+// 2^k * sum_abs + n <= kQuantSumLimit. The +n slack covers rounding
+// drift: round-to-nearest moves each row by at most 1/2, so one whole unit
+// per row is a safe margin (it is kept at a whole unit because the slack
+// feeds the chosen exponent, and so every trained model's bytes).
 // The exponent is clamped to a range where 2^k is a normal float/double
 // (so g_scale / g_inv never overflow, underflow, or lose exactness).
 int PickExponent(double max_abs, double sum_abs, double fit_limit, double n) {
@@ -42,26 +43,6 @@ int PickExponent(double max_abs, double sum_abs, double fit_limit, double n) {
     --k;
   }
   return k;
-}
-
-// 2^32-periodic mix of (seed, row): SplitMix64's finalizer, whose low bits
-// are well distributed. Drives the stochastic-rounding threshold.
-inline uint64_t HashRow(uint64_t seed, uint64_t row) {
-  uint64_t z = seed + 0x9E3779B97F4A7C15ull * (row + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-// Stochastic rounding of v: floor(v) + Bernoulli(frac(v)), i.e. round up
-// with probability equal to the fractional part. Unbiased: E[result] = v.
-inline int32_t StochasticRound(float v, uint64_t hash) {
-  const float f = std::floor(v);
-  const float frac = v - f;
-  // Compare against a uniform in [0, 1) derived from the hash's top bits.
-  const float u =
-      static_cast<float>(hash >> 40) * (1.0f / 16777216.0f);  // 2^-24
-  return static_cast<int32_t>(f) + (u < frac ? 1 : 0);
 }
 
 }  // namespace
@@ -132,46 +113,13 @@ QuantScales ComputeQuantScales(const std::vector<GradientPair>& gradients,
 }
 
 void QuantizeGradients(const std::vector<GradientPair>& gradients,
-                       const QuantScales& scales, bool stochastic,
-                       uint64_t seed, int simd_level, ThreadPool* pool,
-                       AlignedVector<int32_t>* out) {
+                       const QuantScales& scales, int simd_level,
+                       ThreadPool* pool, AlignedVector<int32_t>* out) {
   const size_t n = gradients.size();
   out->resize(n);
   if (n == 0) return;
   const GradientPair* gh = gradients.data();
   int32_t* dst = out->data();
-
-  if (stochastic) {
-    // Scalar-only: row-hashed rounding, identical for every thread count
-    // and dispatch level. Clamped to the fit range — stochastic rounding
-    // may round UP past the deterministic fit bound (the +n sum slack in
-    // PickExponent already budgets for the extra unit).
-    const float gs = scales.g_scale;
-    const float hs = scales.h_scale;
-    auto quantize_range = [&](int64_t begin, int64_t end) {
-      constexpr int32_t kGMax = 32767;
-      constexpr int32_t kHMax = 65535;
-      for (int64_t i = begin; i < end; ++i) {
-        const uint64_t hash = HashRow(seed, static_cast<uint64_t>(i));
-        int32_t qg = StochasticRound(gh[i].g * gs, hash);
-        // Independent threshold for h: reuse the hash's other half.
-        int32_t qh = StochasticRound(gh[i].h * hs,
-                                     hash * 0xDA942042E4DD58B5ull);
-        qg = std::clamp(qg, -kGMax, kGMax);
-        qh = std::clamp(qh, 0, kHMax);
-        dst[i] = PackQuant(qg, qh);
-      }
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(static_cast<int64_t>(n),
-                        [&](int64_t begin, int64_t end, int) {
-                          quantize_range(begin, end);
-                        });
-    } else {
-      quantize_range(0, static_cast<int64_t>(n));
-    }
-    return;
-  }
 
   const HistKernelTables& tables =
       KernelTables(static_cast<SimdLevel>(simd_level));

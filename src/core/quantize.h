@@ -28,9 +28,7 @@
 // bit-identical (integer accumulation is order-independent).
 //
 // Rounding is round-to-nearest-even (scalar std::nearbyintf matches the
-// AVX2 cvtps conversion under the default MXCSR mode) or, optionally,
-// stochastic (unbiased, hashed from (seed, row), scalar-only so results
-// stay independent of thread count and dispatch level).
+// AVX2 cvtps conversion under the default MXCSR mode).
 #pragma once
 
 #include <cstdint>
@@ -112,15 +110,12 @@ QuantScales QuantScalesFromStats(const QuantStats& stats);
 QuantScales ComputeQuantScales(const std::vector<GradientPair>& gradients,
                                ThreadPool* pool);
 
-// Quantizes every row into `out` (resized to gradients.size()).
-// Deterministic rounding dispatches to the simd level's kernel table;
-// stochastic rounding (unbiased, hash of (seed, row)) is scalar-only.
-// `level` is an int to keep this header free of the kernel-layer types;
-// pass static_cast<int>(SimdLevel).
+// Quantizes every row into `out` (resized to gradients.size()) with the
+// simd level's kernel table. `simd_level` is an int to keep this header
+// free of the kernel-layer types; pass static_cast<int>(SimdLevel).
 void QuantizeGradients(const std::vector<GradientPair>& gradients,
-                       const QuantScales& scales, bool stochastic,
-                       uint64_t seed, int simd_level, ThreadPool* pool,
-                       AlignedVector<int32_t>* out);
+                       const QuantScales& scales, int simd_level,
+                       ThreadPool* pool, AlignedVector<int32_t>* out);
 
 // out[i] = {CellG(cells[i]) * g_inv, CellH(cells[i]) * h_inv} over n slots;
 // dispatches to the simd level's table. Overwrites every slot, which is

@@ -38,18 +38,11 @@ HarpTreeBuilder::HarpTreeBuilder(const BinnedMatrix& matrix,
                        params.mode != ParallelMode::kASYNC),
       use_fused_(params.use_fused_step &&
                  params.mode != ParallelMode::kASYNC && reducer == nullptr),
-      use_quant_(params.quantize_hist &&
-                 params.mode != ParallelMode::kASYNC),
       simd_level_(ResolveSimdLevel(params.simd)) {
   HARP_CHECK(reducer == nullptr || params.mode != ParallelMode::kASYNC)
       << "ASYNC mode cannot train sharded: its node tasks split nodes "
          "independently, with no point at which shards agree on a "
          "histogram; use DP, MP or SYNC";
-  if (params.quantize_hist && params.mode == ParallelMode::kASYNC) {
-    HARP_LOG(Warning) << "quantized histograms are not supported in ASYNC "
-                         "mode (serial node tasks use the f64 path); "
-                         "ignoring quantize_hist";
-  }
   // FindSplit parallel grid: nodes x feature chunks. When feature blocks
   // are configured reuse them; otherwise chunk so every thread has work
   // even for small batches. Fixed here so fused find-task ids stay stable.
@@ -68,9 +61,7 @@ size_t HarpTreeBuilder::ScratchCapacity() const {
          child_rows_.capacity() + build_list_.capacity() +
          reduce_hists_.capacity() + subtract_list_.capacity() +
          retain_.capacity() + found_.capacity() + find_partial_.capacity() +
-         find_hist_.capacity() + find_sums_.capacity() + slots_cap_ +
-         node_remaining_cap_ + build_pos_.capacity() +
-         build_child_pos_.capacity() + sub_of_build_.capacity();
+         find_hist_.capacity() + find_sums_.capacity();
 }
 
 ParallelMode HarpTreeBuilder::ChooseMode(size_t batch_nodes,
@@ -154,7 +145,7 @@ void HarpTreeBuilder::ReduceHists(std::span<const int> nodes) {
   for (int node : nodes) reduce_hists_.push_back(hists_.Get(node));
   reducer_->ReduceHists(reduce_hists_.data(), reduce_hists_.size(),
                         matrix_.TotalBins(),
-                        use_quant_ ? &quant_round_.scales : nullptr);
+                        params_.quantize_hist ? &quant_round_.scales : nullptr);
 }
 
 void HarpTreeBuilder::PrepareFind(const RegTree& tree,
@@ -212,34 +203,23 @@ void HarpTreeBuilder::PlanBuild(RegTree& tree) {
   // buffer and becomes parent - sibling in place. A parent whose
   // histogram was not retained builds both children.
   build_list_.clear();
-  build_child_pos_.clear();
   subtract_list_.clear();
-  sub_of_build_.clear();
   for (size_t i = 0; i < batch_.size(); ++i) {
     const int parent = batch_[i].node_id;
-    if (!use_subtraction_ || !hists_.Has(parent)) {
-      const uint32_t first = static_cast<uint32_t>(2 * i);
-      for (uint32_t pos : {first, first + 1}) {
-        build_list_.push_back(children_[pos]);
-        build_child_pos_.push_back(pos);
-        sub_of_build_.push_back(-1);
-      }
-      continue;
-    }
     const int left = children_[2 * i];
     const int right = children_[2 * i + 1];
+    if (!use_subtraction_ || !hists_.Has(parent)) {
+      build_list_.push_back(left);
+      build_list_.push_back(right);
+      continue;
+    }
     const bool left_smaller =
         tree.node(left).num_rows <= tree.node(right).num_rows;
     const int small = left_smaller ? left : right;
     const int large = left_smaller ? right : left;
     hists_.Transfer(parent, large);
     build_list_.push_back(small);
-    build_child_pos_.push_back(
-        static_cast<uint32_t>(2 * i + (left_smaller ? 0 : 1)));
-    sub_of_build_.push_back(static_cast<int32_t>(subtract_list_.size()));
-    subtract_list_.push_back(SubtractJob{
-        large, small, static_cast<uint32_t>(2 * i + (left_smaller ? 1 : 0)),
-        nullptr, nullptr});
+    subtract_list_.push_back(SubtractJob{large, small, nullptr, nullptr});
   }
 
   for (int node : build_list_) hists_.Acquire(node);
@@ -256,8 +236,14 @@ void HarpTreeBuilder::PlanBuild(RegTree& tree) {
   hist_builds_ += static_cast<int64_t>(build_list_.size());
 }
 
+void HarpTreeBuilder::SubtractRange(int64_t begin, int64_t end) {
+  for (int64_t i = begin; i < end; ++i) {
+    const SubtractJob& job = subtract_list_[static_cast<size_t>(i)];
+    SubtractHistogram(job.child_h, job.sibling_h, matrix_.TotalBins());
+  }
+}
+
 void HarpTreeBuilder::BuildAndFind(RegTree& tree) {
-  const size_t total_bins = matrix_.TotalBins();
   const BuildContext ctx = Context();
   PlanBuild(tree);
 
@@ -275,12 +261,7 @@ void HarpTreeBuilder::BuildAndFind(RegTree& tree) {
     if (!subtract_list_.empty()) {
       pool_.ParallelForDynamic(
           static_cast<int64_t>(subtract_list_.size()), 1,
-          [&](int64_t begin, int64_t end, int) {
-            for (int64_t i = begin; i < end; ++i) {
-              const SubtractJob& job = subtract_list_[static_cast<size_t>(i)];
-              SubtractHistogram(job.child_h, job.sibling_h, total_bins);
-            }
-          });
+          [&](int64_t begin, int64_t end, int) { SubtractRange(begin, end); });
     }
     build_ns_ += watch.ElapsedNs();
   }
@@ -361,19 +342,15 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
   partitioner_.Reset(gradients, max_nodes, &pool_);
   hists_.ReleaseAll();
 
-  if (use_quant_) {
+  if (params_.quantize_hist) {
     // Fresh scales + packed rows every round: the gradient distribution
     // shifts as boosting progresses, and a per-round power-of-two scale
-    // keeps the full int16 resolution on the current range. The seed
-    // varies per tree so stochastic rounding errors stay uncorrelated
-    // across rounds.
+    // keeps the full int16 resolution on the current range.
     const Stopwatch quant_watch;
     QuantStats quant_stats = ComputeQuantStats(gradients, &pool_);
     if (reducer_ != nullptr) reducer_->ReduceQuantStats(&quant_stats);
     quant_round_.scales = QuantScalesFromStats(quant_stats);
     QuantizeGradients(gradients, quant_round_.scales,
-                      params_.quant_stochastic,
-                      params_.seed + static_cast<uint64_t>(trees_built_),
                       static_cast<int>(simd_level_), &pool_,
                       &quant_round_.packed);
     quantize_ns_ += quant_watch.ElapsedNs();
@@ -447,7 +424,7 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
     // halves the cell the hot loop writes (8-byte int64 vs 16-byte
     // GHPair) — the Section III-B bytes-per-update lever this PR pulls.
     const size_t cell_bytes =
-        use_quant_ ? sizeof(int64_t) : sizeof(GHPair);
+        params_.quantize_hist ? sizeof(int64_t) : sizeof(GHPair);
     stats->hist_cell_bytes = cell_bytes;
     stats->node_blk = std::max(
         stats->node_blk, params_.mode == ParallelMode::kMP
@@ -480,7 +457,6 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
     stats->hist_peak_bytes = std::max(stats->hist_peak_bytes,
                                       hists_.PeakBytes());
   }
-  ++trees_built_;
   return tree;
 }
 

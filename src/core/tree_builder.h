@@ -2,10 +2,8 @@
 // four parallelism modes of Table II.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -60,8 +58,9 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   // `reducer` non-null makes this builder one shard of a sharded run (see
   // core/hist_reducer.h): it must outlive the builder, every shard must
   // use the same params, and ASYNC is rejected. Such a builder takes the
-  // region-per-phase step, because the fused MP overlap graph starts finds
-  // before a global histogram exists.
+  // region-per-phase step: the fused step has no reduce phase yet, so the
+  // global histograms it needs before subtract and find cannot form inside
+  // its region.
   HarpTreeBuilder(const BinnedMatrix& matrix, const TrainParams& params,
                   ThreadPool& pool, HistReducer* reducer = nullptr);
 
@@ -92,7 +91,7 @@ class HarpTreeBuilder final : public TreeBuilderBase {
                         pool_,
                         partitioner_,
                         hists_,
-                        use_quant_ ? &quant_round_ : nullptr,
+                        params_.quantize_hist ? &quant_round_ : nullptr,
                         simd_level_};
   }
 
@@ -130,6 +129,9 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   // the directly built ones, picks the batch's DP/MP mode (fills
   // build_list_ / subtract_list_ / plan_mode_; shared).
   void PlanBuild(RegTree& tree);
+  // Runs subtract_list_[begin, end): each large child's buffer, which
+  // holds the parent's histogram, becomes parent - sibling in place.
+  void SubtractRange(int64_t begin, int64_t end);
   // PlanBuild + histogram build + subtraction + FindSplitsBatch over the
   // children (fills found_, one Candidate per child, possibly invalid).
   void BuildAndFind(RegTree& tree);
@@ -153,21 +155,6 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   // exactly one region launch per TopK batch. Bit-identical outputs to
   // ApplySplitBatch + BuildAndFind.
   void FusedStep(RegTree& tree);
-  // Barrier epilogue after the partition: child num_rows, PlanBuild, and
-  // (MP) overlap-graph staging.
-  void PlanAfterPartition(RegTree& tree);
-  // Stages the MP overlap work-graph: cube tasks, per-node drain
-  // counters, and the slot ring seeded with the build tasks.
-  void StageOverlap(const RegTree& tree);
-  // Per-thread overlap scheduler loop: pops the slot ring until all
-  // build + subtract + find tasks have run.
-  void OverlapRun(ThreadPool::FusedRegion& region, int thread_id);
-  void RunOverlapTask(const BuildContext& ctx, int32_t id);
-  void PushTask(int32_t id);
-  void PushFinds(uint32_t child_pos);
-  // Final barrier epilogue: merge find partials, stamp the step-end
-  // timestamp.
-  void FinishStep(RegTree& tree);
 
   // Sets leaf_value on every leaf from its gradient sum.
   void FinalizeLeaves(RegTree& tree) const;
@@ -188,10 +175,9 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   GrowQueue queue_;
   bool use_subtraction_;  // forced off for ASYNC (see .cpp)
   bool use_fused_;        // forced off for ASYNC and with a reducer
-  bool use_quant_;        // forced off for ASYNC (see .cpp)
   SimdLevel simd_level_;  // resolved once from params.simd
-  // Per-tree quantization state (scales + packed rows); valid only while
-  // use_quant_ and refreshed at the top of every BuildTree.
+  // Per-tree quantization state (scales + packed rows); valid only with
+  // quantize_hist and refreshed at the top of every BuildTree.
   QuantRound quant_round_;
   const std::vector<uint8_t>* column_mask_ = nullptr;
 
@@ -204,10 +190,9 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   std::vector<int> build_list_;
   std::vector<GHPair*> reduce_hists_;
   struct SubtractJob {
-    int child;            // large child: holds the parent's buffer
-    int sibling;          // small child (directly built)
-    uint32_t child_pos;   // index of `child` in children_
-    GHPair* child_h;      // resolved in PlanBuild, after Acquire
+    int child;        // large child: holds the parent's buffer
+    int sibling;      // small child (directly built)
+    GHPair* child_h;  // resolved in PlanBuild, after Acquire
     GHPair* sibling_h;
   };
   std::vector<SubtractJob> subtract_list_;
@@ -224,34 +209,12 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   std::vector<const GHPair*> find_hist_;
   std::vector<GHPair> find_sums_;
 
-  // MP overlap work-graph state. Task ids: [0, B) = staged MP cubes,
-  // [B, B+S) = subtract jobs, [B+S, B+S+F) = find grid cells (node-major,
-  // so find id f maps to find_partial_[f]). slots_ is a single-pass ring:
-  // every task id is pushed exactly once (builds pre-seeded, the rest
-  // pushed by the event that makes them runnable) and popped exactly once
-  // via qhead_.
-  std::unique_ptr<std::atomic<int32_t>[]> slots_;
-  size_t slots_cap_ = 0;
-  std::unique_ptr<std::atomic<int32_t>[]> node_remaining_;
-  size_t node_remaining_cap_ = 0;
-  std::vector<int32_t> build_pos_;        // node id -> build_list_ index
-  std::vector<uint32_t> build_child_pos_; // build_list_ index -> children_ index
-  std::vector<int32_t> sub_of_build_;     // build_list_ index -> subtract index or -1
-  alignas(64) std::atomic<int64_t> qhead_{0};
-  alignas(64) std::atomic<int64_t> qtail_{0};
-  std::atomic<int32_t> builds_left_{0};
-  std::atomic<int64_t> t_build_done_{0};
-  int64_t overlap_total_ = 0;
-  int32_t overlap_builds_ = 0;
-  int32_t overlap_subs_ = 0;
-
   // Phase accumulators for the current BuildTree call.
   int64_t build_ns_ = 0;
   int64_t reduce_ns_ = 0;
   int64_t find_ns_ = 0;
   int64_t apply_ns_ = 0;
   int64_t quantize_ns_ = 0;
-  int64_t trees_built_ = 0;  // rounds completed (stochastic-rounding seed)
   int64_t hist_updates_ = 0;
   int64_t hist_builds_ = 0;
   // Fused-step phase boundary timestamps (written in barrier epilogues).

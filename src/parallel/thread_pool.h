@@ -170,13 +170,6 @@ class ThreadPool {
       }
     }
 
-    // For custom in-region schedulers (e.g. the builder's overlap queue):
-    // spin loops must poll failed() so a peer's exception releases them.
-    bool failed() const { return failed_.load(std::memory_order_acquire); }
-    void ThrowIfFailed() const {
-      if (failed()) throw AbortTag{};
-    }
-
    private:
     // Thrown to unwind peers after another thread failed; swallowed by
     // Run's wrapper (the real exception is rethrown from Run).
