@@ -277,7 +277,7 @@ TEST(RowPartitioner, SteadyStateAllocatesNothingAcrossTrees) {
 }
 
 // The same guarantee one layer up: HarpTreeBuilder's per-batch staging
-// vectors (split tasks, build/subtract/find lists, overlap ring) live in
+// vectors (split tasks, build/subtract lists, the find grid) live in
 // reused member scratch, so repeated identical trees leave both the
 // partitioner's grow counter and the builder's scratch fingerprint alone.
 TEST(RowPartitioner, BuilderSteadyStateAllocatesNothingAcrossTrees) {
