@@ -190,10 +190,11 @@ inline void PrintSeries(const std::string& name,
 // ---- machine-readable results ----
 //
 // Every bench binary reports each measurement through ReportResult, which
-// prints one `BENCH_JSON {...}` line to stdout (so CI and scripts can grep
-// results out of the human-readable tables) and, when HARP_BENCH_JSON_DIR
-// is set, appends the same object to $HARP_BENCH_JSON_DIR/BENCH_<bench>.json
-// (JSON-lines, one object per measurement). Fields:
+// prints one `BENCH_JSON {...}` line to stderr (a bench may call it while a
+// table row is still open on stdout, so stdout would split the row) and,
+// when HARP_BENCH_JSON_DIR is set, appends the same object to
+// $HARP_BENCH_JSON_DIR/BENCH_<bench>.json (JSON-lines, one object per
+// measurement; CI reads these archives). Fields:
 //   bench       bench id (one file per binary)
 //   name        measurement label (config under test)
 //   reps        repetitions averaged into `ns` (trees, passes, ...)
@@ -221,7 +222,7 @@ inline void ReportResult(const std::string& bench, const std::string& name,
       static_cast<long long>(reps), ns, throughput);
   if (auc >= 0.0) obj += StrFormat(",\"auc\":%.6f", auc);
   obj += "}";
-  std::printf("BENCH_JSON %s\n", obj.c_str());
+  std::fprintf(stderr, "BENCH_JSON %s\n", obj.c_str());
   const std::string dir = GetEnvString("HARP_BENCH_JSON_DIR", "");
   if (!dir.empty()) {
     const std::string path = dir + "/BENCH_" + JsonSafe(bench) + ".json";

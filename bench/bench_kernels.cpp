@@ -522,11 +522,15 @@ BENCHMARK(BM_ApplySplitBatch)
     ->Args({8, 0})
     ->Args({8, 1});
 
+// Arg = percent of the rows in the node. At 100 (the root) every bin is
+// occupied, the compacted scan's worst case; at 1 (a deep node) most bins
+// are empty and their candidates are skipped.
 void BM_FindSplit(benchmark::State& state) {
   const KernelFixture& f = KernelFixture::Get();
+  const uint32_t stride = static_cast<uint32_t>(100 / state.range(0));
   std::vector<GHPair> hist(f.matrix.TotalBins());
   GHPair total;
-  for (uint32_t r = 0; r < f.matrix.num_rows(); ++r) {
+  for (uint32_t r = 0; r < f.matrix.num_rows(); r += stride) {
     AccumulateRow(f.matrix.RowBins(r), f.gh[r].g, f.gh[r].h, f.matrix,
                   hist.data(), {0u, f.matrix.num_features()});
     total.Add(f.gh[r].g, f.gh[r].h);
@@ -540,7 +544,7 @@ void BM_FindSplit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * f.matrix.TotalBins());
 }
-BENCHMARK(BM_FindSplit);
+BENCHMARK(BM_FindSplit)->ArgName("pct")->Arg(100)->Arg(1);
 
 void BM_QuantileCompute(benchmark::State& state) {
   const KernelFixture& f = KernelFixture::Get();

@@ -701,10 +701,8 @@ int CmdDistTrain(const Args& args) {
   p.num_threads = 1;
   ParseTrainParams(args, &p);
   if (p.mode == ParallelMode::kASYNC) {
-    std::fprintf(stderr,
-                 "dist-train does not support --mode ASYNC (use DP, MP or "
-                 "SYNC)\n");
-    return 1;
+    throw FlagError("dist-train does not support --mode ASYNC (use DP, MP or "
+                    "SYNC)");
   }
   p.comm_compress = args.Get("compress", "dense");
   if (p.comm_compress != "dense" && p.comm_compress != "sparse") {

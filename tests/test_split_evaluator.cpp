@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "core/quantize.h"
 #include "core/split_evaluator.h"
 #include "test_util.h"
 
@@ -196,18 +199,20 @@ TEST(SplitEvaluator, FeatureRangeMergeIsDeterministic) {
   }
 }
 
-// Verbatim copy of the pre-prefix-scan FindBestSplit: a separate
-// present_total accumulation pass plus a per-bin missing check. The
-// rewritten single-pass version must reproduce it BIT FOR BIT — the prefix
-// array preserves the exact left-to-right accumulation order, so every
-// intermediate double is the same.
+// The plain enumeration: every split bin of every feature, both missing
+// directions, one SplitInfo per candidate merged by BetterThan, with a
+// separate present_total accumulation pass. FindBestSplit skips the bins
+// whose prefix does not move and tracks only the winning gain; it must
+// reproduce this BIT FOR BIT, because each prefix is accumulated in the
+// same left-to-right order and each gain in the same expression order.
 SplitInfo ReferenceFindBestSplit(const SplitEvaluator& eval,
                                  const BinnedMatrix& matrix,
                                  const GHPair* hist, const GHPair& node_sum,
-                                 uint32_t feature_begin,
-                                 uint32_t feature_end) {
+                                 uint32_t feature_begin, uint32_t feature_end,
+                                 const uint8_t* column_mask = nullptr) {
   SplitInfo best;
   for (uint32_t f = feature_begin; f < feature_end; ++f) {
+    if (column_mask != nullptr && column_mask[f] == 0) continue;
     const uint32_t offset = matrix.BinOffset(f);
     const uint32_t num_bins = matrix.NumBins(f);
     if (num_bins < 3) continue;
@@ -250,41 +255,215 @@ SplitInfo ReferenceFindBestSplit(const SplitEvaluator& eval,
   return best;
 }
 
-TEST(SplitEvaluator, SinglePassMatchesTwoPassReferenceBitwise) {
-  TrainParams p = BaseParams();
-  p.min_child_weight = 0.2;
-  const SplitEvaluator eval(p);
+// Bitwise: == on doubles, not NEAR. Same accumulation order, same bits.
+void ExpectSameSplit(const SplitInfo& got, const SplitInfo& want,
+                     const std::string& where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(got.IsValid(), want.IsValid());
+  EXPECT_EQ(got.gain, want.gain);
+  EXPECT_EQ(got.feature, want.feature);
+  EXPECT_EQ(got.bin, want.bin);
+  EXPECT_EQ(got.default_left, want.default_left);
+  EXPECT_EQ(got.left_sum.g, want.left_sum.g);
+  EXPECT_EQ(got.left_sum.h, want.left_sum.h);
+  EXPECT_EQ(got.right_sum.g, want.right_sum.g);
+  EXPECT_EQ(got.right_sum.h, want.right_sum.h);
+}
 
-  // density 1.0 exercises the hoisted no-missing fast path; the sparse
-  // cases exercise the default-left branch with real missing mass.
-  struct Case {
-    double density;
-    uint64_t seed;
+// Columns of a random dataset, some repeated: features 2, 4 and 6 copy
+// features 0, 1 and 3, so equal gains tie across features.
+Dataset DuplicatedColumns(uint32_t rows, double density, uint64_t seed) {
+  const Dataset base = MakeDataset(rows, 5, density, seed, /*distinct=*/24);
+  const uint32_t source[] = {0, 1, 0, 3, 1, 2, 3, 4};
+  const uint32_t nf = 8;
+  std::vector<float> values(static_cast<size_t>(rows) * nf);
+  for (uint32_t r = 0; r < rows; ++r) {
+    for (uint32_t f = 0; f < nf; ++f) {
+      values[static_cast<size_t>(r) * nf + f] =
+          base.dense_values()[static_cast<size_t>(r) * 5 + source[f]];
+    }
+  }
+  std::vector<float> labels = base.labels();
+  return Dataset::FromDense(rows, nf, std::move(values), std::move(labels));
+}
+
+// The rows whose index is a multiple of `stride`.
+std::vector<uint32_t> EveryNth(uint32_t rows, uint32_t stride) {
+  std::vector<uint32_t> out;
+  for (uint32_t r = 0; r < rows; r += stride) out.push_back(r);
+  return out;
+}
+
+// Node histogram over `rows` accumulated in 16-bit fixed point and
+// dequantized, as the quantized trainers hand it to FindBestSplit.
+std::vector<GHPair> DequantizedHist(const BinnedMatrix& matrix,
+                                    const std::vector<GradientPair>& gh,
+                                    const std::vector<uint32_t>& rows,
+                                    GHPair* node_sum) {
+  const QuantScales scales = ComputeQuantScales(gh, nullptr);
+  AlignedVector<int32_t> packed;
+  QuantizeGradients(gh, scales, 0, nullptr, &packed);
+  std::vector<int64_t> cells(matrix.TotalBins());
+  int64_t total = 0;
+  for (uint32_t rid : rows) {
+    const int64_t addend = WidenQuant(packed[rid]);
+    for (uint32_t f = 0; f < matrix.num_features(); ++f) {
+      cells[matrix.BinOffset(f) + matrix.Bin(rid, f)] += addend;
+    }
+    total += addend;
+  }
+  std::vector<GHPair> hist(cells.size());
+  DequantizeHistogram(cells.data(), hist.data(), cells.size(), scales, 0);
+  DequantizeHistogram(&total, node_sum, 1, scales, 0);
+  return hist;
+}
+
+TEST(SplitEvaluator, CompactedScanMatchesReferenceBitwise) {
+  const uint32_t kRows = 2000;
+  struct Params {
+    double min_child_weight;
+    double reg_lambda;
   };
-  for (const Case& c : {Case{1.0, 51}, Case{0.75, 52}, Case{0.4, 53}}) {
-    const Dataset ds = MakeDataset(400, 7, c.density, c.seed, /*distinct=*/12);
+  // min_child_weight 0 and lambda 0 together let empty children through:
+  // 0/0 and x/0 child scores.
+  const Params params[] = {{0.0, 1.0}, {0.2, 1.0}, {50.0, 1.0}, {0.0, 0.0}};
+  struct Node {
+    std::string name;
+    std::vector<GHPair> hist;
+    GHPair sum;
+  };
+  for (const double density : {1.0, 0.7}) {
+    const Dataset ds = DuplicatedColumns(kRows, density, 61);
     const BinnedMatrix matrix =
         BinnedMatrix::Build(ds, QuantileCuts::Compute(ds, 32));
-    const auto gh = MakeGradients(400, c.seed + 100);
-    const auto rows = AllRows(400);
-    const auto hist = NaiveHist(matrix, gh, rows);
-    const GHPair total = SumGh(gh, rows);
+    const uint32_t nf = matrix.num_features();
+    const auto gh = MakeGradients(kRows, 62);
 
-    const SplitInfo got = eval.FindBestSplit(matrix, hist.data(), total, 0,
-                                             matrix.num_features());
-    const SplitInfo want = ReferenceFindBestSplit(
-        eval, matrix, hist.data(), total, 0, matrix.num_features());
+    // Nodes built from 1%, 10% and 100% of the rows (the small ones leave
+    // most bins empty), their quantized twins, parent - sibling, and
+    // random doubles.
+    std::vector<Node> nodes;
+    for (const uint32_t stride : {100u, 10u, 1u}) {
+      const auto rows = EveryNth(kRows, stride);
+      const std::string pct = std::to_string(100 / stride) + "%";
+      nodes.push_back({pct, NaiveHist(matrix, gh, rows), SumGh(gh, rows)});
+      Node quant{pct + " dequantized", {}, {}};
+      quant.hist = DequantizedHist(matrix, gh, rows, &quant.sum);
+      nodes.push_back(std::move(quant));
+    }
+    for (const uint32_t stride : {100u, 10u}) {
+      const auto all = AllRows(kRows);
+      const auto sibling_rows = EveryNth(kRows, stride);
+      const auto parent = NaiveHist(matrix, gh, all);
+      const auto sibling = NaiveHist(matrix, gh, sibling_rows);
+      Node sub{"parent - " + std::to_string(100 / stride) + "% sibling",
+               std::vector<GHPair>(parent.size()),
+               SumGh(gh, all) - SumGh(gh, sibling_rows)};
+      for (size_t i = 0; i < parent.size(); ++i) {
+        sub.hist[i] = parent[i] - sibling[i];
+      }
+      nodes.push_back(std::move(sub));
+    }
 
-    ASSERT_EQ(got.IsValid(), want.IsValid()) << "density " << c.density;
-    // Bitwise: == on doubles, not NEAR. Same accumulation order, same bits.
-    EXPECT_EQ(got.gain, want.gain);
-    EXPECT_EQ(got.feature, want.feature);
-    EXPECT_EQ(got.bin, want.bin);
-    EXPECT_EQ(got.default_left, want.default_left);
-    EXPECT_EQ(got.left_sum.g, want.left_sum.g);
-    EXPECT_EQ(got.left_sum.h, want.left_sum.h);
-    EXPECT_EQ(got.right_sum.g, want.right_sum.g);
-    EXPECT_EQ(got.right_sum.h, want.right_sum.h);
+    // Half-empty cells of arbitrary doubles: unlike float gradient sums,
+    // their prefixes and differences round, so the child sums' bits show.
+    Node noise{"random doubles", std::vector<GHPair>(matrix.TotalBins()), {}};
+    Rng rng(63);
+    for (GHPair& cell : noise.hist) {
+      if (rng.Bernoulli(0.5)) cell = {rng.Normal() / 3.0, rng.NextDouble()};
+    }
+    for (uint32_t b = 0; b < matrix.NumBins(0); ++b) {
+      noise.sum += noise.hist[matrix.BinOffset(0) + b];
+    }
+    nodes.push_back(std::move(noise));
+
+    std::vector<uint8_t> mask(nf, 1);
+    mask[0] = mask[3] = mask[5] = 0;
+    for (const Params& pr : params) {
+      TrainParams p = BaseParams();
+      p.min_child_weight = pr.min_child_weight;
+      p.reg_lambda = pr.reg_lambda;
+      const SplitEvaluator eval(p);
+      for (const Node& node : nodes) {
+        for (const uint8_t* column_mask : {(const uint8_t*)nullptr,
+                                           (const uint8_t*)mask.data()}) {
+          const std::string where =
+              "density " + std::to_string(density) + ", " + node.name +
+              ", min_child_weight " + std::to_string(pr.min_child_weight) +
+              ", lambda " + std::to_string(pr.reg_lambda) +
+              (column_mask != nullptr ? ", masked" : "");
+          const SplitInfo want = ReferenceFindBestSplit(
+              eval, matrix, node.hist.data(), node.sum, 0, nf, column_mask);
+          ExpectSameSplit(eval.FindBestSplit(matrix, node.hist.data(),
+                                             node.sum, 0, nf, column_mask),
+                          want, where);
+          // Every split of [0, nf) into contiguous feature ranges: bit b
+          // of `cuts` set means a range ends after feature b.
+          for (uint32_t cuts = 0; cuts < (1u << (nf - 1)); ++cuts) {
+            SplitInfo merged;
+            uint32_t begin = 0;
+            for (uint32_t f = 0; f < nf; ++f) {
+              if (f + 1 < nf && (cuts >> f & 1u) == 0) continue;
+              const SplitInfo part = eval.FindBestSplit(
+                  matrix, node.hist.data(), node.sum, begin, f + 1,
+                  column_mask);
+              if (part.BetterThan(merged)) merged = part;
+              begin = f + 1;
+            }
+            ExpectSameSplit(merged, want,
+                            where + ", ranges " + std::to_string(cuts));
+          }
+        }
+      }
+    }
+  }
+}
+
+// Hand-made cells that move the prefix in unusual ways: a non-empty cell
+// absorbed by a huge prefix (the prefix keeps its bits), a winning cell
+// that moves only the hessian, -0.0 cells, an all-empty feature, and a
+// feature whose two missing directions tie at the winning bin.
+TEST(SplitEvaluator, CompactedScanMatchesReferenceOnCraftedCells) {
+  const Dataset ds = MakeDataset(64, 4, 1.0, 71, /*distinct=*/8);
+  const BinnedMatrix matrix =
+      BinnedMatrix::Build(ds, QuantileCuts::Compute(ds, 256));
+  for (uint32_t f = 0; f < 4; ++f) ASSERT_GE(matrix.NumBins(f), 7u);
+  std::vector<GHPair> hist(matrix.TotalBins());
+  const uint32_t o0 = matrix.BinOffset(0);
+  hist[o0 + 1] = {1e300, 2.0};
+  hist[o0 + 2] = {1.0, 0.0};  // absorbed: the prefix does not move
+  hist[o0 + 3] = {-0.0, -0.0};
+  hist[o0 + 4] = {-1e300, 1.0};
+  const uint32_t o1 = matrix.BinOffset(1);
+  hist[o1] = {-0.0, -0.0};  // counts as no missing mass
+  hist[o1 + 1] = {-0.0, -0.0};
+  hist[o1 + 2] = {0.5, 1.0};
+  hist[o1 + 3] = {-2.0, 1.5};
+  hist[o1 + 4] = {0.0, 0.5};  // moves h only; wins for node_sum {5, 6}
+  // Feature 2 stays all-zero. In feature 3, with node_sum {0, 4} and
+  // lambda 1, split bin 1 scores 1/2 + 1/4 with missing right and
+  // 1/4 + 1/2 with missing left: missing-right must win the tie.
+  const uint32_t o3 = matrix.BinOffset(3);
+  hist[o3] = {0.0, 2.0};
+  hist[o3 + 1] = {1.0, 1.0};
+  hist[o3 + 2] = {-1.0, 1.0};
+  for (const GHPair node_sum : {GHPair{5.0, 6.0}, GHPair{0.0, 4.0}}) {
+    for (const double lambda : {1.0, 0.0}) {
+      TrainParams p = BaseParams();
+      p.reg_lambda = lambda;
+      const SplitEvaluator eval(p);
+      for (uint32_t begin = 0; begin < 4; ++begin) {
+        for (uint32_t end = begin + 1; end <= 4; ++end) {
+          ExpectSameSplit(
+              eval.FindBestSplit(matrix, hist.data(), node_sum, begin, end),
+              ReferenceFindBestSplit(eval, matrix, hist.data(), node_sum,
+                                     begin, end),
+              "node_sum.g " + std::to_string(node_sum.g) + ", lambda " +
+                  std::to_string(lambda) + ", features [" +
+                  std::to_string(begin) + ", " + std::to_string(end) + ")");
+        }
+      }
+    }
   }
 }
 
