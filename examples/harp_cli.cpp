@@ -73,11 +73,12 @@
 //                    generates the sparse LibSVM-like synthetic in every
 //                    process deterministically (no file needed).
 //   harp_cli serve   --data test.csv --model in.model [--threads N]
-//                    [--deadline-us 200] [--reloads 0] [--output preds.txt]
+//                    [--reloads 0] [--output preds.txt]
 //                    Serving smoke: replays every row as a single-row
-//                    Submit() against a ModelServer (admission queue
-//                    coalesces them into blocks), hot-swapping the model
-//                    --reloads times mid-stream, then verifies each
+//                    Submit() against a ModelServer (an idle worker takes
+//                    the open batch at once; rows that arrive while every
+//                    worker is busy coalesce into blocks), hot-swapping
+//                    the model --reloads times mid-stream, then verifies each
 //                    served margin bit-exactly against the batch
 //                    Predictor and reports latency percentiles.
 //
@@ -166,7 +167,7 @@ std::string CommandFlags(const std::string& command) {
   if (command == "predict") return load + " model output raw ";
   if (command == "eval") return load + " model ndcg-k ";
   if (command == "inspect") return " model top ";
-  if (command == "serve") return load + " model deadline-us reloads output ";
+  if (command == "serve") return load + " model reloads output ";
   return "";
 }
 
@@ -187,7 +188,7 @@ int Usage() {
                "           [--threads N]  (--raw predicts on raw floats\n"
                "           instead of binning first; both report rows/sec)\n"
                "  serve:   --data F --model F [--threads N]\n"
-               "           [--deadline-us 200] [--reloads 0] [--output F]\n"
+               "           [--reloads 0] [--output F]\n"
                "           (single-row Submit replay with verification)\n"
                "see the header comment of examples/harp_cli.cpp\n");
   return 2;
@@ -584,8 +585,6 @@ int CmdServe(const Args& args) {
 
   ServeConfig config;
   config.num_threads = args.GetInt("threads", 0);
-  config.flush_deadline_ns =
-      static_cast<int64_t>(args.GetInt("deadline-us", 200)) * 1000;
   ModelServer server(model, config);
   const uint32_t width = server.row_width();
   const uint32_t rows = data.num_rows();

@@ -1,8 +1,5 @@
 #include "serve/admission_queue.h"
 
-#include <chrono>
-#include <cstring>
-
 #include "common/logging.h"
 #include "common/timer.h"
 
@@ -10,11 +7,7 @@ namespace harp {
 
 RequestBatch::RequestBatch(uint64_t seq, uint32_t capacity,
                            uint32_t num_features)
-    : seq_(seq), capacity_(capacity), num_features_(num_features) {
-  rows_.resize(static_cast<size_t>(capacity) * num_features);
-  margins_.resize(capacity);
-  submit_ns_.resize(capacity);
-}
+    : seq_(seq), capacity_(capacity), num_features_(num_features) {}
 
 void RequestBatch::MarkDone() {
   if (done_ns == 0) done_ns = NowNs();  // server stamps it pre-accounting
@@ -52,19 +45,15 @@ ServeTicket AdmissionQueue::Submit(const float* row,
     if (open_ == nullptr) {
       open_ = std::make_shared<RequestBatch>(next_seq_++, block_rows_,
                                              num_features_);
-      open_->first_submit_ns = now;
-      wake = true;  // an idle worker starts timing this batch's deadline
+      wake = true;  // an idle worker takes it at once
     }
     RequestBatch& batch = *open_;
     const uint32_t slot = batch.size_++;
-    std::memcpy(batch.rows_.data() +
-                    static_cast<size_t>(slot) * num_features_,
-                row, static_cast<size_t>(num_features_) * sizeof(float));
-    batch.submit_ns_[slot] = now;
+    batch.rows_.insert(batch.rows_.end(), row, row + num_features_);
+    batch.submit_ns_.push_back(now);
     if (callback) {
-      if (batch.callbacks_.empty()) batch.callbacks_.resize(block_rows_);
+      batch.callbacks_.resize(slot + 1);
       batch.callbacks_[slot] = std::move(callback);
-      batch.has_callbacks_ = true;
     }
     ticket = ServeTicket(open_, slot);
     ++counters_.submitted;
@@ -90,33 +79,25 @@ void AdmissionQueue::SealOpen() {
   wake_.notify_one();
 }
 
-bool AdmissionQueue::WaitPop(int64_t deadline_ns,
-                             std::shared_ptr<RequestBatch>* out) {
+bool AdmissionQueue::WaitPop(std::shared_ptr<RequestBatch>* out) {
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (!ready_.empty()) {
-      *out = std::move(ready_.front());
-      ready_.pop_front();
-      break;
-    }
-    if (open_ != nullptr) {
-      const int64_t expires = open_->first_submit_ns + deadline_ns;
-      const int64_t now = NowNs();
-      if (now >= expires) {
-        *out = std::move(open_);
-        (*out)->deadline_seal = true;
-        ++counters_.deadline_seals;
-        ++counters_.batches;
-        break;
-      }
-      wake_.wait_for(lock, std::chrono::nanoseconds(expires - now));
-      continue;
-    }
-    if (stopped_) return false;  // stopped and drained
-    wake_.wait(lock);
+  wake_.wait(lock,
+             [&] { return !ready_.empty() || open_ != nullptr || stopped_; });
+  if (!ready_.empty()) {
+    *out = std::move(ready_.front());
+    ready_.pop_front();
+  } else if (open_ != nullptr) {
+    *out = std::move(open_);
+    (*out)->idle_seal = true;
+    ++counters_.deadline_seals;
+    ++counters_.batches;
+  } else {
+    return false;  // stopped and drained
   }
   lock.unlock();
-  (*out)->dispatch_ns = NowNs();
+  RequestBatch& batch = **out;
+  batch.margins_ = std::make_unique_for_overwrite<double[]>(batch.size_);
+  batch.dispatch_ns = NowNs();
   return true;
 }
 

@@ -6,21 +6,26 @@
 // serving traffic arrives one row at a time. The queue bridges the two:
 // submitters copy their row into the currently open batch under the
 // queue mutex, and a batch is sealed — handed to the dispatch side —
-// when it fills or when a flush deadline expires, whichever comes first.
-// Full seals happen inline on the submitting thread; deadline seals are
-// made by an idle dispatch worker inside WaitPop(), which sleeps until
-// the open batch's deadline when there is nothing sealed to serve. That
-// is the adaptive flush policy: under load batches fill in well under the
-// deadline and latency is dominated by service time, while a trickle of
-// traffic still gets out within ~deadline instead of waiting for 255
-// neighbours.
+// when it fills (inline, on the submitting thread) or as soon as a worker
+// is free: WaitPop() takes the open batch at once when nothing sealed is
+// waiting (an idle seal). So a lone request never waits for company, and
+// rows batch only while every worker is busy: they pile up in the open
+// batch and the next worker back takes them all (Clipper's adaptive
+// batching). There is no timer and no knob.
 //
 //   Submit ─► open batch ─┬─ fills (inline) ───────────► ready deque ─► WaitPop
 //                         ├─ SealOpen (Flush/Shutdown) ─► ready deque
-//                         └─ deadline passed ────────────────────────► WaitPop
+//                         └─ a worker is idle ───────────────────────► WaitPop
 //
 // One mutex and one condition variable guard both the open batch and the
-// ready deque; a submit notifies when it opens or fills a batch.
+// ready deque; a submit notifies when it opens or fills a batch, and an
+// idle worker with nothing to take parks in an untimed wait.
+//
+// A batch is sized to the rows it admitted, never to block_rows: a submit
+// appends its row and timestamp, and WaitPop allocates size() margins
+// uninitialized for the worker to fill. Most batches hold one row, and
+// zeroing block_rows x width floats for each (2 MB at 2000 features,
+// under the lock) would cost more than serving it.
 //
 // Completion flows backwards through the batch itself: dispatch workers
 // write per-row margins into the batch and call MarkDone(); submitters
@@ -58,16 +63,16 @@ class RequestBatch {
   const float* row(uint32_t i) const {
     return rows_.data() + static_cast<size_t>(i) * num_features_;
   }
-  float* rows() { return rows_.data(); }
-  double* margins() { return margins_.data(); }
+  const float* rows() const { return rows_.data(); }
+  // size() slots, allocated by WaitPop and uninitialized until written.
+  double* margins() { return margins_.get(); }
   double margin(uint32_t i) const { return margins_[i]; }
   int64_t submit_ns(uint32_t i) const { return submit_ns_[i]; }
 
   // Timeline + provenance, written by the pipeline stages.
-  int64_t first_submit_ns = 0;  // admission: first row landed
   int64_t dispatch_ns = 0;      // worker: popped for processing
   int64_t done_ns = 0;          // worker: margins complete
-  bool deadline_seal = false;   // sealed by flush deadline, not by filling
+  bool idle_seal = false;       // taken by an idle worker before it filled
   uint64_t served_version = 0;  // model snapshot version that served it
 
   // Completion latch. MarkDone() publishes the margins written before it;
@@ -84,21 +89,20 @@ class RequestBatch {
   const uint32_t num_features_;
   uint32_t size_ = 0;
 
+  // Appended to row by row, so a batch holds only the rows it admitted.
   std::vector<float> rows_;
-  std::vector<double> margins_;
   std::vector<int64_t> submit_ns_;
-  // Allocated lazily on the first callback submission (ticket-only
-  // traffic never touches it).
+  std::unique_ptr<double[]> margins_;
+  // Grown to each callback row's slot as it is admitted (ticket-only
+  // traffic never touches it); empty entries are ticket rows.
   std::vector<std::function<void(double)>> callbacks_;
-  bool has_callbacks_ = false;
 
   std::atomic<bool> done_{false};
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
 
  public:
-  bool has_callbacks() const { return has_callbacks_; }
-  // Valid only when has_callbacks(); entries may be empty (ticket rows).
+  // One entry per row up to the last callback row; empty = ticket row.
   std::vector<std::function<void(double)>>& callbacks() { return callbacks_; }
 };
 
@@ -133,7 +137,7 @@ struct AdmissionCounters {
   int64_t submitted = 0;       // rows accepted
   int64_t batches = 0;         // batches sealed
   int64_t full_seals = 0;      // sealed because the block filled
-  int64_t deadline_seals = 0;  // sealed by the flush deadline
+  int64_t deadline_seals = 0;  // taken by an idle worker before it filled
   int64_t forced_seals = 0;    // sealed by Flush()/shutdown drain
 };
 
@@ -158,12 +162,12 @@ class AdmissionQueue {
   // shutdown drain).
   void SealOpen();
 
-  // Dispatch side: takes the oldest sealed batch; with none sealed, seals
-  // the open batch once its first row has waited `deadline_ns` (a
-  // deadline seal) and takes it; otherwise sleeps until that deadline or
-  // a notify. Returns false only after Stop() once the ready queue has
-  // drained — every sealed batch is always handed to some worker.
-  bool WaitPop(int64_t deadline_ns, std::shared_ptr<RequestBatch>* out);
+  // Dispatch side: takes the oldest sealed batch; with none sealed, takes
+  // the open batch at once (an idle seal, counted in deadline_seals);
+  // with nothing open, parks until a submit or Stop() notifies. Returns
+  // false only after Stop() once the ready queue has drained — every
+  // sealed batch is always handed to some worker.
+  bool WaitPop(std::shared_ptr<RequestBatch>* out);
 
   // Stops admission (further Submit calls are a programming error) and
   // wakes dispatch waiters so they can drain and exit. Does NOT seal the

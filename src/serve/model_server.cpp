@@ -16,7 +16,7 @@ std::string ServeStats::Summary() const {
   std::string out;
   out += StrFormat(
       "serve: %lld rows in %lld batches (fill %.1f/%u-row blocks), "
-      "seals full=%lld deadline=%lld forced=%lld, %lld rows rejected\n",
+      "seals full=%lld idle=%lld forced=%lld, %lld rows rejected\n",
       static_cast<long long>(rows_served),
       static_cast<long long>(batches_served), avg_batch_fill,
       static_cast<unsigned>(Predictor::kRowBlock),
@@ -40,7 +40,6 @@ std::string ServeStats::Summary() const {
 ModelServer::ModelServer(const GbdtModel& model, ServeConfig config)
     : config_(config) {
   HARP_CHECK_GE(config_.block_rows, 1u);
-  HARP_CHECK_GE(config_.flush_deadline_ns, 0);
 
   const std::shared_ptr<const FlatForest> flat = model.FlatSnapshot();
   row_width_ = std::max<uint32_t>(
@@ -76,8 +75,7 @@ std::shared_ptr<const ModelSnapshot> ModelServer::Current() const {
 }
 
 uint64_t ModelServer::ModelVersion() const {
-  std::lock_guard<std::mutex> lock(model_mutex_);
-  return model_->version();
+  return version_.load(std::memory_order_acquire);
 }
 
 ServeTicket ModelServer::Submit(const float* row, uint32_t num_features) {
@@ -115,6 +113,7 @@ bool ModelServer::Reload(const GbdtModel& model, std::string* error) {
     // order across concurrent reloads; it only plans tree groups.
     std::lock_guard<std::mutex> lock(model_mutex_);
     retired = std::exchange(model_, MakeSnapshot(flat, model_->version() + 1));
+    version_.store(model_->version(), std::memory_order_release);
   }
   reloads_.fetch_add(1, std::memory_order_relaxed);
   return true;  // `retired` drops here, outside the model lock
@@ -134,7 +133,7 @@ void ModelServer::Shutdown() {
 
 void ModelServer::WorkerLoop(int thread_id) {
   std::shared_ptr<RequestBatch> batch;
-  while (queue_->WaitPop(config_.flush_deadline_ns, &batch)) {
+  while (queue_->WaitPop(&batch)) {
     ProcessBatch(thread_id, std::move(batch));
     batch.reset();
   }
@@ -197,11 +196,9 @@ void ModelServer::RetireBatch(std::shared_ptr<RequestBatch> batch) {
       pending_retire_.erase(it);
       ++next_retire_seq_;
     }
-    if (ready->has_callbacks()) {
-      auto& callbacks = ready->callbacks();
-      for (uint32_t i = 0; i < ready->size(); ++i) {
-        if (callbacks[i]) callbacks[i](ready->margin(i));
-      }
+    auto& callbacks = ready->callbacks();
+    for (uint32_t i = 0; i < callbacks.size(); ++i) {
+      if (callbacks[i]) callbacks[i](ready->margin(i));
     }
   }
 }

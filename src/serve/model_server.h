@@ -1,21 +1,23 @@
 // ModelServer: low-latency online inference over a hot-swappable model.
 //
 //   Submit(row) ──► AdmissionQueue ──► WaitPop ──► dispatch workers
-//                   (coalesce into      (sealed or   (num_threads plain
-//                    block_rows          deadline-    std::threads)
-//                    blocks)             expired           │
-//                                        batches)          ▼
+//                   (coalesce into      (full, or    (num_threads plain
+//                    block_rows          open and     std::threads)
+//                    blocks)             a worker          │
+//                                        is idle)          ▼
 //                                            copy the model shared_ptr
 //                                            AccumulateMarginsDense
 //                                            MarkDone → tickets/callbacks
 //
 // Threading model. The server starts `num_threads` worker threads that
-// loop on AdmissionQueue::WaitPop. An idle worker also makes the deadline
-// seal: with nothing sealed to serve it sleeps until the open batch's
-// flush deadline and then takes that batch itself. Each worker serves
-// whole batches serially; parallelism comes from many batches being in
-// flight, which matches the latency goal (a batch never pays a fan-out
-// barrier) and keeps per-batch work on one core's cache.
+// loop on AdmissionQueue::WaitPop. An idle worker takes the open batch
+// as soon as it holds a row (an idle seal); rows arriving while every
+// worker is busy coalesce until one is free. With nothing to serve a
+// worker parks on the queue's condition variable (no spin, no timed
+// wake), so an idle server takes no CPU from jobs beside it. Each
+// worker serves whole batches serially; parallelism comes from many
+// batches being in flight, which matches the latency goal (a batch never
+// pays a fan-out barrier) and keeps per-batch work on one core's cache.
 //
 // Hot swap. The served generation is an immutable ModelSnapshot behind a
 // shared_ptr under one mutex. A worker copies the pointer once per batch
@@ -91,9 +93,6 @@ struct ServeConfig {
   // Coalescing target: rows per dispatched batch (the Predictor's cache
   // block is the natural unit).
   uint32_t block_rows = Predictor::kRowBlock;
-  // Adaptive flush: a non-full batch is dispatched once its oldest row
-  // has waited this long.
-  int64_t flush_deadline_ns = 200 * 1000;  // 200 microseconds
   // Dispatch worker threads; 0 = ThreadPool::DefaultThreads().
   int num_threads = 0;
 };
@@ -105,7 +104,7 @@ struct ServeStats {
   int64_t rows_served = 0;
   int64_t batches_served = 0;
   int64_t full_seals = 0;
-  int64_t deadline_seals = 0;
+  int64_t deadline_seals = 0;  // taken by an idle worker before it filled
   int64_t forced_seals = 0;
   int64_t reloads = 0;
   int64_t snapshots_retired = 0;  // generations swapped out by Reload
@@ -159,8 +158,8 @@ class ModelServer {
   // +1 per successful Reload).
   uint64_t ModelVersion() const;
 
-  // Force-seals the open batch regardless of deadline (test hooks,
-  // latency-sensitive drains).
+  // Force-seals the open batch without waiting for an idle worker (test
+  // hooks, drains).
   void Flush();
 
   // Stops admission, serves every accepted row, joins all threads.
@@ -197,6 +196,9 @@ class ModelServer {
   std::atomic<int64_t> snapshots_freed_{0};
   mutable std::mutex model_mutex_;
   std::shared_ptr<const ModelSnapshot> model_;  // guarded by model_mutex_
+  // model_'s version, stored after each swap: ModelVersion() reads it
+  // without the lock a worker takes once per batch.
+  std::atomic<uint64_t> version_{1};
   std::atomic<int64_t> reloads_{0};
   std::atomic<int64_t> rows_rejected_{0};
 

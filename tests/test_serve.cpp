@@ -1,16 +1,19 @@
-// Serving-layer tests: admission-queue sealing (full / deadline /
-// forced) and drain semantics, and ModelServer end-to-end — bit-identical
-// margins vs the batch Predictor, deadline flushing without an explicit
-// Flush, global callback ordering, hot swap under concurrent load with
-// per-version bit-exact verification and every retired generation freed,
-// and refusal of bad requests and bad swaps without disturbing the
-// server. The concurrent tests double as the TSan targets for the serve
-// subsystem.
+// Serving-layer tests: admission-queue sealing (full / idle / forced),
+// batching while busy, wake-up and drain semantics, and ModelServer end
+// to end — bit-identical margins vs the batch Predictor (also for wide
+// rows in partial batches), partial batches served without an explicit
+// Flush, global callback ordering, ticket and callback rows sharing one
+// batch, hot swap under concurrent load with per-version bit-exact
+// verification and every retired generation freed, and refusal of bad
+// requests and bad swaps without disturbing the server. The concurrent
+// tests double as the TSan targets for the serve subsystem.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -65,10 +68,10 @@ TEST(AdmissionQueue, FullBlockSealsInline) {
 
   for (int b = 0; b < 2; ++b) {
     std::shared_ptr<RequestBatch> batch;
-    ASSERT_TRUE(queue.WaitPop(/*deadline_ns=*/0, &batch));
+    ASSERT_TRUE(queue.WaitPop(&batch));
     EXPECT_EQ(batch->seq(), static_cast<uint64_t>(b));
     EXPECT_EQ(batch->size(), 4u);
-    EXPECT_FALSE(batch->deadline_seal);
+    EXPECT_FALSE(batch->idle_seal);
     // Rows landed in submission order with their payload intact.
     for (uint32_t i = 0; i < batch->size(); ++i) {
       EXPECT_EQ(batch->row(i)[0], static_cast<float>(b * 4 + i));
@@ -81,32 +84,32 @@ TEST(AdmissionQueue, FullBlockSealsInline) {
   }
 }
 
-TEST(AdmissionQueue, DeadlineAndForcedSeals) {
+TEST(AdmissionQueue, IdleAndForcedSeals) {
   AdmissionQueue queue(/*block_rows=*/4, /*num_features=*/1);
   const float row = 7.0f;
-  const int64_t before = NowNs();
   ServeTicket ticket = queue.Submit(&row, nullptr);
   ASSERT_TRUE(ticket.valid());
 
-  // An idle WaitPop with nothing sealed sleeps until the open batch's
-  // deadline, then seals it itself, flagged as deadline-sealed.
-  const int64_t deadline_ns = 1000 * 1000;
+  // An idle WaitPop with nothing sealed takes the 1-row open batch at
+  // once, flagged as an idle seal: there is no timer to wait out.
+  const int64_t before = NowNs();
   std::shared_ptr<RequestBatch> batch;
-  ASSERT_TRUE(queue.WaitPop(deadline_ns, &batch));
-  EXPECT_GE(NowNs() - before, deadline_ns);
+  ASSERT_TRUE(queue.WaitPop(&batch));
+  EXPECT_LT(NowNs() - before, int64_t{100} * 1000 * 1000);
   EXPECT_EQ(batch->size(), 1u);
-  EXPECT_TRUE(batch->deadline_seal);
+  EXPECT_EQ(batch->row(0)[0], row);
+  EXPECT_TRUE(batch->idle_seal);
   EXPECT_EQ(queue.GetCounters().deadline_seals, 1);
   EXPECT_EQ(queue.GetCounters().batches, 1);
   batch->MarkDone();
 
   // Forced seal (shutdown/Flush path) with a fresh partial batch: it is
-  // ready at once, whatever the deadline.
+  // handed out from the ready deque, not as an idle seal.
   (void)queue.Submit(&row, nullptr);
   queue.SealOpen();
   EXPECT_EQ(queue.GetCounters().forced_seals, 1);
-  ASSERT_TRUE(queue.WaitPop(/*deadline_ns=*/int64_t{1} << 50, &batch));
-  EXPECT_FALSE(batch->deadline_seal);
+  ASSERT_TRUE(queue.WaitPop(&batch));
+  EXPECT_FALSE(batch->idle_seal);
   batch->MarkDone();
   queue.SealOpen();  // nothing open: no seal counted
   EXPECT_EQ(queue.GetCounters().forced_seals, 1);
@@ -114,7 +117,74 @@ TEST(AdmissionQueue, DeadlineAndForcedSeals) {
   // Stop drains: WaitPop keeps handing out queued batches, then reports
   // shutdown.
   queue.Stop();
-  EXPECT_FALSE(queue.WaitPop(deadline_ns, &batch));
+  EXPECT_FALSE(queue.WaitPop(&batch));
+}
+
+TEST(AdmissionQueue, RowsArrivingWhileWorkersAreBusyComeBackAsOneBatch) {
+  // No WaitPop caller while the rows arrive stands for every worker being
+  // busy: the rows pile up in the open batch and the next WaitPop takes
+  // them all.
+  AdmissionQueue queue(/*block_rows=*/8, /*num_features=*/1);
+  std::vector<ServeTicket> tickets;
+  for (int i = 0; i < 3; ++i) {
+    const float row = static_cast<float>(i);
+    tickets.push_back(queue.Submit(&row, nullptr));
+  }
+  std::shared_ptr<RequestBatch> batch;
+  ASSERT_TRUE(queue.WaitPop(&batch));
+  ASSERT_EQ(batch->size(), 3u);
+  EXPECT_TRUE(batch->idle_seal);
+  for (uint32_t i = 0; i < batch->size(); ++i) {
+    EXPECT_EQ(batch->row(i)[0], static_cast<float>(i));
+    batch->margins()[i] = i + 0.5;
+  }
+  batch->MarkDone();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(tickets[static_cast<size_t>(i)].Wait(), i + 0.5);
+  }
+  const AdmissionCounters counters = queue.GetCounters();
+  EXPECT_EQ(counters.batches, 1);
+  EXPECT_EQ(counters.deadline_seals, 1);
+  queue.Stop();
+  EXPECT_FALSE(queue.WaitPop(&batch));
+}
+
+TEST(AdmissionQueue, ParkedWaitPopWakesOnFirstSubmit) {
+  AdmissionQueue queue(/*block_rows=*/4, /*num_features=*/1);
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(round);
+    std::mutex mutex;
+    std::condition_variable popped_cv;
+    bool popped = false;
+    std::shared_ptr<RequestBatch> batch;
+    std::thread worker([&] {
+      const bool ok = queue.WaitPop(&batch);
+      std::lock_guard<std::mutex> lock(mutex);
+      popped = ok;
+      popped_cv.notify_one();
+    });
+    // The first rounds give the worker time to park in the untimed wait;
+    // the rest race the submit against it.
+    if (round < 4) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const float row = static_cast<float>(round);
+    ServeTicket ticket = queue.Submit(&row, nullptr);
+    bool woke = false;
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      woke = popped_cv.wait_for(lock, std::chrono::seconds(10),
+                                [&] { return popped; });
+    }
+    // A lost wake-up leaves the worker parked beside an open batch; a
+    // forced seal notifies again so the test can report it and finish.
+    if (!woke) queue.SealOpen();
+    worker.join();
+    ASSERT_TRUE(woke) << "parked WaitPop missed the submit's wake-up";
+    ASSERT_EQ(batch->size(), 1u);
+    batch->margins()[0] = batch->row(0)[0];
+    batch->MarkDone();
+    EXPECT_EQ(ticket.Wait(), static_cast<double>(round));
+  }
+  queue.Stop();
 }
 
 TEST(ModelServer, ServedMarginsBitIdenticalToBatchPredictor) {
@@ -143,8 +213,8 @@ TEST(ModelServer, ServedMarginsBitIdenticalToBatchPredictor) {
   EXPECT_EQ(stats.rows_submitted, static_cast<int64_t>(data.num_rows()));
   EXPECT_EQ(stats.rows_served, static_cast<int64_t>(data.num_rows()));
   // 700 rows need >= ceil(700/256) = 3 batches; how they sealed (full vs
-  // deadline) depends on how fast the submit loop ran, so only the total
-  // is asserted.
+  // idle) depends on how fast the submit loop ran, so only the total is
+  // asserted.
   EXPECT_GE(stats.batches_served, 3);
   EXPECT_EQ(stats.full_seals + stats.deadline_seals + stats.forced_seals,
             stats.batches_served);
@@ -152,24 +222,23 @@ TEST(ModelServer, ServedMarginsBitIdenticalToBatchPredictor) {
   server.Shutdown();
 }
 
-TEST(ModelServer, DeadlineFlushServesPartialBatchWithoutFlushCall) {
+TEST(ModelServer, IdleWorkerServesPartialBatchWithoutFlushCall) {
   const Dataset data = MakeDataset(10, 6, 0.9, /*seed=*/5);
   GbdtTrainer trainer(Params(5, 4));
   const GbdtModel model = trainer.Train(data);
   const std::vector<double> expect = model.PredictMargins(data);
 
-  // One worker must time the deadline between batches on its own; with
+  // One worker takes each open batch between serving the last; with
   // three, the idle ones race for the seal.
   for (const int workers : {1, 3}) {
     SCOPED_TRACE(workers);
     ServeConfig config;
     config.num_threads = workers;
-    config.flush_deadline_ns = 200 * 1000;
     ModelServer server(model, config);
     const uint32_t width = server.row_width();
     const std::vector<float> rows = DenseRows(data, width);
 
-    // 10 rows never fill a 256-row block; only the deadline can seal
+    // 10 rows never fill a 256-row block; only idle workers can seal
     // them.
     std::vector<ServeTicket> tickets(data.num_rows());
     for (uint32_t r = 0; r < data.num_rows(); ++r) {
@@ -185,6 +254,42 @@ TEST(ModelServer, DeadlineFlushServesPartialBatchWithoutFlushCall) {
     EXPECT_EQ(stats.forced_seals, 0);
     server.Shutdown();
   }
+}
+
+TEST(ModelServer, WideRowsInPartialBatchesBitIdenticalToBatchPredictor) {
+  // 2000-float rows: each batch buffer is 2 MB and left uninitialized, so
+  // a served margin that read an unwritten slot would show here.
+  const Dataset data = MakeDataset(240, 2000, 0.05, /*seed=*/13);
+  GbdtTrainer trainer(Params(6, 8));
+  const GbdtModel model = trainer.Train(data);
+  const std::vector<double> expect = model.PredictMargins(data);
+
+  ServeConfig config;
+  config.num_threads = 2;
+  ModelServer server(model, config);
+  const uint32_t width = server.row_width();
+  ASSERT_EQ(width, 2000u);
+  const std::vector<float> rows = DenseRows(data, width);
+  const auto submit = [&](uint32_t r) {
+    return server.Submit(rows.data() + static_cast<size_t>(r) * width,
+                         width);
+  };
+
+  // One row at a time (1-row batches), then every row before any wait
+  // (whatever coalesces while the workers are busy), never a Flush.
+  for (uint32_t r = 0; r < data.num_rows(); ++r) {
+    ASSERT_EQ(submit(r).Wait(), expect[r]) << "row " << r;
+  }
+  std::vector<ServeTicket> tickets(data.num_rows());
+  for (uint32_t r = 0; r < data.num_rows(); ++r) tickets[r] = submit(r);
+  for (uint32_t r = 0; r < data.num_rows(); ++r) {
+    ASSERT_EQ(tickets[r].Wait(), expect[r]) << "row " << r;
+  }
+  const ServeStats stats = server.Stats();
+  EXPECT_EQ(stats.rows_served, 2 * static_cast<int64_t>(data.num_rows()));
+  EXPECT_EQ(stats.full_seals, 0);
+  EXPECT_EQ(stats.forced_seals, 0);
+  server.Shutdown();
 }
 
 TEST(ModelServer, CallbacksFireInGlobalSubmissionOrder) {
@@ -234,6 +339,47 @@ TEST(ModelServer, CallbacksFireInGlobalSubmissionOrder) {
   server.Shutdown();
 }
 
+TEST(ModelServer, TicketAndCallbackRowsShareOneBatch) {
+  const Dataset data = MakeDataset(8, 6, 0.9, /*seed=*/19);
+  GbdtTrainer trainer(Params(4, 4));
+  const GbdtModel model = trainer.Train(data);
+  const std::vector<double> expect = model.PredictMargins(data);
+
+  ServeConfig config;
+  config.num_threads = 1;
+  ModelServer server(model, config);
+  const uint32_t width = server.row_width();
+  const std::vector<float> rows = DenseRows(data, width);
+  const auto row = [&](uint32_t r) {
+    return rows.data() + static_cast<size_t>(r) * width;
+  };
+
+  // Row 0's callback holds the only worker, so rows 1-5 (ticket,
+  // callback, ticket, callback, ticket) coalesce into one open batch.
+  std::promise<void> entered, release;
+  ASSERT_TRUE(server.SubmitWithCallback(row(0), width, [&](double) {
+    entered.set_value();
+    release.get_future().wait();
+  }));
+  entered.get_future().wait();
+  std::vector<double> called(6, 0.0);
+  std::vector<ServeTicket> tickets(6);
+  for (uint32_t r = 1; r < 6; ++r) {
+    if (r % 2 == 0) {
+      ASSERT_TRUE(server.SubmitWithCallback(
+          row(r), width, [&called, r](double m) { called[r] = m; }));
+    } else {
+      tickets[r] = server.Submit(row(r), width);
+    }
+  }
+  release.set_value();
+  server.Shutdown();  // serves every row and fires every callback
+  EXPECT_EQ(tickets[1].batch().size(), 5u);
+  for (uint32_t r = 1; r < 6; ++r) {
+    EXPECT_EQ(r % 2 == 0 ? called[r] : tickets[r].Wait(), expect[r]) << r;
+  }
+}
+
 TEST(ModelServer, HotSwapUnderLoadServesExactlyOneGeneration) {
   const Dataset data = MakeDataset(200, 10, 0.8, /*seed=*/23);
   GbdtTrainer trainer_a(Params(12, 8));
@@ -246,7 +392,6 @@ TEST(ModelServer, HotSwapUnderLoadServesExactlyOneGeneration) {
   ServeConfig config;
   config.num_threads = 2;
   config.block_rows = 32;
-  config.flush_deadline_ns = 50 * 1000;
   ModelServer server(model_a, config);
   const uint32_t width = server.row_width();
   const std::vector<float> rows = DenseRows(data, width);
