@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <string>
 
 #include "harpgbdt.h"
@@ -33,12 +35,17 @@ struct KernelFixture {
   QuantScales scales;                // round scales over `gh`
   AlignedVector<int32_t> packed;     // per-row packed quantized pairs
 
-  static const KernelFixture& Get() {
-    static KernelFixture* fixture = [] {
-      auto* f = new KernelFixture();
+  // 60k rows x `features` (64 unless a case asks for another width),
+  // built once per width on first use.
+  static const KernelFixture& Get(uint32_t features = 64) {
+    static std::map<uint32_t, std::unique_ptr<KernelFixture>> fixtures;
+    std::unique_ptr<KernelFixture>& fixture = fixtures[features];
+    if (fixture == nullptr) {
+      fixture = std::make_unique<KernelFixture>();
+      KernelFixture* f = fixture.get();
       SyntheticSpec spec;
       spec.rows = 60000;
-      spec.features = 64;
+      spec.features = features;
       spec.density = 0.9;
       spec.mean_distinct = 200;
       spec.seed = 1234;
@@ -61,8 +68,7 @@ struct KernelFixture {
       QuantizeGradients(f->gh, f->scales,
                         static_cast<int>(SimdLevel::kScalar), nullptr,
                         &f->packed);
-      return f;
-    }();
+    }
     return *fixture;
   }
 };
@@ -125,8 +131,8 @@ constexpr KernelVariant kVariants[] = {
     {"quant_gather_full_avx2", false, true, true, SimdLevel::kAVX2},
 };
 
-void BM_AccumulateRowKernels(benchmark::State& state) {
-  const KernelFixture& f = KernelFixture::Get();
+void BM_AccumulateRowKernels(benchmark::State& state, uint32_t width) {
+  const KernelFixture& f = KernelFixture::Get(width);
   const size_t variant = static_cast<size_t>(state.range(0));
   const KernelVariant& v = kVariants[variant];
   state.SetLabel(v.label);
@@ -259,7 +265,14 @@ void BM_AccumulateRowKernels(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rows * features);
 }
+void BM_AccumulateRowKernels(benchmark::State& state) {
+  BM_AccumulateRowKernels(state, 64);
+}
 BENCHMARK(BM_AccumulateRowKernels)
+    ->DenseRange(0, static_cast<int>(std::size(kVariants)) - 1);
+// The same variants at 65 features, a width that is not a multiple of 16:
+// the full-width quantized AVX2 pass ends each row in a scalar tail.
+BENCHMARK_CAPTURE(BM_AccumulateRowKernels, w65, 65u)
     ->DenseRange(0, static_cast<int>(std::size(kVariants)) - 1);
 
 void BM_HistogramReduce(benchmark::State& state) {
@@ -449,6 +462,50 @@ BENCHMARK(BM_ApplySplit)
     ->Args({0, 1})
     ->Args({1, 0})
     ->Args({1, 1});
+
+// The arena split of a scattered node: every `stride`-th row of the
+// fixture, split off the root (untimed) by a one-feature selector matrix.
+// Its rows sit stride x 64 bytes apart in the bin matrix, so the count
+// pass's one-byte split-feature gather costs a cache line per row, as in
+// a deep node of a real tree. The node is below the partitioner's
+// parallel threshold, so this times the serial count + scatter. Arg =
+// MemBuf (1) or gather row ids (0).
+void BM_ApplySplit(benchmark::State& state, uint32_t stride) {
+  const KernelFixture& f = KernelFixture::Get();
+  const bool membuf = state.range(0) != 0;
+  state.SetLabel(std::string("arena") + (membuf ? "_membuf" : "_gather") +
+                 "_every" + std::to_string(stride));
+  const uint32_t rows = f.matrix.num_rows();
+  std::vector<float> values(rows);
+  for (uint32_t r = 0; r < rows; ++r) values[r] = r % stride == 0 ? 0.f : 1.f;
+  const Dataset selector_ds = Dataset::FromDense(
+      rows, 1, std::move(values), std::vector<float>(rows, 0.f));
+  const BinnedMatrix selector = BinnedMatrix::Build(
+      selector_ds, QuantileCuts::Compute(selector_ds, 256));
+  ThreadPool& pool = BenchPool();
+  const uint32_t feature = 3;
+  const uint32_t split_bin = std::max(1u, f.matrix.NumBins(feature) / 2);
+
+  RowPartitioner partitioner(rows, membuf);
+  uint32_t node_rows = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    partitioner.Reset(f.gh, 8, &pool);
+    partitioner.ApplySplit(0, 1, 2, selector, 0, 1, false, &pool);
+    node_rows = partitioner.NodeSize(1);
+    if (node_rows != (rows + stride - 1) / stride) {
+      state.SkipWithError("selector did not isolate every stride-th row");
+      return;
+    }
+    state.ResumeTiming();
+    partitioner.ApplySplit(1, 3, 4, f.matrix, feature, split_bin, false,
+                           &pool);
+    benchmark::DoNotOptimize(partitioner.NodeSum(3));
+    benchmark::DoNotOptimize(partitioner.NodeSize(3));
+  }
+  state.SetItemsProcessed(state.iterations() * node_rows);
+}
+BENCHMARK_CAPTURE(BM_ApplySplit, every8, 8u)->Arg(0)->Arg(1);
 
 // Applying a TopK batch of K node splits: per-node application (arg 1 = 0;
 // one internally parallel ApplySplit per node) vs the batched path (arg 1

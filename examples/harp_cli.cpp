@@ -284,6 +284,11 @@ void ParseTrainParams(const Args& args, TrainParams* p) {
   if (p->quantize_hist && p->mode == ParallelMode::kASYNC) {
     throw FlagError("--quantize is not supported with --mode ASYNC");
   }
+  // Values that parse but are out of range (--tree-size 99,
+  // --subsample 0) are refused here, before any data is read, instead of
+  // CHECK-aborting later in TrainParams::Validate.
+  const std::string broken = p->Check();
+  if (!broken.empty()) throw FlagError(broken);
 }
 
 int CmdTrain(const Args& args) {

@@ -21,28 +21,35 @@ LightGbmBuilder::LightGbmBuilder(const BinnedMatrix& matrix,
          "EnsureColumnMajor() first";
 }
 
-void LightGbmBuilder::BuildNodeHist(
-    int node_id, const std::vector<GradientPair>& gradients, GHPair* hist) {
-  const uint32_t num_features = matrix_.num_features();
-  const auto row_ids = partitioner_.NodeRowIds(node_id);
-  const GradientPair* grads = gradients.data();
-
+void BuildColumnHist(const BinnedMatrix& matrix,
+                     std::span<const uint32_t> row_ids,
+                     const GradientPair* grads, ThreadPool& pool,
+                     GHPair* hist) {
   // One feature column per task: thread-exclusive write region
-  // [BinOffset(f), BinOffset(f+1)), shared read of the node's row ids and
-  // a gather from the global gradient array for every feature.
-  pool_.ParallelForDynamic(
-      num_features, 1, [&](int64_t begin, int64_t end, int) {
+  // [BinOffset(f), BinOffset(f+1)), which the task clears first (the pool
+  // recycles buffers uncleared), shared read of the node's row ids and a
+  // gather from the global gradient array for every feature.
+  pool.ParallelForDynamic(
+      matrix.num_features(), 1, [&](int64_t begin, int64_t end, int) {
         for (int64_t f = begin; f < end; ++f) {
-          const uint8_t* col = matrix_.ColBins(static_cast<uint32_t>(f));
-          GHPair* feature_hist =
-              hist + matrix_.BinOffset(static_cast<uint32_t>(f));
+          const uint32_t feature = static_cast<uint32_t>(f);
+          const uint8_t* col = matrix.ColBins(feature);
+          GHPair* feature_hist = hist + matrix.BinOffset(feature);
+          ClearHistogram(feature_hist, matrix.BinOffset(feature + 1) -
+                                           matrix.BinOffset(feature));
           for (const uint32_t rid : row_ids) {
             feature_hist[col[rid]].Add(grads[rid].g, grads[rid].h);
           }
         }
       });
+}
+
+void LightGbmBuilder::BuildNodeHist(
+    int node_id, const std::vector<GradientPair>& gradients, GHPair* hist) {
+  const auto row_ids = partitioner_.NodeRowIds(node_id);
+  BuildColumnHist(matrix_, row_ids, gradients.data(), pool_, hist);
   hist_updates_ +=
-      static_cast<int64_t>(row_ids.size()) * num_features;
+      static_cast<int64_t>(row_ids.size()) * matrix_.num_features();
 }
 
 SplitInfo LightGbmBuilder::FindNodeSplit(const RegTree& tree, int node_id,

@@ -13,10 +13,21 @@
 //     addresses).
 #pragma once
 
+#include <span>
+
 #include "core/gbdt.h"
 #include "core/tree_builder.h"
 
 namespace harp::baselines {
+
+// Feature-parallel histogram of the rows `row_ids` from the column-major
+// view (one dynamic parallel-for over features = one barrier). Each task
+// owns one feature's region [BinOffset(f), BinOffset(f+1)) of `hist` and
+// writes all of it, so `hist` may come from the pool uncleared.
+void BuildColumnHist(const BinnedMatrix& matrix,
+                     std::span<const uint32_t> row_ids,
+                     const GradientPair* grads, ThreadPool& pool,
+                     GHPair* hist);
 
 class LightGbmBuilder final : public TreeBuilderBase {
  public:
@@ -34,8 +45,7 @@ class LightGbmBuilder final : public TreeBuilderBase {
   }
 
  private:
-  // Feature-parallel histogram of one node (one dynamic parallel-for over
-  // features = one barrier).
+  // BuildColumnHist over the node's rows, counting its updates.
   void BuildNodeHist(int node_id, const std::vector<GradientPair>& gradients,
                      GHPair* hist);
 

@@ -180,10 +180,14 @@ void HistBuilderDP::PrepReduce(const BuildContext& ctx) {
 }
 
 void HistBuilderDP::ReduceRange(int64_t begin, int64_t end) {
-  // Deterministic reduction, blocked: each thread sums contiguous slot
-  // runs with AddHistogram (vectorizable), in ascending thread order per
-  // slot — the same floating-point order as before — and replicas of
-  // threads that never touched a node are skipped outright.
+  // Deterministic reduction, blocked: each thread overwrites contiguous
+  // slot runs of the pool histogram (whose recycled contents are
+  // unspecified) with the first contributor's replica, then adds the rest
+  // with AddHistogram (vectorizable) in ascending thread order per slot.
+  // That is the order of summing onto a zeroed buffer, bit for bit: a
+  // replica slot is a sum started at +0.0, so it is never -0.0, and
+  // +0.0 + x == x for every other value. Replicas of threads that never
+  // touched a node are skipped; a node no thread touched is cleared.
   int64_t s = begin;
   while (s < end) {
     const size_t local_node = static_cast<size_t>(s) / total_bins_;
@@ -191,12 +195,18 @@ void HistBuilderDP::ReduceRange(int64_t begin, int64_t end) {
     const size_t len =
         std::min(static_cast<size_t>(end - s), total_bins_ - slot);
     GHPair* out = dst_[local_node] + slot;
-    for (int t : contributors_[local_node]) {
-      AddHistogram(out,
-                   replicas_.data() +
-                       static_cast<size_t>(t) * replica_stride_ +
-                       static_cast<size_t>(s),
-                   len);
+    const std::vector<int>& contrib = contributors_[local_node];
+    if (contrib.empty()) {
+      ClearHistogram(out, len);
+    } else {
+      const auto replica = [&](int t) {
+        return replicas_.data() + static_cast<size_t>(t) * replica_stride_ +
+               static_cast<size_t>(s);
+      };
+      std::memcpy(out, replica(contrib[0]), len * sizeof(GHPair));
+      for (size_t c = 1; c < contrib.size(); ++c) {
+        AddHistogram(out, replica(contrib[c]), len);
+      }
     }
     s += static_cast<int64_t>(len);
   }
@@ -207,8 +217,8 @@ void HistBuilderDP::ReduceRangeQuant(int64_t begin, int64_t end) {
   // cells into a stack buffer and dequantize straight into the pool's f64
   // histogram. Integer addition is order-independent and dequantization is
   // exact (integer x power of two), so the result is bit-identical for any
-  // thread count, schedule, and kernel table. Nodes no thread touched are
-  // skipped: their pool histogram is already zero from Acquire.
+  // thread count, schedule, and kernel table. Every slot of the pool
+  // histogram is overwritten; a node no thread touched is cleared.
   constexpr size_t kChunk = 1024;
   alignas(kHistAlignBytes) int64_t tmp[kChunk];
   const int simd = static_cast<int>(simd_);
@@ -234,6 +244,8 @@ void HistBuilderDP::ReduceRangeQuant(int64_t begin, int64_t end) {
       }
       DequantizeHistogram(tmp, dst_[local_node] + slot, len, quant_->scales,
                           simd);
+    } else {
+      ClearHistogram(dst_[local_node] + slot, len);
     }
     s += static_cast<int64_t>(len);
   }

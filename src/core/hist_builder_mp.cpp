@@ -63,9 +63,8 @@ size_t HistBuilderMP::StageTasks(const BuildContext& ctx,
   // Quantized mode: cube tasks accumulate into a flat arena of int64
   // cells (one aligned stride per node — cubes of different nodes must
   // not share a cache line) instead of the pool's f64 histograms;
-  // DequantizeNode converts once every cube has run. The arena is cleared
-  // here, in serial staging: it is the int64 analogue of the pool zeroing
-  // the f64 buffers at Acquire.
+  // DequantizeNode converts once every cube has run. Nothing is cleared
+  // here: each cube clears its own slots before accumulating (RunTask).
   if (quant_ != nullptr) {
     qstride_ = AlignedSlotCount<int64_t>(total_bins_);
     const size_t needed = nodes.size() * qstride_;
@@ -77,7 +76,6 @@ size_t HistBuilderMP::StageTasks(const BuildContext& ctx,
     for (size_t i = 0; i < nodes.size(); ++i) {
       qhist_of_[i] = qhists_.data() + i * qstride_;
     }
-    ClearHistogramI64(qhists_.data(), needed);
   }
   const size_t cap_after = feature_blocks_.capacity() +
                            node_blocks_.capacity() + tasks_.capacity();
@@ -88,11 +86,18 @@ size_t HistBuilderMP::StageTasks(const BuildContext& ctx,
 void HistBuilderMP::RunTask(size_t task_index) const {
   const Task& task = tasks_[task_index];
   const Range fb = feature_blocks_[task.feature_block];
+  // The cube owns slots [BinOffset(fb.first), BinOffset(fb.second)) of
+  // each of its nodes, so it clears them itself, in parallel with the
+  // other cubes: pool buffers and the arena are recycled uncleared.
+  const uint32_t lo = km_.bin_offsets[fb.first];
+  const uint32_t slots = km_.bin_offsets[fb.second] - lo;
   for (int node : node_blocks_[task.node_block]) {
     const size_t pos = node_pos_[static_cast<size_t>(node)];
     if (quant_ != nullptr) {
+      ClearHistogramI64(qhist_of_[pos] + lo, slots);
       qkernel_(km_, source_of_[pos], 0, rows_of_[pos], qhist_of_[pos], fb);
     } else {
+      ClearHistogram(hist_of_[pos] + lo, slots);
       kernel_(km_, source_of_[pos], 0, rows_of_[pos], hist_of_[pos], fb);
     }
   }
@@ -165,6 +170,8 @@ void BuildHistSerial(const BuildContext& ctx, int node_id, GHPair* hist) {
                        ctx.simd);
   const HistRowSource src = MakeHistRowSource(ctx.partitioner, node_id);
   const uint32_t rows = ctx.partitioner.NodeSize(node_id);
+  // The pool hands recycled buffers back uncleared.
+  ClearHistogram(hist, ctx.matrix.TotalBins());
   for (const Range& fb : feature_blocks) {
     kernel(km, src, 0, rows, hist, fb);
   }

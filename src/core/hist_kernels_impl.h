@@ -324,15 +324,17 @@ inline void AccumulateChunk16Q(const uint8_t* chunk_bins,
   }
 }
 
-// Row-major quant sweep over a feature window whose width is a multiple
-// of 16: the per-row costs (row-id fetch, widen, prefetch) are paid once
-// per ROW, not once per 16-feature tile, and each row's bin line is read
-// exactly once.
+// Row-major quant sweep over a feature window of any width: the per-row
+// costs (row-id fetch, widen, prefetch) are paid once per ROW, not once
+// per 16-feature tile, and each row's bin line is read exactly once. Each
+// row runs whole 16-feature chunks, then a scalar tail over its last
+// f_count % 16 features (integer adds, so the order is free).
 template <bool kMemBuf>
 void AccumulateTile16Q(const HistKernelMatrix& m, const HistRowSource& src,
                        uint32_t begin, uint32_t end, int64_t* hist,
                        uint32_t f_begin, uint32_t f_count) {
   const uint32_t* const offsets = m.bin_offsets + f_begin;
+  const uint32_t f_chunks = f_count - f_count % 16;
   for (uint32_t i = begin; i < end; ++i) {
     if (i + kRowPrefetchDist < end) {
       const uint32_t prid = RowIdAt<kMemBuf>(m, src, i + kRowPrefetchDist);
@@ -344,8 +346,11 @@ void AccumulateTile16Q(const HistKernelMatrix& m, const HistRowSource& src,
     const int64_t w = WidenQuant(m.qgradients[rid]);
     const uint8_t* row_bins =
         m.bins + static_cast<size_t>(rid) * m.num_features + f_begin;
-    for (uint32_t c = 0; c < f_count; c += 16) {
+    for (uint32_t c = 0; c < f_chunks; c += 16) {
       AccumulateChunk16Q(row_bins + c, offsets + c, w, hist);
+    }
+    for (uint32_t c = f_chunks; c < f_count; ++c) {
+      hist[offsets[c] + row_bins[c]] += w;
     }
   }
 }
@@ -398,11 +403,13 @@ void AccumulateRangeQ(const HistKernelMatrix& m, const HistRowSource& src,
   if constexpr (kFullFeatures) {
     const uint32_t nf = m.num_features;
 #if defined(__AVX2__)
-    // Row-major single pass: every row's bin line is read once and the
-    // per-row costs amortize over all nf updates. Bounded so the write
+    // Row-major single pass at any width from 16 up: every row's bin line
+    // is read once and the per-row costs amortize over all nf updates
+    // (a width that is not a multiple of 16 ends each row in a scalar
+    // tail, not in an extra walk of the row tile). Bounded so the write
     // window (nf x 256 bins x 8 B worst case) stays L2-resident; wider
     // matrices fall through to the feature-tiled walk.
-    if (nf % 16 == 0 && nf <= 256) {
+    if (nf >= 16 && nf <= 256) {
       AccumulateTile16Q<kMemBuf>(m, src, begin, end, hist, 0u, nf);
       return;
     }

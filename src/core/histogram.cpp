@@ -15,7 +15,6 @@ GHPair* HistogramPool::Acquire(int node_id) {
   if (!free_list_.empty()) {
     buffer = std::move(free_list_.back());
     free_list_.pop_back();
-    std::fill(buffer.begin(), buffer.end(), GHPair{});
   } else {
     buffer.assign(total_bins_, GHPair{});
   }

@@ -30,8 +30,11 @@ class HistogramPool {
 
   size_t total_bins() const { return total_bins_; }
 
-  // Returns a zeroed histogram registered under `node_id`; the node must
-  // not already own one. Thread safe.
+  // Returns a histogram registered under `node_id`; the node must not
+  // already own one. Thread safe. Its contents are unspecified (a recycled
+  // buffer comes back as it was released): every builder writes each slot
+  // it owns inside its own parallel phase, so no serial fill runs here,
+  // under the lock, while the other threads wait.
   GHPair* Acquire(int node_id);
 
   // Histogram of `node_id` (must exist). Thread safe.

@@ -1,6 +1,7 @@
 #include "core/params.h"
 
 #include <limits>
+#include <sstream>
 
 #include "common/logging.h"
 
@@ -28,45 +29,88 @@ int TrainParams::EffectiveTopK() const {
   return 1;
 }
 
-const TrainParams& TrainParams::Validate() const {
-  HARP_CHECK_GE(num_trees, 1);
-  HARP_CHECK_GT(learning_rate, 0.0);
-  HARP_CHECK_GE(reg_lambda, 0.0);
-  HARP_CHECK_GE(min_split_loss, 0.0);
-  HARP_CHECK_GE(min_child_weight, 0.0);
+std::string TrainParams::Check() const {
+  std::ostringstream out;
+  const auto broken = [&out](const char* rule, const auto& value) {
+    out << rule << ", got " << value;
+    return out.str();
+  };
+  // Each rule is written as "refuse unless in range", so NaN is refused.
+  if (!(num_trees >= 1)) return broken("num_trees must be >= 1", num_trees);
+  if (!(learning_rate > 0.0)) {
+    return broken("learning_rate must be > 0", learning_rate);
+  }
+  if (!(reg_lambda >= 0.0)) {
+    return broken("reg_lambda must be >= 0", reg_lambda);
+  }
+  if (!(min_split_loss >= 0.0)) {
+    return broken("min_split_loss must be >= 0", min_split_loss);
+  }
+  if (!(min_child_weight >= 0.0)) {
+    return broken("min_child_weight must be >= 0", min_child_weight);
+  }
   // base_score lives in probability space for logistic (sigmoid inverse)
   // and in rate space for Poisson (log link); the regression objectives
   // take it as a raw initial margin, so any finite value is legal there.
-  if (objective == ObjectiveKind::kLogistic) {
-    HARP_CHECK_GT(base_score, 0.0);
-    HARP_CHECK_LT(base_score, 1.0);
-  } else if (objective == ObjectiveKind::kPoisson) {
-    HARP_CHECK_GT(base_score, 0.0);
+  if (objective == ObjectiveKind::kLogistic &&
+      !(base_score > 0.0 && base_score < 1.0)) {
+    return broken("base_score must be in (0, 1) for the logistic objective",
+                  base_score);
   }
-  HARP_CHECK_GT(quantile_alpha, 0.0);
-  HARP_CHECK_LT(quantile_alpha, 1.0);
-  HARP_CHECK_GE(max_delta_step, 0.0);
-  HARP_CHECK_GE(ndcg_k, 1);
-  HARP_CHECK_GE(max_bins, 2);
-  HARP_CHECK_LE(max_bins, 256);
-  HARP_CHECK_GE(tree_size, 1);
-  HARP_CHECK_LE(tree_size, 24);  // 2^24 leaves: beyond any sane setting
-  HARP_CHECK_GE(topk, 1);
-  HARP_CHECK_GE(num_threads, 0);
-  HARP_CHECK_GE(row_blk_size, 0);
-  HARP_CHECK_GE(node_blk_size, 0);
-  HARP_CHECK_GE(feature_blk_size, 0);
-  HARP_CHECK_GT(subsample, 0.0);
-  HARP_CHECK_LE(subsample, 1.0);
-  HARP_CHECK_GT(colsample_bytree, 0.0);
-  HARP_CHECK_LE(colsample_bytree, 1.0);
-  HARP_CHECK(simd == "auto" || simd == "scalar" || simd == "avx2")
-      << "simd must be auto|scalar|avx2, got '" << simd << "'";
-  HARP_CHECK(!(quantize_hist && mode == ParallelMode::kASYNC))
-      << "quantize_hist is not supported in ASYNC mode (its serial node "
-         "tasks have no quantized path); use DP, MP or SYNC";
-  HARP_CHECK(comm_compress == "dense" || comm_compress == "sparse")
-      << "comm_compress must be dense|sparse, got '" << comm_compress << "'";
+  if (objective == ObjectiveKind::kPoisson && !(base_score > 0.0)) {
+    return broken("base_score must be > 0 for the poisson objective",
+                  base_score);
+  }
+  if (!(quantile_alpha > 0.0 && quantile_alpha < 1.0)) {
+    return broken("quantile_alpha must be in (0, 1)", quantile_alpha);
+  }
+  if (!(max_delta_step >= 0.0)) {
+    return broken("max_delta_step must be >= 0", max_delta_step);
+  }
+  if (!(ndcg_k >= 1)) return broken("ndcg_k must be >= 1", ndcg_k);
+  if (!(max_bins >= 2 && max_bins <= 256)) {
+    return broken("max_bins must be in [2, 256]", max_bins);
+  }
+  // 2^24 leaves: beyond any sane setting.
+  if (!(tree_size >= 1 && tree_size <= 24)) {
+    return broken("tree_size must be in [1, 24]", tree_size);
+  }
+  if (!(topk >= 1)) return broken("topk must be >= 1", topk);
+  if (!(num_threads >= 0)) {
+    return broken("num_threads must be >= 0", num_threads);
+  }
+  if (!(row_blk_size >= 0)) {
+    return broken("row_blk_size must be >= 0", row_blk_size);
+  }
+  if (!(node_blk_size >= 0)) {
+    return broken("node_blk_size must be >= 0", node_blk_size);
+  }
+  if (!(feature_blk_size >= 0)) {
+    return broken("feature_blk_size must be >= 0", feature_blk_size);
+  }
+  if (!(subsample > 0.0 && subsample <= 1.0)) {
+    return broken("subsample must be in (0, 1]", subsample);
+  }
+  if (!(colsample_bytree > 0.0 && colsample_bytree <= 1.0)) {
+    return broken("colsample_bytree must be in (0, 1]", colsample_bytree);
+  }
+  if (simd != "auto" && simd != "scalar" && simd != "avx2") {
+    return broken("simd must be auto|scalar|avx2", "'" + simd + "'");
+  }
+  if (quantize_hist && mode == ParallelMode::kASYNC) {
+    return "quantize_hist is not supported in ASYNC mode (its serial node "
+           "tasks have no quantized path); use DP, MP or SYNC";
+  }
+  if (comm_compress != "dense" && comm_compress != "sparse") {
+    return broken("comm_compress must be dense|sparse",
+                  "'" + comm_compress + "'");
+  }
+  return "";
+}
+
+const TrainParams& TrainParams::Validate() const {
+  const std::string error = Check();
+  HARP_CHECK(error.empty()) << error;
   return *this;
 }
 

@@ -130,7 +130,11 @@ struct TrainParams {
   // Effective K per pop for the configured policy.
   int EffectiveTopK() const;
 
-  // CHECK-fails on out-of-range values; returns *this for chaining.
+  // The first rule the values break, as a message naming the field and
+  // its value; empty when every value is in range. For callers that refuse
+  // bad input cleanly (the CLI exits 2 with it).
+  std::string Check() const;
+  // CHECK-fails with Check()'s message; returns *this for chaining.
   const TrainParams& Validate() const;
 };
 

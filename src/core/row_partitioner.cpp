@@ -29,13 +29,26 @@ struct RidLayout {
   }
 };
 
+#if defined(__GNUC__) || defined(__clang__)
+#define HARP_PREFETCH_READ(addr) __builtin_prefetch((addr), 0, 3)
+#else
+#define HARP_PREFETCH_READ(addr) ((void)(addr))
+#endif
+
+// Rows the count pass prefetches ahead: far enough that a row's bin line
+// arrives before its turn, near enough to stay within one chunk.
+constexpr uint32_t kGatherPrefetchDist = 16;
+
 // Count pass over one chunk: evaluates the predicate once per element
 // (the only bin-matrix read of the whole split), caches it in `flags`,
 // fuses the chunk's child gradient-pair partial sums, and returns the
-// chunk's left count. The sums ride here — not in the scatter — because
-// this pass is already stalled on the strided bin-matrix reads, so the
-// acc[go_left] accumulation is hidden under those misses, while adding it
-// to the (otherwise branch-free) scatter would serialize it.
+// chunk's left count. The bin read is a one-byte gather from a row-major
+// matrix in node row order, so each row costs a cache miss; the pass
+// prefetches the split-feature byte (and, without MemBuf, the gradient
+// pair) kGatherPrefetchDist rows ahead to overlap those misses. The sums
+// ride here — not in the scatter — because this pass is bound by those
+// gathers, so the acc[go_left] accumulation is hidden under them, while
+// adding it to the (otherwise branch-free) scatter would serialize it.
 template <typename L>
 uint32_t CountChunk(const typename L::Elem* src, uint32_t n, uint8_t* flags,
                     const uint8_t* bins, uint32_t stride, uint32_t feature,
@@ -52,6 +65,14 @@ uint32_t CountChunk(const typename L::Elem* src, uint32_t n, uint8_t* flags,
   uint32_t count = 0;
   GHPair acc[2];  // [0] = right, [1] = left; indexed, not branched
   for (uint32_t i = 0; i < n; ++i) {
+    if (i + kGatherPrefetchDist < n) {
+      const uint32_t ahead = L::Rid(src[i + kGatherPrefetchDist]);
+      HARP_PREFETCH_READ(bins + static_cast<size_t>(ahead) * stride +
+                         feature);
+      if constexpr (std::is_same_v<L, RidLayout>) {
+        HARP_PREFETCH_READ(grads + ahead);
+      }
+    }
     const typename L::Elem e = src[i];
     const uint32_t bin =
         bins[static_cast<size_t>(L::Rid(e)) * stride + feature];
@@ -64,6 +85,8 @@ uint32_t CountChunk(const typename L::Elem* src, uint32_t n, uint8_t* flags,
   *right_sum = acc[0];
   return count;
 }
+
+#undef HARP_PREFETCH_READ
 
 // Scatter pass over one chunk: moves each element once, steered by the
 // cached flag byte. Branch-free both-sides write: every element is stored

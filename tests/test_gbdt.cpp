@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 
 #include "common/random.h"
 #include "common/stats.h"
@@ -573,6 +576,122 @@ TEST(Gbdt, SparseAndDenseInputsTrainEquivalently) {
   for (size_t t = 0; t < a.NumTrees(); ++t) {
     EXPECT_TRUE(harp::testing::TreesEqual(a.tree(t), b.tree(t)));
   }
+}
+
+// ---------- TrainParams::Check: one case per rule ----------
+
+struct BrokenRule {
+  const char* name;
+  std::function<void(TrainParams*)> brk;
+  const char* message;  // what Check() must say
+};
+
+class ParamsCheck : public ::testing::TestWithParam<BrokenRule> {};
+
+TEST_P(ParamsCheck, NamesTheBrokenRule) {
+  TrainParams p;
+  ASSERT_EQ(p.Check(), "") << "the defaults break no rule";
+  GetParam().brk(&p);
+  EXPECT_NE(p.Check().find(GetParam().message), std::string::npos)
+      << "Check() said: " << p.Check();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRule, ParamsCheck,
+    ::testing::Values(
+        BrokenRule{"num_trees", [](TrainParams* p) { p->num_trees = 0; },
+                   "num_trees must be >= 1, got 0"},
+        BrokenRule{"learning_rate",
+                   [](TrainParams* p) { p->learning_rate = 0.0; },
+                   "learning_rate must be > 0"},
+        BrokenRule{"learning_rate_nan",
+                   [](TrainParams* p) {
+                     p->learning_rate =
+                         std::numeric_limits<double>::quiet_NaN();
+                   },
+                   "learning_rate must be > 0"},
+        BrokenRule{"reg_lambda", [](TrainParams* p) { p->reg_lambda = -1; },
+                   "reg_lambda must be >= 0"},
+        BrokenRule{"min_split_loss",
+                   [](TrainParams* p) { p->min_split_loss = -1; },
+                   "min_split_loss must be >= 0"},
+        BrokenRule{"min_child_weight",
+                   [](TrainParams* p) { p->min_child_weight = -1; },
+                   "min_child_weight must be >= 0"},
+        BrokenRule{"base_score_logistic",
+                   [](TrainParams* p) { p->base_score = 1.0; },
+                   "base_score must be in (0, 1) for the logistic"},
+        BrokenRule{"base_score_poisson",
+                   [](TrainParams* p) {
+                     p->objective = ObjectiveKind::kPoisson;
+                     p->base_score = 0.0;
+                   },
+                   "base_score must be > 0 for the poisson"},
+        BrokenRule{"quantile_alpha",
+                   [](TrainParams* p) { p->quantile_alpha = 1.0; },
+                   "quantile_alpha must be in (0, 1)"},
+        BrokenRule{"max_delta_step",
+                   [](TrainParams* p) { p->max_delta_step = -0.5; },
+                   "max_delta_step must be >= 0"},
+        BrokenRule{"ndcg_k", [](TrainParams* p) { p->ndcg_k = 0; },
+                   "ndcg_k must be >= 1"},
+        BrokenRule{"max_bins_low", [](TrainParams* p) { p->max_bins = 1; },
+                   "max_bins must be in [2, 256], got 1"},
+        BrokenRule{"max_bins_high", [](TrainParams* p) { p->max_bins = 257; },
+                   "max_bins must be in [2, 256], got 257"},
+        BrokenRule{"tree_size_low", [](TrainParams* p) { p->tree_size = 0; },
+                   "tree_size must be in [1, 24], got 0"},
+        BrokenRule{"tree_size_high", [](TrainParams* p) { p->tree_size = 99; },
+                   "tree_size must be in [1, 24], got 99"},
+        BrokenRule{"topk", [](TrainParams* p) { p->topk = 0; },
+                   "topk must be >= 1"},
+        BrokenRule{"num_threads", [](TrainParams* p) { p->num_threads = -1; },
+                   "num_threads must be >= 0"},
+        BrokenRule{"row_blk_size",
+                   [](TrainParams* p) { p->row_blk_size = -1; },
+                   "row_blk_size must be >= 0"},
+        BrokenRule{"node_blk_size",
+                   [](TrainParams* p) { p->node_blk_size = -1; },
+                   "node_blk_size must be >= 0"},
+        BrokenRule{"feature_blk_size",
+                   [](TrainParams* p) { p->feature_blk_size = -1; },
+                   "feature_blk_size must be >= 0"},
+        BrokenRule{"subsample", [](TrainParams* p) { p->subsample = 0.0; },
+                   "subsample must be in (0, 1], got 0"},
+        BrokenRule{"colsample_bytree",
+                   [](TrainParams* p) { p->colsample_bytree = 1.5; },
+                   "colsample_bytree must be in (0, 1], got 1.5"},
+        BrokenRule{"simd", [](TrainParams* p) { p->simd = "sse"; },
+                   "simd must be auto|scalar|avx2, got 'sse'"},
+        BrokenRule{"quantize_async",
+                   [](TrainParams* p) {
+                     p->quantize_hist = true;
+                     p->mode = ParallelMode::kASYNC;
+                   },
+                   "quantize_hist is not supported in ASYNC mode"},
+        BrokenRule{"comm_compress",
+                   [](TrainParams* p) { p->comm_compress = "zip"; },
+                   "comm_compress must be dense|sparse, got 'zip'"}),
+    [](const ::testing::TestParamInfo<BrokenRule>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(ParamsCheck, AcceptsTheEdgesOfEachRange) {
+  TrainParams p;
+  p.tree_size = 24;
+  p.subsample = 1.0;
+  p.colsample_bytree = 1.0;
+  p.max_bins = 2;
+  p.num_threads = 0;
+  p.objective = ObjectiveKind::kSquaredError;
+  p.base_score = -3.0;  // a raw margin: any value
+  EXPECT_EQ(p.Check(), "");
+}
+
+TEST(ParamsCheckDeath, ValidateAbortsWithTheMessage) {
+  TrainParams p;
+  p.tree_size = 99;
+  EXPECT_DEATH(p.Validate(), "tree_size must be in");
 }
 
 }  // namespace

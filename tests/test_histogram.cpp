@@ -1,12 +1,17 @@
 // Histogram tests: pool lifecycle, subtraction, and the central property
 // sweep — DP and MP block-wise builders must reproduce a naive serial
 // reference histogram for EVERY block configuration, thread count and
-// MemBuf setting.
+// MemBuf setting, and must write every slot they own (a poisoned pool
+// builds the same bytes as a fresh one).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <string>
 
+#include "baselines/lightgbm_like.h"
 #include "core/hist_builder.h"
+#include "core/simd.h"
 #include "test_util.h"
 
 namespace harp {
@@ -18,15 +23,16 @@ using harp::testing::NaiveHist;
 
 // ---------- HistogramPool ----------
 
-TEST(HistogramPool, AcquireZeroesRecycledBuffers) {
+// Acquire recycles a released buffer as it is: clearing is the builders'
+// job, inside their parallel phases (the PoisonedPool cases below).
+TEST(HistogramPool, AcquireReusesReleasedBuffer) {
   HistogramPool pool(8);
   GHPair* a = pool.Acquire(1);
   a[3] = GHPair{1.0, 2.0};
   pool.Release(1);
   GHPair* b = pool.Acquire(2);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(b[i], GHPair{}) << "slot " << i;
-  }
+  EXPECT_EQ(b, a);
+  EXPECT_EQ(pool.Get(2), a);
   pool.Release(2);
 }
 
@@ -198,6 +204,133 @@ TEST_P(HistBuilderSweep, MatchesNaiveReference) {
   }
 }
 
+// ---------- poisoned pool: builders write every slot they own ----------
+
+// Acquire hands recycled buffers back uncleared. These cases acquire
+// buffers, fill them with NaN and release them, so the next Acquire of a
+// build returns a poisoned buffer; the build must then come out
+// byte-equal to one into a fresh pool.
+constexpr int kPoisonId = 1000;
+
+void PoisonPool(HistogramPool& hists, int count) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (int i = 0; i < count; ++i) {
+    GHPair* h = hists.Acquire(kPoisonId + i);
+    std::fill(h, h + hists.total_bins(), GHPair{kNaN, kNaN});
+  }
+  for (int i = 0; i < count; ++i) hists.Release(kPoisonId + i);
+}
+
+// Node 1 and 4 hold rows; node 3 holds none, so no thread touches it and
+// its histogram must still come out all zero.
+const std::vector<int> kPoisonNodes{1, 3, 4};
+
+struct PoisonFixture {
+  static constexpr uint32_t kRows = 700;
+  Dataset ds = MakeDataset(kRows, 11, 0.8, 17, /*distinct=*/13);
+  BinnedMatrix matrix = BinnedMatrix::Build(ds, QuantileCuts::Compute(ds, 16));
+  std::vector<GradientPair> gh = MakeGradients(kRows, 18);
+
+  // Root -> 1, 2 on feature 0; then 2 -> 3, 4 on the same threshold,
+  // which sends every row of 2 right.
+  void Split(RowPartitioner& partitioner, ThreadPool& pool) const {
+    partitioner.Reset(gh, /*max_nodes=*/8, &pool);
+    const uint32_t split_bin = std::max(1u, (matrix.NumBins(0) - 1) / 2);
+    partitioner.ApplySplit(0, 1, 2, matrix, 0, split_bin,
+                           /*default_left=*/false, &pool);
+    partitioner.ApplySplit(2, 3, 4, matrix, 0, split_bin,
+                           /*default_left=*/false, &pool);
+  }
+
+  // The histograms of kPoisonNodes, concatenated.
+  std::vector<GHPair> Collect(const HistogramPool& hists) const {
+    std::vector<GHPair> out;
+    for (int node : kPoisonNodes) {
+      const GHPair* h = hists.Get(node);
+      out.insert(out.end(), h, h + matrix.TotalBins());
+    }
+    return out;
+  }
+
+  void ExpectSame(const std::vector<GHPair>& fresh,
+                  const std::vector<GHPair>& poisoned) const {
+    ASSERT_EQ(fresh.size(), poisoned.size());
+    EXPECT_EQ(0, std::memcmp(fresh.data(), poisoned.data(),
+                             fresh.size() * sizeof(GHPair)));
+    // Node 3 (the second slice) is empty.
+    for (size_t s = 0; s < matrix.TotalBins(); ++s) {
+      ASSERT_EQ(fresh[matrix.TotalBins() + s], GHPair{}) << "slot " << s;
+    }
+  }
+};
+
+// DP and MP, f64 and quantized, region-per-phase and fused. The poisoned
+// build also reuses builders warmed by an earlier build, so stale DP
+// replicas and a stale quantized MP arena are covered too.
+TEST_P(HistBuilderSweep, PoisonedPoolMatchesFreshPool) {
+  const BuilderCase& c = GetParam();
+  const PoisonFixture fx;
+  TrainParams params;
+  params.feature_blk_size = c.feature_blk;
+  params.node_blk_size = c.node_blk;
+  params.use_membuf = c.membuf;
+
+  ThreadPool pool(c.threads);
+  RowPartitioner partitioner(PoisonFixture::kRows, c.membuf);
+  fx.Split(partitioner, pool);
+  ASSERT_GT(partitioner.NodeSize(1), 0u);
+  ASSERT_EQ(partitioner.NodeSize(3), 0u);
+  ASSERT_GT(partitioner.NodeSize(4), 0u);
+
+  QuantRound qround;
+  qround.scales = ComputeQuantScales(fx.gh, nullptr);
+  QuantizeGradients(fx.gh, qround.scales, 0, nullptr, &qround.packed);
+  const SimdLevel simd = ResolveSimdLevel("auto");
+
+  for (const bool quant : {false, true}) {
+    for (const bool fused : {false, true}) {
+      SCOPED_TRACE(std::string(quant ? "quantized" : "f64") +
+                   (fused ? " fused" : " region-per-phase"));
+      const auto build = [&](HistogramPool& hists, HistBuilderDP& dp,
+                             HistBuilderMP& mp) {
+        for (int node : kPoisonNodes) hists.Acquire(node);
+        const BuildContext ctx{fx.matrix, params, pool, partitioner,
+                               hists, quant ? &qround : nullptr, simd};
+        if (fused) {
+          ThreadPool::FusedRegion region(pool);
+          int64_t reduce_ns = 0;
+          region.Run([&](int thread_id) {
+            if (c.use_mp) {
+              mp.BuildInRegion(ctx, kPoisonNodes, region, thread_id);
+            } else {
+              dp.BuildInRegion(ctx, kPoisonNodes, region, thread_id,
+                               &reduce_ns);
+            }
+          });
+        } else if (c.use_mp) {
+          mp.Build(ctx, kPoisonNodes);
+        } else {
+          dp.Build(ctx, kPoisonNodes);
+        }
+        return fx.Collect(hists);
+      };
+
+      HistogramPool fresh_hists(fx.matrix.TotalBins());
+      HistBuilderDP fresh_dp;
+      HistBuilderMP fresh_mp;
+      const std::vector<GHPair> fresh = build(fresh_hists, fresh_dp, fresh_mp);
+
+      HistogramPool hists(fx.matrix.TotalBins());
+      HistBuilderDP dp;
+      HistBuilderMP mp;
+      build(hists, dp, mp);
+      hists.ReleaseAll();
+      PoisonPool(hists, 2 * static_cast<int>(kPoisonNodes.size()));
+      fx.ExpectSame(fresh, build(hists, dp, mp));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BlockConfigs, HistBuilderSweep,
     ::testing::Values(
@@ -218,6 +351,53 @@ INSTANTIATE_TEST_SUITE_P(
         BuilderCase{true, 0, 2, false, 2},
         BuilderCase{true, 11, 2, false, 3}),
     CaseName);
+
+// ASYNC's serial per-node build, whole-width and feature-tiled.
+TEST(PoisonedPool, BuildHistSerialMatchesFreshPool) {
+  const PoisonFixture fx;
+  ThreadPool pool(2);
+  RowPartitioner partitioner(PoisonFixture::kRows, /*use_membuf=*/true);
+  fx.Split(partitioner, pool);
+  for (const int feature_blk : {0, 4}) {
+    SCOPED_TRACE("feature_blk " + std::to_string(feature_blk));
+    TrainParams params;
+    params.feature_blk_size = feature_blk;
+    const auto build = [&](HistogramPool& hists) {
+      const BuildContext ctx{fx.matrix, params, pool, partitioner, hists};
+      for (int node : kPoisonNodes) {
+        BuildHistSerial(ctx, node, hists.Acquire(node));
+      }
+      return fx.Collect(hists);
+    };
+    HistogramPool fresh_hists(fx.matrix.TotalBins());
+    const std::vector<GHPair> fresh = build(fresh_hists);
+    HistogramPool hists(fx.matrix.TotalBins());
+    PoisonPool(hists, 2 * static_cast<int>(kPoisonNodes.size()));
+    fx.ExpectSame(fresh, build(hists));
+  }
+}
+
+// The LightGBM-like baseline's per-feature tasks, which clear their own
+// feature ranges concurrently.
+TEST(PoisonedPool, LightGbmColumnHistMatchesFreshPool) {
+  PoisonFixture fx;
+  fx.matrix.EnsureColumnMajor();
+  ThreadPool pool(3);
+  RowPartitioner partitioner(PoisonFixture::kRows, /*use_membuf=*/false);
+  fx.Split(partitioner, pool);
+  const auto build = [&](HistogramPool& hists) {
+    for (int node : kPoisonNodes) {
+      baselines::BuildColumnHist(fx.matrix, partitioner.NodeRowIds(node),
+                                 fx.gh.data(), pool, hists.Acquire(node));
+    }
+    return fx.Collect(hists);
+  };
+  HistogramPool fresh_hists(fx.matrix.TotalBins());
+  const std::vector<GHPair> fresh = build(fresh_hists);
+  HistogramPool hists(fx.matrix.TotalBins());
+  PoisonPool(hists, 2 * static_cast<int>(kPoisonNodes.size()));
+  fx.ExpectSame(fresh, build(hists));
+}
 
 // Subtraction-trick cross-check: parent - sibling == direct build.
 TEST(HistogramSubtraction, MatchesDirectBuild) {

@@ -314,8 +314,8 @@ struct QuantKernelFixture {
   QuantScales scales;
   AlignedVector<int32_t> packed;
 
-  QuantKernelFixture()
-      : ds(MakeDataset(2100, 19, 0.85, 71, /*distinct=*/13)),
+  explicit QuantKernelFixture(uint32_t features = 19)
+      : ds(MakeDataset(2100, features, 0.85, 71, /*distinct=*/13)),
         matrix(BinnedMatrix::Build(ds, QuantileCuts::Compute(ds, 16))),
         gh(MakeGradients(2100, 72)) {
     scales = ComputeQuantScales(gh, nullptr);
@@ -326,6 +326,7 @@ struct QuantKernelFixture {
 struct QuantKernelCase {
   bool membuf;
   bool full_features;
+  uint32_t features;
 };
 
 std::string QuantKernelCaseName(
@@ -333,6 +334,7 @@ std::string QuantKernelCaseName(
   const QuantKernelCase& c = info.param;
   std::string name = c.membuf ? "membuf" : "gather";
   name += c.full_features ? "_fullblock" : "_tiled";
+  name += "_f" + std::to_string(c.features);
   return name;
 }
 
@@ -343,7 +345,7 @@ class QuantKernelParity : public ::testing::TestWithParam<QuantKernelCase> {};
 // the AVX2 instantiation must match the scalar one bit-for-bit.
 TEST_P(QuantKernelParity, MatchesWidenQuantReference) {
   const QuantKernelCase& c = GetParam();
-  const QuantKernelFixture fx;
+  const QuantKernelFixture fx(c.features);
   const uint32_t rows = fx.matrix.num_rows();
   const uint32_t features = fx.matrix.num_features();
 
@@ -401,13 +403,24 @@ TEST_P(QuantKernelParity, MatchesWidenQuantReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllVariants, QuantKernelParity,
-    ::testing::Values(QuantKernelCase{true, true},
-                      QuantKernelCase{true, false},
-                      QuantKernelCase{false, true},
-                      QuantKernelCase{false, false}),
-    QuantKernelCaseName);
+// Every variant at each width: 16 and 32 are whole 16-feature chunks, 19
+// and 65 end each row in the scalar tail of the full-width AVX2 pass, 256
+// is its widest case and 260 falls back to the feature-tiled walk.
+std::vector<QuantKernelCase> AllQuantKernelCases() {
+  std::vector<QuantKernelCase> cases;
+  for (const uint32_t features : {16u, 19u, 32u, 65u, 256u, 260u}) {
+    for (const bool membuf : {true, false}) {
+      for (const bool full : {true, false}) {
+        cases.push_back(QuantKernelCase{membuf, full, features});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllVariants, QuantKernelParity,
+                         ::testing::ValuesIn(AllQuantKernelCases()),
+                         QuantKernelCaseName);
 
 // The dequantized full-histogram must track the f64 reference within the
 // per-slot analytic bound: each contributing row adds at most half a
