@@ -15,6 +15,10 @@
 //      Each worker's pool gets threads/workers threads (at least one).
 //   C. Sparsity sweep: exchange bytes and ratio vs dataset density at a
 //      fixed worker count (the EXPERIMENTS.md table).
+//   D. Per-rank split of the sparse quantized exchange with subtraction at
+//      2 and 4 workers: each rank's histogram phase (build, exchange,
+//      subtract) and find, and its exchange split into encode, transport
+//      and fold. Each rank folds and scans only the features it owns.
 //
 // BENCH_JSON names: exchange rows are "w<W>_<compress>[_quant][_sub]"
 // (ns = wall per tree, throughput = compression ratio), each followed by
@@ -193,6 +197,27 @@ int main() {
                              quant ? "_quant" : ""),
                    Trees(), out.result.seconds * 1e9 / std::max(1, Trees()),
                    out.ratio);
+    }
+  }
+
+  // ---- Part D: where each rank's time goes ----
+  std::printf(
+      "\nD. per-rank split, sparse quantized exchange with subtraction (ms "
+      "per run)\n");
+  std::printf("%8s %5s %10s %9s %8s %8s %10s %8s %8s\n", "workers", "rank",
+              "build_hist", "subtract", "find", "encode", "transport", "fold",
+              "exchange");
+  for (const int workers : {2, 4}) {
+    const RunOutcome out = Run(data, workers, /*sparse=*/true, /*quant=*/true,
+                               /*subtraction=*/true);
+    for (int r = 0; r < workers; ++r) {
+      const TrainStats& t = out.result.rank_stats[static_cast<size_t>(r)];
+      const CommStats& c = out.result.per_rank[static_cast<size_t>(r)];
+      std::printf("%8d %5d %10.1f %9.1f %8.1f %8.1f %10.1f %8.1f %8.1f\n",
+                  workers, r, t.build_hist_ns * 1e-6, t.subtract_ns * 1e-6,
+                  t.find_split_ns * 1e-6, c.hist_encode_ns * 1e-6,
+                  c.HistTransportNs() * 1e-6, c.hist_fold_ns * 1e-6,
+                  c.hist_exchange_ns * 1e-6);
     }
   }
   std::printf(

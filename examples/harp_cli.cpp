@@ -678,21 +678,34 @@ bool ParseSynthSpec(const std::string& text, SyntheticSpec* spec) {
 }
 
 void PrintCommStats(const char* prefix, const CommStats& s) {
-  std::printf("%s: allreduce %lld calls / %lld B\n", prefix,
+  std::printf("%s: allreduce %lld calls / %lld B in %.1f ms\n", prefix,
               static_cast<long long>(s.allreduce_calls),
-              static_cast<long long>(s.allreduce_bytes));
+              static_cast<long long>(s.allreduce_bytes),
+              NsToMs(s.allreduce_ns));
   if (s.hist_exchanges > 0) {
     const double ratio =
         s.hist_wire_bytes > 0 ? static_cast<double>(s.hist_dense_bytes) /
                                     static_cast<double>(s.hist_wire_bytes)
                               : 0.0;
     std::printf(
-        "%s: %lld hist exchanges in %.1f ms, wire %lld B vs dense %lld B "
-        "(compression %.2fx)\n",
+        "%s: %lld hist exchanges in %.1f ms (encode %.1f, transport %.1f, "
+        "fold %.1f), wire %lld B vs dense %lld B (compression %.2fx)\n",
         prefix, static_cast<long long>(s.hist_exchanges),
-        NsToMs(s.hist_exchange_ns), static_cast<long long>(s.hist_wire_bytes),
+        NsToMs(s.hist_exchange_ns), NsToMs(s.hist_encode_ns),
+        NsToMs(s.HistTransportNs()), NsToMs(s.hist_fold_ns),
+        static_cast<long long>(s.hist_wire_bytes),
         static_cast<long long>(s.hist_dense_bytes), ratio);
   }
+}
+
+// One rank's grow-loop phases. build_hist includes the exchange and the
+// subtraction; find includes the best-split allreduce.
+void PrintRankPhases(const char* prefix, const TrainStats& t) {
+  std::printf(
+      "%s: build_hist %.1f ms (subtract %.1f), find %.1f ms, apply %.1f ms, "
+      "wall %.1f ms\n",
+      prefix, NsToMs(t.build_hist_ns), NsToMs(t.subtract_ns),
+      NsToMs(t.find_split_ns), NsToMs(t.apply_split_ns), NsToMs(t.wall_ns));
 }
 
 int CmdDistTrain(const Args& args) {
@@ -713,11 +726,16 @@ int CmdDistTrain(const Args& args) {
     BadValue("compress", p.comm_compress, "dense|sparse");
   }
   const int worker_threads = std::max(1, p.num_threads);
-  // A socket rank's flags are checked before any data is loaded.
+  // A socket rank's flags, and the worker count, are checked before any
+  // data is loaded.
   const bool socket_rank = args.values.count("rank") > 0;
   const int rank = args.GetInt("rank", 0);
   const int world = args.GetInt("world", 1);
   const int port = args.GetInt("port", 0);
+  const int workers = args.GetInt("workers", 2);
+  if (!socket_rank && workers < 1) {
+    BadValue("workers", args.Get("workers", ""), "an integer >= 1");
+  }
   if (socket_rank) {
     if (world < 1) BadValue("world", args.Get("world", ""), "an integer >= 1");
     if (rank < 0 || rank >= world) {
@@ -747,6 +765,11 @@ int CmdDistTrain(const Args& args) {
                  "lambdarank requires qid: columns (libsvm format)\n");
     return 1;
   }
+  // What the data cannot honour (more workers than rows, say) is refused
+  // like a bad flag.
+  const std::string shard_error =
+      ShardingError(data, p, socket_rank ? world : workers);
+  if (!shard_error.empty()) throw FlagError(shard_error);
   const std::string model_path = args.Get("model", "");
   GbdtModel model;
 
@@ -756,17 +779,19 @@ int CmdDistTrain(const Args& args) {
       const auto transport = SocketTransport::Create(rank, world, port);
       Communicator comm(*transport);
       const Stopwatch watch;
-      model = DistributedGbdt::TrainShard(data, comm, p, worker_threads);
+      TrainStats stats;
+      model =
+          DistributedGbdt::TrainShard(data, comm, p, worker_threads, &stats);
       std::printf("rank %d/%d: trained %d trees in %.3fs (%s exchange)\n",
                   rank, world, p.num_trees, watch.ElapsedSec(),
                   p.comm_compress.c_str());
+      PrintRankPhases("rank", stats);
       PrintCommStats("rank", comm.stats());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "rank %d failed: %s\n", rank, e.what());
       return 1;
     }
   } else {
-    const int workers = std::max(1, args.GetInt("workers", 2));
     DistributedResult result =
         DistributedGbdt::Train(data, workers, p, worker_threads);
     std::printf("workers=%d: trained %d trees in %.3fs (%s exchange)\n",
@@ -775,6 +800,7 @@ int CmdDistTrain(const Args& args) {
     PrintCommStats("total", result.comm);
     for (size_t r = 0; r < result.per_rank.size(); ++r) {
       std::string prefix = "rank " + std::to_string(r);
+      PrintRankPhases(prefix.c_str(), result.rank_stats[r]);
       PrintCommStats(prefix.c_str(), result.per_rank[r]);
     }
     model = std::move(result.model);

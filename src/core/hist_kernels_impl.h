@@ -70,6 +70,15 @@ constexpr uint32_t kFeatureTile = 16;
 #define HARP_PREFETCH_READ(addr) ((void)(addr))
 #endif
 
+// Prefetches the first and the last byte of a row's feature window
+// [f_begin, f_end), so a window that straddles a cache line arrives whole
+// (a 65-byte row always spans two lines).
+inline void PrefetchRowWindow(const uint8_t* row, uint32_t f_begin,
+                              uint32_t f_end) {
+  HARP_PREFETCH_READ(row + f_begin);
+  HARP_PREFETCH_READ(row + (f_end > f_begin ? f_end - 1 : f_begin));
+}
+
 #if defined(__SSE2__)
 // One fused 16-byte load/add/store per slot update. addpd performs the
 // same two IEEE-754 double additions as GHPair::Add, so results stay
@@ -171,8 +180,8 @@ void AccumulateTile(const HistKernelMatrix& m, const HistRowSource& src,
     if (i + kRowPrefetchDist + kRowGroup <= end) {
       for (uint32_t u = 0; u < kRowGroup; ++u) {
         const uint32_t rid = RowIdAt<kMemBuf>(m, src, i + kRowPrefetchDist + u);
-        HARP_PREFETCH_READ(m.bins + static_cast<size_t>(rid) * m.num_features +
-                           f_begin);
+        PrefetchRowWindow(m.bins + static_cast<size_t>(rid) * m.num_features,
+                          f_begin, f_end);
         if constexpr (!kMemBuf) HARP_PREFETCH_READ(m.gradients + rid);
       }
     }
@@ -338,8 +347,8 @@ void AccumulateTile16Q(const HistKernelMatrix& m, const HistRowSource& src,
   for (uint32_t i = begin; i < end; ++i) {
     if (i + kRowPrefetchDist < end) {
       const uint32_t prid = RowIdAt<kMemBuf>(m, src, i + kRowPrefetchDist);
-      HARP_PREFETCH_READ(m.bins + static_cast<size_t>(prid) * m.num_features +
-                         f_begin);
+      PrefetchRowWindow(m.bins + static_cast<size_t>(prid) * m.num_features,
+                        f_begin, f_begin + f_count);
       HARP_PREFETCH_READ(m.qgradients + prid);
     }
     const uint32_t rid = RowIdAt<kMemBuf>(m, src, i);
@@ -378,8 +387,8 @@ void AccumulateTileQ(const HistKernelMatrix& m, const HistRowSource& src,
     if (i + kRowPrefetchDist + kRowGroup <= end) {
       for (uint32_t u = 0; u < kRowGroup; ++u) {
         const uint32_t rid = RowIdAt<kMemBuf>(m, src, i + kRowPrefetchDist + u);
-        HARP_PREFETCH_READ(m.bins + static_cast<size_t>(rid) * m.num_features +
-                           f_begin);
+        PrefetchRowWindow(m.bins + static_cast<size_t>(rid) * m.num_features,
+                          f_begin, f_end);
         HARP_PREFETCH_READ(m.qgradients + rid);
       }
     }

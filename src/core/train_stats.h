@@ -23,6 +23,9 @@ struct TrainStats {
   // summed per-thread task time instead (documented where reported).
   int64_t build_hist_ns = 0;
   int64_t reduce_ns = 0;      // DP model-replica reduction
+  int64_t subtract_ns = 0;    // parent - sibling, inside build_hist_ns;
+                              // timed by the region-per-phase step only
+                              // (sharded runs), 0 in the fused step
   int64_t find_split_ns = 0;
   int64_t apply_split_ns = 0;
   int64_t gradient_ns = 0;    // per-iteration gradient computation

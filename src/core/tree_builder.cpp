@@ -43,10 +43,17 @@ HarpTreeBuilder::HarpTreeBuilder(const BinnedMatrix& matrix,
       << "ASYNC mode cannot train sharded: its node tasks split nodes "
          "independently, with no point at which shards agree on a "
          "histogram; use DP, MP or SYNC";
+  // A shard scans, and subtracts the cells of, only the features it owns.
+  const auto [f_begin, f_end] =
+      reducer != nullptr ? reducer->OwnedFeatures()
+                         : Range{0, matrix_.num_features()};
+  HARP_CHECK_LE(f_begin, f_end);
+  HARP_CHECK_LE(f_end, matrix_.num_features());
+  owned_cells_ = {matrix_.BinOffset(f_begin), matrix_.BinOffset(f_end)};
   // FindSplit parallel grid: nodes x feature chunks. When feature blocks
   // are configured reuse them; otherwise chunk so every thread has work
   // even for small batches. Fixed here so fused find-task ids stay stable.
-  const uint32_t num_features = matrix_.num_features();
+  const uint32_t num_features = f_end - f_begin;
   int fb_size = params_.feature_blk_size;
   if (fb_size <= 0) {
     fb_size = static_cast<int>(std::max<uint32_t>(
@@ -54,6 +61,7 @@ HarpTreeBuilder::HarpTreeBuilder(const BinnedMatrix& matrix,
                               std::max(1, pool_.num_threads()))));
   }
   fblocks_ = MakeFeatureBlocks(num_features, fb_size);
+  for (Range& fb : fblocks_) fb = {fb.first + f_begin, fb.second + f_begin};
 }
 
 size_t HarpTreeBuilder::ScratchCapacity() const {
@@ -61,7 +69,8 @@ size_t HarpTreeBuilder::ScratchCapacity() const {
          child_rows_.capacity() + build_list_.capacity() +
          reduce_hists_.capacity() + subtract_list_.capacity() +
          retain_.capacity() + found_.capacity() + find_partial_.capacity() +
-         find_hist_.capacity() + find_sums_.capacity();
+         find_hist_.capacity() + find_sums_.capacity() +
+         found_splits_.capacity();
 }
 
 ParallelMode HarpTreeBuilder::ChooseMode(size_t batch_nodes,
@@ -195,6 +204,14 @@ void HarpTreeBuilder::FindSplitsBatch(const RegTree& tree,
         }
       });
   MergeFound(tree);
+  if (reducer_ != nullptr) {
+    found_splits_.clear();
+    for (const Candidate& cand : found_) found_splits_.push_back(cand.split);
+    reducer_->ReduceSplits(found_splits_.data(), found_splits_.size());
+    for (size_t i = 0; i < found_.size(); ++i) {
+      found_[i].split = found_splits_[i];
+    }
+  }
 }
 
 void HarpTreeBuilder::PlanBuild(RegTree& tree) {
@@ -239,7 +256,9 @@ void HarpTreeBuilder::PlanBuild(RegTree& tree) {
 void HarpTreeBuilder::SubtractRange(int64_t begin, int64_t end) {
   for (int64_t i = begin; i < end; ++i) {
     const SubtractJob& job = subtract_list_[static_cast<size_t>(i)];
-    SubtractHistogram(job.child_h, job.sibling_h, matrix_.TotalBins());
+    SubtractHistogram(job.child_h + owned_cells_.first,
+                      job.sibling_h + owned_cells_.first,
+                      owned_cells_.second - owned_cells_.first);
   }
 }
 
@@ -259,9 +278,11 @@ void HarpTreeBuilder::BuildAndFind(RegTree& tree) {
     if (reducer_ != nullptr) ReduceHists(build_list_);
 
     if (!subtract_list_.empty()) {
+      const Stopwatch subtract_watch;
       pool_.ParallelForDynamic(
           static_cast<int64_t>(subtract_list_.size()), 1,
           [&](int64_t begin, int64_t end, int) { SubtractRange(begin, end); });
+      subtract_ns_ += subtract_watch.ElapsedNs();
     }
     build_ns_ += watch.ElapsedNs();
   }
@@ -331,7 +352,8 @@ void HarpTreeBuilder::FinalizeLeaves(RegTree& tree) const {
 
 RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
                                    TrainStats* stats) {
-  build_ns_ = reduce_ns_ = find_ns_ = apply_ns_ = quantize_ns_ = 0;
+  build_ns_ = reduce_ns_ = subtract_ns_ = find_ns_ = apply_ns_ =
+      quantize_ns_ = 0;
   hist_updates_ = 0;
   hist_builds_ = 1;  // the root
   topk_batches_ = 0;
@@ -440,6 +462,7 @@ RegTree HarpTreeBuilder::BuildTree(const std::vector<GradientPair>& gradients,
         grow_after.phase_barriers - grow_before.phase_barriers;
     stats->build_hist_ns += build_ns_;
     stats->reduce_ns += reduce_ns_;
+    stats->subtract_ns += subtract_ns_;
     stats->find_split_ns += find_ns_;
     stats->apply_split_ns += apply_ns_;
     stats->quantize_ns += quantize_ns_;

@@ -57,7 +57,8 @@ class HarpTreeBuilder final : public TreeBuilderBase {
  public:
   // `reducer` non-null makes this builder one shard of a sharded run (see
   // core/hist_reducer.h): it must outlive the builder, every shard must
-  // use the same params, and ASYNC is rejected. Such a builder takes the
+  // use the same params, and ASYNC is rejected. Such a builder subtracts
+  // and scans only the reducer's owned features, and takes the
   // region-per-phase step: the fused step has no reduce phase yet, so the
   // global histograms it needs before subtract and find cannot form inside
   // its region.
@@ -135,7 +136,8 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   // PlanBuild + histogram build + subtraction + FindSplitsBatch over the
   // children (fills found_, one Candidate per child, possibly invalid).
   void BuildAndFind(RegTree& tree);
-  // FindSplit for nodes whose histograms are live (fills found_).
+  // FindSplit for nodes whose histograms are live (fills found_); with a
+  // reducer, over the owned features, then merged over the shards.
   void FindSplitsBatch(const RegTree& tree, std::span<const int> nodes);
   // After a step's pushes, releases every histogram except, with
   // subtraction, those of the first min(K, leaves left) queued candidates
@@ -201,9 +203,13 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   int64_t build_rows_ = 0;
   ParallelMode plan_mode_ = ParallelMode::kDP;
 
-  // Find grid scratch. fblocks_ is fixed at construction (params and
-  // thread count never change), which keeps find task ids stable.
+  // Find grid scratch. fblocks_ (which covers the owned features) is
+  // fixed at construction (params and thread count never change), which
+  // keeps find task ids stable.
   std::vector<Range> fblocks_;
+  // Histogram cells of the owned features: every cell without a reducer.
+  Range owned_cells_;
+  std::vector<SplitInfo> found_splits_;  // ReduceSplits scratch
   std::span<const int> find_nodes_;
   std::vector<SplitInfo> find_partial_;
   std::vector<const GHPair*> find_hist_;
@@ -212,6 +218,7 @@ class HarpTreeBuilder final : public TreeBuilderBase {
   // Phase accumulators for the current BuildTree call.
   int64_t build_ns_ = 0;
   int64_t reduce_ns_ = 0;
+  int64_t subtract_ns_ = 0;
   int64_t find_ns_ = 0;
   int64_t apply_ns_ = 0;
   int64_t quantize_ns_ = 0;

@@ -1,6 +1,8 @@
 #include "distributed/dist_gbdt.h"
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -12,12 +14,23 @@ namespace {
 
 // The grow loop's reducer over a Communicator: rank-ordered f64 sums (so
 // every rank gets the same bits), order-independent maxima and int64
-// counts, and the histogram exchange in the comm_compress encoding.
+// counts, the histogram reduce-scatter in the comm_compress encoding over
+// the feature ownership, and the best-split merge.
 class CommReducer final : public HistReducer {
  public:
-  CommReducer(Communicator& comm, bool sparse, ThreadPool& pool)
-      : comm_(comm), sparse_(sparse), pool_(pool) {}
+  CommReducer(Communicator& comm, const BinnedMatrix& matrix, bool sparse,
+              ThreadPool& pool)
+      : comm_(comm), sparse_(sparse), pool_(pool) {
+    const std::vector<uint32_t> features = FeatureOwnerBounds(
+        matrix.BinOffsetsData(), matrix.num_features(), comm.world_size());
+    owned_ = {features[static_cast<size_t>(comm.rank())],
+              features[static_cast<size_t>(comm.rank()) + 1]};
+    for (uint32_t f : features) cell_bounds_.push_back(matrix.BinOffset(f));
+  }
 
+  std::pair<uint32_t, uint32_t> OwnedFeatures() const override {
+    return owned_;
+  }
   void ReduceQuantStats(QuantStats* stats) override {
     double maxima[2] = {stats->g_max, stats->h_max};
     comm_.AllreduceMax(maxima, 2);
@@ -38,14 +51,20 @@ class CommReducer final : public HistReducer {
     opts.quant = quant != nullptr;
     if (quant != nullptr) opts.scales = *quant;
     opts.pool = &pool_;
-    comm_.AllreduceHistograms(hists, static_cast<uint32_t>(num_hists),
-                              static_cast<uint32_t>(cells), opts);
+    comm_.ReduceScatterHistograms(hists, static_cast<uint32_t>(num_hists),
+                                  static_cast<uint32_t>(cells),
+                                  cell_bounds_.data(), opts);
+  }
+  void ReduceSplits(SplitInfo* splits, size_t count) override {
+    comm_.AllreduceBestSplits(splits, count);
   }
 
  private:
   Communicator& comm_;
   const bool sparse_;
   ThreadPool& pool_;
+  std::pair<uint32_t, uint32_t> owned_;
+  std::vector<uint32_t> cell_bounds_;  // every rank's first owned cell
 };
 
 // Contiguous shard boundaries: rank r owns rows [b(r), b(r+1)) with
@@ -65,48 +84,86 @@ std::pair<uint32_t, uint32_t> ShardRange(const Dataset& data, int rank,
 
 void CheckShardable(const Dataset& data, const TrainParams& params,
                     int world) {
-  params.Validate();
-  HARP_CHECK_GE(world, 1);
-  HARP_CHECK_LE(static_cast<uint32_t>(world), data.num_rows());
-  if (!data.has_groups()) return;
-  HARP_CHECK_LE(static_cast<uint32_t>(world), data.num_groups())
-      << "distributed training keeps each query group on one worker, so "
-         "it needs at least as many query groups as workers";
-  for (int r = 0; r < world; ++r) {
-    const auto [begin, end] = ShardRange(data, r, world);
-    HARP_CHECK_LT(begin, end)
-        << "worker " << r << " gets no rows: the query groups are too "
-           "uneven to give every worker a whole-query shard";
-  }
+  const std::string error = ShardingError(data, params, world);
+  HARP_CHECK(error.empty()) << error;
 }
 
 // One rank's training: slice, bin with the shared cuts, and run the
 // ordinary boosting loop with a reducer over `comm`.
 GbdtModel TrainOnShard(const Dataset& data, const QuantileCuts& cuts,
                        Communicator& comm, const TrainParams& params,
-                       ThreadPool& pool) {
+                       ThreadPool& pool, TrainStats* stats) {
   const auto [begin, end] = ShardRange(data, comm.rank(), comm.world_size());
   Dataset shard = data.Slice(begin, end);
   const BinnedMatrix matrix = BinnedMatrix::Build(shard, cuts, &pool);
   const std::vector<float> labels = shard.labels();
   shard = Dataset();  // only binning needs the raw rows; free them
-  CommReducer reducer(comm, params.comm_compress == "sparse", pool);
+  CommReducer reducer(comm, matrix, params.comm_compress == "sparse", pool);
   HarpTreeBuilder builder(matrix, params, pool, &reducer);
-  return RunBoosting(matrix, labels, params, pool, builder, nullptr, {},
+  return RunBoosting(matrix, labels, params, pool, builder, stats, {},
                      nullptr, begin);
 }
 
 }  // namespace
 
+std::vector<uint32_t> FeatureOwnerBounds(const uint32_t* bin_offsets,
+                                         uint32_t num_features, int world) {
+  HARP_CHECK_GE(world, 1);
+  const uint64_t cells = bin_offsets[num_features];
+  std::vector<uint32_t> bounds(static_cast<size_t>(world) + 1, num_features);
+  bounds[0] = 0;
+  for (int r = 1; r < world; ++r) {
+    // First feature boundary at or past r/W of the cells; the one before
+    // it when that is nearer.
+    const uint64_t target = cells * static_cast<uint64_t>(r) /
+                            static_cast<uint64_t>(world);
+    uint32_t f = static_cast<uint32_t>(
+        std::lower_bound(bin_offsets, bin_offsets + num_features + 1, target,
+                         [](uint32_t offset, uint64_t t) { return offset < t; }) -
+        bin_offsets);
+    if (f > 0 && target - bin_offsets[f - 1] <= bin_offsets[f] - target) --f;
+    bounds[static_cast<size_t>(r)] = std::max(f, bounds[static_cast<size_t>(r) - 1]);
+  }
+  return bounds;
+}
+
+std::string ShardingError(const Dataset& data, const TrainParams& params,
+                          int world) {
+  std::string error = params.Check();
+  if (!error.empty()) return error;
+  std::ostringstream out;
+  if (world < 1) {
+    out << "the worker count must be at least 1, got " << world;
+  } else if (static_cast<uint32_t>(world) > data.num_rows()) {
+    out << world << " workers need at least " << world
+        << " rows to shard, got " << data.num_rows();
+  } else if (data.has_groups() &&
+             static_cast<uint32_t>(world) > data.num_groups()) {
+    out << "distributed training keeps each query group on one worker, so "
+           "it needs at least as many query groups as workers ("
+        << world << " workers, " << data.num_groups() << " groups)";
+  } else if (data.has_groups()) {
+    for (int r = 0; r < world; ++r) {
+      const auto [begin, end] = ShardRange(data, r, world);
+      if (begin >= end) {
+        out << "worker " << r << " gets no rows: the query groups are too "
+               "uneven to give every worker a whole-query shard";
+        break;
+      }
+    }
+  }
+  return out.str();
+}
+
 GbdtModel DistributedGbdt::TrainShard(const Dataset& dataset,
                                       Communicator& comm,
                                       const TrainParams& params,
-                                      int worker_threads) {
+                                      int worker_threads, TrainStats* stats) {
   CheckShardable(dataset, params, comm.world_size());
   ThreadPool pool(std::max(1, worker_threads));
   const QuantileCuts cuts =
       QuantileCuts::Compute(dataset, params.max_bins, &pool);
-  return TrainOnShard(dataset, cuts, comm, params, pool);
+  return TrainOnShard(dataset, cuts, comm, params, pool, stats);
 }
 
 DistributedResult DistributedGbdt::Train(const Dataset& dataset, int workers,
@@ -123,6 +180,7 @@ DistributedResult DistributedGbdt::Train(const Dataset& dataset, int workers,
   DistributedResult result;
   result.workers = workers;
   result.per_rank.resize(static_cast<size_t>(workers));
+  result.rank_stats.resize(static_cast<size_t>(workers));
   std::vector<GbdtModel> models(static_cast<size_t>(workers));
 
   const Stopwatch watch;
@@ -130,7 +188,8 @@ DistributedResult DistributedGbdt::Train(const Dataset& dataset, int workers,
   cluster.Run([&](Communicator& comm) {
     const size_t rank = static_cast<size_t>(comm.rank());
     ThreadPool pool(std::max(1, worker_threads));
-    models[rank] = TrainOnShard(dataset, cuts, comm, params, pool);
+    models[rank] = TrainOnShard(dataset, cuts, comm, params, pool,
+                                &result.rank_stats[rank]);
     result.per_rank[rank] = comm.stats();
   });
   result.seconds = watch.ElapsedSec();

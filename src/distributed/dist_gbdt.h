@@ -1,20 +1,27 @@
 // Distributed GBDT training over a pluggable transport.
 //
 // Histogram-aggregation data parallelism, the design distributed XGBoost
-// and LightGBM use and the paper names as future work. Rows are sharded
-// across W workers, and each worker runs the ordinary single-process
-// trainer (RunBoosting + HarpTreeBuilder) on its shard with a HistReducer
-// over the Communicator (core/hist_reducer.h). The reducer turns the
-// shard-local root sums, row counts, quantization statistics and directly
-// built histograms into global ones, so every worker makes the identical
-// split decisions with no split broadcast. Every TrainParams field is
-// honoured except ASYNC mode, which is rejected. Histograms travel dense
-// f64 or in the compressed SparseHistogram format (comm_compress); with
-// use_hist_subtraction only the smaller child of each split is exchanged.
-// The returned model is bitwise identical on every worker, for both
-// exchange encodings, and for both transport backends.
+// and LightGBM use and the paper names as future work, with LightGBM's
+// owner-computes split finding (Block-distributed GBT, PAPERS.md). Rows
+// are sharded across W workers, and each worker runs the ordinary
+// single-process trainer (RunBoosting + HarpTreeBuilder) on its shard with
+// a HistReducer over the Communicator (core/hist_reducer.h). Each worker
+// also owns a contiguous range of features (FeatureOwnerBounds). The
+// reducer turns the shard-local root sums, row counts and quantization
+// statistics into global ones; it reduce-scatters the directly built
+// histograms, so each worker holds the global cells of its own features
+// only, and after each worker has scanned those it merges every worker's
+// best splits, so every worker makes the identical split decisions. Every
+// TrainParams field is honoured except ASYNC mode, which is rejected.
+// Histograms travel dense f64 or in the compressed SparseHistogram format
+// (comm_compress); with use_hist_subtraction only the smaller child of
+// each split is exchanged. The returned model is bitwise identical on
+// every worker, for both exchange encodings, for both transport backends,
+// and to the single-process trainer's whenever the histogram sums are
+// exact (quantized histograms, or one worker).
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "core/gbdt.h"
@@ -26,9 +33,25 @@ struct DistributedResult {
   GbdtModel model;   // rank 0's copy (all ranks build the same model)
   CommStats comm;    // communication counters aggregated over all ranks
   std::vector<CommStats> per_rank;  // each rank's own counters
+  std::vector<TrainStats> rank_stats;  // each rank's own training stats
   int workers = 1;
   double seconds = 0.0;
 };
+
+// Feature ownership of a W-worker run: rank r owns features
+// [bounds[r], bounds[r + 1]) of `num_features`, whose histogram cells start
+// at bin_offsets[f] (num_features + 1 entries). The ranges are contiguous,
+// ascending with the rank, and balanced by histogram cells: bound r is the
+// feature boundary nearest to r/W of all cells (the lower one on a tie). A
+// rank may own no features (W > num_features, or one very wide feature).
+std::vector<uint32_t> FeatureOwnerBounds(const uint32_t* bin_offsets,
+                                         uint32_t num_features, int world);
+
+// Why `dataset` cannot be trained by `world` workers with `params` (the
+// params' own Check(), a worker count below 1, fewer rows or query groups
+// than workers, or a worker left without rows), or "" when it can.
+std::string ShardingError(const Dataset& dataset, const TrainParams& params,
+                          int world);
 
 class DistributedGbdt {
  public:
@@ -48,10 +71,12 @@ class DistributedGbdt {
   // `dataset` is the FULL dataset: every rank computes identical quantile
   // cuts from it and trains on the comm.rank()-th contiguous row shard, so
   // separately launched processes stay in lockstep. Returns this rank's
-  // model — bitwise identical on every rank.
+  // model — bitwise identical on every rank — and, when `stats` is set,
+  // fills it with this rank's training stats.
   static GbdtModel TrainShard(const Dataset& dataset, Communicator& comm,
                               const TrainParams& params,
-                              int worker_threads = 1);
+                              int worker_threads = 1,
+                              TrainStats* stats = nullptr);
 };
 
 }  // namespace harp

@@ -6,53 +6,59 @@ namespace harp {
 
 InProcessCluster::InProcessCluster(int world_size) : world_(world_size) {
   HARP_CHECK_GE(world_size, 1);
-  rendezvous_.frames.resize(static_cast<size_t>(world_size));
+  sends_.resize(static_cast<size_t>(world_size));
   transports_.reserve(static_cast<size_t>(world_size));
   for (int rank = 0; rank < world_size; ++rank) {
     transports_.push_back(InProcessTransport(this, rank, world_size));
   }
 }
 
-template <typename StageFn>
-void InProcessCluster::Arrive(StageFn&& stage) {
-  auto& r = rendezvous_;
-  std::unique_lock<std::mutex> lock(r.mutex);
-  const uint64_t generation = r.generation;
-  if (++r.arrived == world_) {
-    r.arrived = 0;
-    stage();
-    ++r.generation;
-    r.cv.notify_all();
+void InProcessCluster::Barrier() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  const uint64_t generation = generation_;
+  if (++arrived_ == world_) {
+    arrived_ = 0;
+    ++generation_;
+    cv_.notify_all();
   } else {
-    r.cv.wait(lock, [&] { return r.generation != generation; });
+    cv_.wait(lock, [&] { return generation_ != generation; });
   }
 }
 
-void InProcessCluster::Depart() {
-  auto& r = rendezvous_;
-  std::unique_lock<std::mutex> lock(r.mutex);
-  const uint64_t generation = r.exit_generation;
-  if (++r.departed == world_) {
-    r.departed = 0;
-    ++r.exit_generation;
-    r.cv.notify_all();
-  } else {
-    r.cv.wait(lock, [&] { return r.exit_generation != generation; });
+void InProcessTransport::Exchange(const uint8_t* send, size_t send_bytes,
+                                  const size_t* bounds, const FramesFn& fn) {
+  const size_t me = static_cast<size_t>(rank_);
+  cluster_->sends_[me] = InProcessCluster::Send{send, send_bytes, bounds};
+  cluster_->Barrier();
+  views_.clear();
+  for (const InProcessCluster::Send& s : cluster_->sends_) {
+    if (s.bounds == nullptr) {
+      views_.emplace_back(s.data, s.bytes);
+    } else {
+      views_.emplace_back(s.data + s.bounds[me],
+                          s.bounds[me + 1] - s.bounds[me]);
+    }
   }
+  // Depart even when the callback throws, so the peers are not left
+  // waiting at the second barrier.
+  try {
+    fn(views_);
+  } catch (...) {
+    cluster_->Barrier();
+    throw;
+  }
+  cluster_->Barrier();
 }
 
-void InProcessTransport::ReduceBlobs(const uint8_t* send, size_t send_bytes,
-                                     const BlobReduceFn& reduce,
-                                     std::vector<uint8_t>* result) {
-  auto& r = cluster_->rendezvous_;
-  r.frames[static_cast<size_t>(rank_)] = {send, send_bytes};
-  cluster_->Arrive([&] {
-    reduce(r.frames, result);
-    r.result = result;
-  });
-  // The reducing rank's result stays put until everyone departed.
-  if (r.result != result) result->assign(r.result->begin(), r.result->end());
-  cluster_->Depart();
+void InProcessTransport::Allgather(const uint8_t* send, size_t send_bytes,
+                                   const FramesFn& consume) {
+  Exchange(send, send_bytes, nullptr, consume);
+}
+
+void InProcessTransport::ReduceScatter(const uint8_t* send,
+                                       const size_t* bounds,
+                                       const FramesFn& reduce) {
+  Exchange(send, bounds[world_], bounds, reduce);
 }
 
 }  // namespace harp

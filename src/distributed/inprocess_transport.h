@@ -1,17 +1,16 @@
 // In-process Transport backend: W worker threads in one process meeting at
 // a rendezvous.
 //
-// This is the CI-friendly simulated cluster. ReduceBlobs is a three-phase
-// rendezvous:
-//   1. arrival    all ranks publish their frame (mutex + cv); the last
-//                 arrival runs the reduce over every frame in rank order,
-//                 under the lock, into its own result, and releases
-//   2. copy       every other rank copies the finished result
-//   3. departure  mutex + cv again, so no rank can re-enter the next
-//                 collective (and overwrite its frame or result) while a
-//                 peer is still reading shared memory
-// The reduce runs on the reducing rank's own thread, so it may split its
-// work over that rank's pool.
+// This is the CI-friendly simulated cluster. Both collectives are the same
+// two-barrier rendezvous:
+//   1. arrival    every rank publishes its frame (and, for ReduceScatter,
+//                 its segment bounds) and waits for the others
+//   2. fold       every rank runs its callback over views into its peers'
+//                 frames, in place: nothing is copied
+//   3. departure  a second barrier, so no rank returns (and reuses or
+//                 frees its frame) while a peer may still be reading it
+// The callbacks run on the ranks' own threads at the same time, so each may
+// split its work over its own rank's pool.
 #pragma once
 
 #include <condition_variable>
@@ -30,18 +29,24 @@ class InProcessTransport final : public Transport {
   int rank() const override { return rank_; }
   int world_size() const override { return world_; }
 
-  void ReduceBlobs(const uint8_t* send, size_t send_bytes,
-                   const BlobReduceFn& reduce,
-                   std::vector<uint8_t>* result) override;
+  void Allgather(const uint8_t* send, size_t send_bytes,
+                 const FramesFn& consume) override;
+  void ReduceScatter(const uint8_t* send, const size_t* bounds,
+                     const FramesFn& reduce) override;
 
  private:
   friend class InProcessCluster;
   InProcessTransport(InProcessCluster* cluster, int rank, int world)
       : cluster_(cluster), rank_(rank), world_(world) {}
 
+  // Both collectives: `bounds` null hands every rank whole frames.
+  void Exchange(const uint8_t* send, size_t send_bytes, const size_t* bounds,
+                const FramesFn& fn);
+
   InProcessCluster* cluster_;
   int rank_;
   int world_;
+  Frames views_;  // the callback's frames, reused across collectives
 };
 
 // Shared rendezvous state plus one transport handle per rank. Thread r must
@@ -58,29 +63,24 @@ class InProcessCluster {
  private:
   friend class InProcessTransport;
 
-  struct Rendezvous {
-    std::mutex mutex;
-    std::condition_variable cv;
-    int arrived = 0;
-    int departed = 0;
-    uint64_t generation = 0;       // bumped when all ranks arrived
-    uint64_t exit_generation = 0;  // bumped when all ranks departed
-    // Each rank's frame for the current collective.
-    Transport::Frames frames;
-    // The reducing rank's result, copied by every other rank.
-    const std::vector<uint8_t>* result = nullptr;
+  // One rank's contribution to the current collective.
+  struct Send {
+    const uint8_t* data = nullptr;
+    size_t bytes = 0;
+    const size_t* bounds = nullptr;  // ReduceScatter's segment bounds
   };
 
-  // Blocks until all ranks arrived; the last arrival runs `stage` (under
-  // the lock — its writes happen-before every peer's release) and wakes
-  // everyone.
-  template <typename StageFn>
-  void Arrive(StageFn&& stage);
-  // Blocks until all ranks passed their copy phase.
-  void Depart();
+  // Blocks until all ranks arrived (reusable: a generation count tells
+  // consecutive barriers apart). Its mutex orders every rank's writes
+  // before the barrier ahead of every rank's reads after it.
+  void Barrier();
 
   const int world_;
-  Rendezvous rendezvous_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+  uint64_t generation_ = 0;
+  std::vector<Send> sends_;
   std::vector<InProcessTransport> transports_;
 };
 

@@ -20,7 +20,7 @@ namespace harp {
 namespace {
 
 constexpr uint32_t kWireMagic = 0x31505448u;  // "HTP1" (LE)
-constexpr uint16_t kWireVersion = 2;
+constexpr uint16_t kWireVersion = 3;
 constexpr uint64_t kMaxWirePayload = 1ull << 30;
 
 enum WireOp : uint16_t {
@@ -77,15 +77,43 @@ void WriteFull(int fd, const void* buf, size_t bytes) {
   }
 }
 
+// Sends one message whose payload is the concatenation of `pieces`.
 void SendFrame(int fd, uint16_t opcode, uint32_t rank, uint64_t seq,
-               const void* payload, size_t bytes) {
+               const Transport::Frames& pieces) {
   WireHeader h;
   h.opcode = opcode;
   h.rank = rank;
   h.seq = seq;
-  h.payload_bytes = bytes;
+  for (const auto& piece : pieces) h.payload_bytes += piece.second;
   WriteFull(fd, &h, sizeof(h));
-  if (bytes > 0) WriteFull(fd, payload, bytes);
+  for (const auto& piece : pieces) {
+    if (piece.second > 0) WriteFull(fd, piece.first, piece.second);
+  }
+}
+
+void SendFrame(int fd, uint16_t opcode, uint32_t rank, uint64_t seq,
+               const void* payload, size_t bytes) {
+  SendFrame(fd, opcode, rank, seq,
+            {{static_cast<const uint8_t*>(payload), bytes}});
+}
+
+// Splits a payload that starts with `count` u64 sizes into views of the
+// consecutive pieces that follow them (appended to *out); throws unless
+// the sizes add up to the rest of the payload exactly.
+void SplitSized(const std::vector<uint8_t>& payload, int count,
+                Transport::Frames* out) {
+  const size_t table = static_cast<size_t>(count) * sizeof(uint64_t);
+  if (payload.size() < table) Fail("short size table");
+  size_t at = table;
+  for (int i = 0; i < count; ++i) {
+    uint64_t bytes = 0;
+    std::memcpy(&bytes, payload.data() + static_cast<size_t>(i) * sizeof(bytes),
+                sizeof(bytes));
+    if (bytes > payload.size() - at) Fail("piece size out of range");
+    out->emplace_back(payload.data() + at, static_cast<size_t>(bytes));
+    at += static_cast<size_t>(bytes);
+  }
+  if (at != payload.size()) Fail("piece sizes do not match the payload");
 }
 
 // Reads and validates one frame; payload lands in *payload (resized).
@@ -206,6 +234,7 @@ void SocketTransport::Handshake(int port, int timeout_ms) {
     ::close(listen_fd);
   } else {
     peer_fds_.assign(1, -1);
+    peer_frames_.resize(1);
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
     int fd = -1;
@@ -242,32 +271,81 @@ void SocketTransport::Handshake(int port, int timeout_ms) {
   seq_ = 1;  // the handshake consumed collective #0
 }
 
-void SocketTransport::ReduceBlobs(const uint8_t* send, size_t send_bytes,
-                                  const BlobReduceFn& reduce,
-                                  std::vector<uint8_t>* result) {
+void SocketTransport::Exchange(const uint8_t* send, size_t send_bytes,
+                               const size_t* bounds, const FramesFn& fn) {
   const uint64_t seq = seq_++;
-  if (rank_ == 0) {
-    // Rank 0's own frame first, then each client's as it is read.
-    Frames frames;
-    frames.reserve(static_cast<size_t>(world_));
+  const size_t world = static_cast<size_t>(world_);
+  Frames frames;
+  frames.reserve(world);
+  if (world_ == 1) {
     frames.emplace_back(send, send_bytes);
-    for (int r = 1; r < world_; ++r) {
-      std::vector<uint8_t>& blob = peer_frames_[static_cast<size_t>(r) - 1];
-      const WireHeader h = RecvFrame(peer_fds_[static_cast<size_t>(r)], &blob);
-      ExpectFrame(h, kOpBlob, r, seq);
-      frames.emplace_back(blob.data(), blob.size());
-    }
-    reduce(frames, result);
-    for (int r = 1; r < world_; ++r) {
-      SendFrame(peer_fds_[static_cast<size_t>(r)], kOpResult, 0, seq,
-                result->data(), result->size());
-    }
-  } else {
-    SendFrame(peer_fds_[0], kOpBlob, static_cast<uint32_t>(rank_), seq, send,
-              send_bytes);
-    const WireHeader h = RecvFrame(peer_fds_[0], result);
-    ExpectFrame(h, kOpResult, /*from=*/0, seq);
+    fn(frames);
+    return;
   }
+  std::vector<uint64_t> sizes(world);
+  if (rank_ == 0) {
+    // segments[w] views rank w's frame cut at its bounds (one whole piece
+    // for Allgather).
+    std::vector<Frames> segments(world);
+    for (size_t s = 0; s < world; ++s) {
+      segments[0].emplace_back(bounds == nullptr ? send : send + bounds[s],
+                               bounds == nullptr
+                                   ? send_bytes
+                                   : bounds[s + 1] - bounds[s]);
+      if (bounds == nullptr) break;
+    }
+    for (size_t r = 1; r < world; ++r) {
+      std::vector<uint8_t>& blob = peer_frames_[r - 1];
+      const WireHeader h = RecvFrame(peer_fds_[r], &blob);
+      ExpectFrame(h, kOpBlob, static_cast<int>(r), seq);
+      if (bounds == nullptr) {
+        segments[r].emplace_back(blob.data(), blob.size());
+      } else {
+        SplitSized(blob, world_, &segments[r]);
+      }
+    }
+    // Rank r's frames: piece r of every rank's frame (piece 0 for
+    // Allgather), after their sizes.
+    const auto piece = [&](size_t w, size_t r) {
+      return segments[w][bounds == nullptr ? 0 : r];
+    };
+    for (size_t r = 1; r < world; ++r) {
+      Frames message;
+      message.emplace_back(reinterpret_cast<const uint8_t*>(sizes.data()),
+                           world * sizeof(uint64_t));
+      for (size_t w = 0; w < world; ++w) {
+        sizes[w] = piece(w, r).second;
+        message.push_back(piece(w, r));
+      }
+      SendFrame(peer_fds_[r], kOpResult, 0, seq, message);
+    }
+    for (size_t w = 0; w < world; ++w) frames.push_back(piece(w, 0));
+  } else {
+    Frames message;
+    if (bounds != nullptr) {
+      for (size_t s = 0; s < world; ++s) sizes[s] = bounds[s + 1] - bounds[s];
+      message.emplace_back(reinterpret_cast<const uint8_t*>(sizes.data()),
+                           world * sizeof(uint64_t));
+    }
+    message.emplace_back(send, send_bytes);
+    SendFrame(peer_fds_[0], kOpBlob, static_cast<uint32_t>(rank_), seq,
+              message);
+    std::vector<uint8_t>& result = peer_frames_[0];
+    const WireHeader h = RecvFrame(peer_fds_[0], &result);
+    ExpectFrame(h, kOpResult, /*from=*/0, seq);
+    SplitSized(result, world_, &frames);
+  }
+  fn(frames);
+}
+
+void SocketTransport::Allgather(const uint8_t* send, size_t send_bytes,
+                                const FramesFn& consume) {
+  Exchange(send, send_bytes, nullptr, consume);
+}
+
+void SocketTransport::ReduceScatter(const uint8_t* send, const size_t* bounds,
+                                    const FramesFn& reduce) {
+  Exchange(send, bounds[world_], bounds, reduce);
 }
 
 }  // namespace harp

@@ -1,19 +1,25 @@
 // Multi-process Transport backend over loopback TCP.
 //
-// W real processes form a star through rank 0: every ReduceBlobs is one
-// Blob frame from each client to the root — which runs the reduce over the
-// frames in ascending rank order (its own first) — followed by one Result
-// frame back to every client. The frames reach the reduce in the same
-// order as in the in-process backend, so a multi-process run produces the
-// same model file byte for byte (CI launches world=3 processes via
-// `harp_cli dist-train` and diffs the models).
+// W real processes form a star through rank 0. In every collective each
+// client sends its frame (for ReduceScatter, with its segment sizes) to the
+// root in one Blob message, and the root answers each client with one
+// Result message holding exactly the frames that rank's callback needs, in
+// ascending rank order: every rank's whole frame for Allgather, every
+// rank's segment r for ReduceScatter. The root only routes bytes; every
+// rank, the root included, runs its own callback over its own frames, the
+// clients while the root runs its own. The frames reach the callbacks in
+// the same order as in the in-process backend, so a multi-process run
+// produces the same model file byte for byte (CI launches world=3
+// processes via `harp_cli dist-train` and diffs the models).
 //
-// Wire protocol (version 2): every message is a fixed 28-byte header +
+// Wire protocol (version 3): every message is a fixed 28-byte header +
 // payload. The header carries magic, version, opcode (Hello, Blob or
 // Result), sender rank and a per-transport sequence number that counts
 // collectives; every receiver validates all of them (plus a payload-size
 // cap) and throws std::runtime_error on any mismatch — malformed or
-// out-of-protocol frames must never be silently reduced into a model.
+// out-of-protocol frames must never be silently reduced into a model. A
+// Result payload is W u64 frame sizes followed by those W frames; a
+// ReduceScatter Blob payload is W u64 segment sizes followed by the frame.
 #pragma once
 
 #include <cstddef>
@@ -42,14 +48,18 @@ class SocketTransport final : public Transport {
   int rank() const override { return rank_; }
   int world_size() const override { return world_; }
 
-  void ReduceBlobs(const uint8_t* send, size_t send_bytes,
-                   const BlobReduceFn& reduce,
-                   std::vector<uint8_t>* result) override;
+  void Allgather(const uint8_t* send, size_t send_bytes,
+                 const FramesFn& consume) override;
+  void ReduceScatter(const uint8_t* send, const size_t* bounds,
+                     const FramesFn& reduce) override;
 
  private:
   SocketTransport(int rank, int world_size) : rank_(rank), world_(world_size) {}
 
   void Handshake(int port, int timeout_ms);
+  // Both collectives: `bounds` null hands every rank whole frames.
+  void Exchange(const uint8_t* send, size_t send_bytes, const size_t* bounds,
+                const FramesFn& fn);
 
   int rank_;
   int world_;
@@ -59,8 +69,9 @@ class SocketTransport final : public Transport {
   // Collective counter; identical on every rank because collectives are
   // globally ordered. Stamped into every frame and validated on receipt.
   uint64_t seq_ = 0;
-  // Root: peer_frames_[r - 1] receives rank r's frame, kept across
-  // collectives so the receive buffers are allocated once.
+  // Root: peer_frames_[r - 1] receives rank r's message; clients:
+  // peer_frames_[0] receives the root's. Kept across collectives so the
+  // receive buffers are allocated once.
   std::vector<std::vector<uint8_t>> peer_frames_;
 };
 

@@ -323,8 +323,8 @@ uint32_t WriteRuns(const uint8_t* occ, uint32_t n, uint8_t* dst) {
   return num_runs;
 }
 
-// Writes the frame whose region occupancy is `occ` (one byte per region)
-// into *out, resized once to its exact size. emit(h, bitmaps, payload)
+// Appends the frame whose region occupancy is `occ` (one byte per region)
+// to *out, resized once to its exact new size. emit(h, bitmaps, payload)
 // writes histogram h's listed bitmaps and set cells from those pointers.
 // Histograms are emitted in parallel at prefix offsets; the run list is
 // written serially because a run may cross a histogram boundary. Every
@@ -350,9 +350,10 @@ void WriteFrame(const std::vector<uint8_t>& occ,
   header.num_runs = WriteRuns(occ.data(), total, nullptr);
   header.payload_cells = static_cast<uint32_t>(cell_off[num_hists]);
   const size_t runs_bytes = header.num_runs * sizeof(SparseHistRun);
-  out->resize(sizeof(header) + runs_bytes + bitmap_off[num_hists] +
+  const size_t at = out->size();
+  out->resize(at + sizeof(header) + runs_bytes + bitmap_off[num_hists] +
               cell_off[num_hists] * cell_bytes);
-  uint8_t* p = out->data();
+  uint8_t* p = out->data() + at;
   std::memcpy(p, &header, sizeof(header));
   p += sizeof(header);
   WriteRuns(occ.data(), total, p);
@@ -384,16 +385,19 @@ void EncodeRegions(const GHPair* hist, const uint8_t* occ, uint32_t rph,
   });
 }
 
-// Sums every frame's cells of `region` (where cursor w points at it) in
-// ascending rank order, advances those cursors, and stores the union's
-// set cells at dst. Each cell starts at the identity of addition and
-// every contributing rank adds to it, which is bit for bit "the first
-// contributor assigns, later ones add": for f64 the identity is -0.0, not
-// +0.0, since -0.0 + x == x for every x, -0.0 included.
+// Folds region `region` (rank self's cells at `cells`, dense, with
+// occupancy bitmap `own`) in place: every rank's cells in ascending rank
+// order — rank self's read from `cells`, the others' from the frames whose
+// cursors stand on the region, which then advance. Each touched cell starts at the identity of
+// addition and every contributing rank adds to it, which is bit for bit
+// "the first contributor assigns, later ones add": for f64 the identity is
+// -0.0, not +0.0, since -0.0 + x == x for every x, -0.0 included. A cell
+// no rank touched keeps its +0.0.
 template <typename Cell>
-uint8_t* MergeRegion(const std::vector<ParsedFrame>& frames,
-                     Cursor* cursors, uint32_t region, uint8_t bitmap,
-                     uint8_t* dst) {
+void FoldRegion(const std::vector<ParsedFrame>& frames, size_t self,
+                Cursor* cursors, uint32_t region, GHPair* cells, uint32_t own,
+                const QuantScales& scales) {
+  uint32_t touched = own;
   Cell acc[kSparseRegionCells];
   if constexpr (std::is_same_v<Cell, GHPair>) {
     std::fill(acc, acc + kSparseRegionCells, GHPair{-0.0, -0.0});
@@ -401,20 +405,36 @@ uint8_t* MergeRegion(const std::vector<ParsedFrame>& frames,
     std::fill(acc, acc + kSparseRegionCells, 0);
   }
   for (size_t w = 0; w < frames.size(); ++w) {
+    if (w == self) {
+      for (uint32_t bits = own; bits != 0; bits &= bits - 1) {
+        const int i = std::countr_zero(bits);
+        if constexpr (std::is_same_v<Cell, GHPair>) {
+          acc[i] += cells[i];
+        } else {
+          acc[i] += EncodeQuantCell(cells[i], scales);
+        }
+      }
+      continue;
+    }
     Cursor& c = cursors[w];
     if (c.region != region) continue;
     const ParsedFrame& f = frames[w];
+    const uint32_t bitmap = f.bitmaps[c.bitmap];
+    touched |= bitmap;
     uint32_t index = c.cell;
-    for (uint32_t bits = f.bitmaps[c.bitmap]; bits != 0; bits &= bits - 1) {
+    for (uint32_t bits = bitmap; bits != 0; bits &= bits - 1) {
       acc[std::countr_zero(bits)] += LoadCell<Cell>(f.payload, index++);
     }
     f.Advance(&c);
   }
-  for (uint32_t bits = bitmap; bits != 0; bits &= bits - 1) {
-    StoreCell(dst, acc[std::countr_zero(bits)]);
-    dst += sizeof(Cell);
+  for (uint32_t bits = touched; bits != 0; bits &= bits - 1) {
+    const int i = std::countr_zero(bits);
+    if constexpr (std::is_same_v<Cell, GHPair>) {
+      cells[i] = acc[i];
+    } else {
+      cells[i] = DecodeQuantCell(acc[i], scales);
+    }
   }
-  return dst;
 }
 
 }  // namespace
@@ -458,81 +478,47 @@ void EncodeSparseHist(const GHPair* const* hists, uint32_t num_hists,
              });
 }
 
-void ReduceSparseHist(const Transport::Frames& frames, uint32_t num_hists,
-                      uint32_t cells, const SparseHistFormat& fmt,
-                      std::vector<uint8_t>* out, ThreadPool* pool) {
+void FoldSparseHist(const Transport::Frames& frames, size_t self,
+                    GHPair* const* hists, uint32_t num_hists, uint32_t cells,
+                    const SparseHistFormat& fmt, ThreadPool* pool) {
+  HARP_CHECK_LT(self, frames.size());
   const Geometry geo = MakeGeometry(num_hists, cells);
   const uint32_t rph = geo.regions_per_hist;
-  // Frames are validated independently, so one per task.
+  // Frames are validated independently, so one per task; every frame is
+  // checked before any cell is written.
   std::vector<ParsedFrame> parsed(frames.size());
   ForEachIndex(pool, static_cast<uint32_t>(frames.size()), [&](uint32_t w) {
+    if (w == self) return;
     parsed[w] = ParseFrame(frames[w].first, frames[w].second, num_hists,
                            cells, geo, fmt);
   });
-
-  // Pass 1: the union occupancy is the OR of every rank's bitmaps.
-  std::vector<uint8_t> occ(geo.total_regions);
-  std::vector<HistCounts> counts(num_hists);
+  // One cursor per peer walks its listed regions of histogram h in step
+  // with the region loop, so a peer contributes to a region exactly when
+  // its cursor stands on it.
   ForEachIndex(pool, num_hists, [&](uint32_t h) {
-    const uint32_t base = h * rph;
-    uint8_t* o = occ.data() + base;
-    for (const ParsedFrame& f : parsed) {
-      for (Cursor c = f.hist_start[h]; c.region < base + rph; f.Advance(&c)) {
-        o[c.region - base] |= f.bitmaps[c.bitmap];
-      }
+    std::vector<Cursor> cursors(parsed.size());
+    for (size_t w = 0; w < parsed.size(); ++w) {
+      if (w != self) cursors[w] = parsed[w].hist_start[h];
     }
-    HistCounts c;
-    for (uint32_t lr = 0; lr < rph; ++lr) c.Add(o[lr]);
-    counts[h] = c;
-  });
-
-  // Pass 2: a cursor merge. Each rank's cursor walks its listed regions of
-  // histogram h in step with the union's, so a rank contributes to a
-  // union region exactly when its cursor stands on it.
-  WriteFrame(occ, counts, num_hists, cells, fmt, pool, out,
-             [&](uint32_t h, uint8_t* bitmaps, uint8_t* payload) {
-               std::vector<Cursor> cursors;
-               cursors.reserve(parsed.size());
-               for (const ParsedFrame& f : parsed) {
-                 cursors.push_back(f.hist_start[h]);
-               }
-               const uint32_t base = h * rph;
-               ForEachListed(
-                   occ.data() + base, rph, [&](uint32_t lr, uint8_t bitmap) {
-                     *bitmaps++ = bitmap;
-                     payload =
-                         fmt.quant
-                             ? MergeRegion<int64_t>(parsed, cursors.data(),
-                                                    base + lr, bitmap, payload)
-                             : MergeRegion<GHPair>(parsed, cursors.data(),
-                                                   base + lr, bitmap, payload);
-                   });
-             });
-}
-
-void DecodeSparseHist(const uint8_t* data, size_t bytes,
-                      GHPair* const* hists, uint32_t num_hists,
-                      uint32_t cells, const SparseHistFormat& fmt,
-                      ThreadPool* pool, bool zero_untouched) {
-  const Geometry geo = MakeGeometry(num_hists, cells);
-  const uint32_t rph = geo.regions_per_hist;
-  const ParsedFrame f = ParseFrame(data, bytes, num_hists, cells, geo, fmt);
-  ForEachIndex(pool, num_hists, [&](uint32_t h) {
     GHPair* hist = hists[h];
-    if (zero_untouched) {
-      // All-zero bits are +0.0, the value of every untouched cell.
-      std::memset(static_cast<void*>(hist), 0,
-                  static_cast<size_t>(cells) * sizeof(GHPair));
-    }
     const uint32_t base = h * rph;
-    for (Cursor c = f.hist_start[h]; c.region < base + rph; f.Advance(&c)) {
-      GHPair* dst = hist + (c.region - base) * kSparseRegionCells;
-      uint32_t index = c.cell;
-      for (uint32_t bits = f.bitmaps[c.bitmap]; bits != 0; bits &= bits - 1) {
-        dst[std::countr_zero(bits)] =
-            fmt.quant ? DecodeQuantCell(LoadCell<int64_t>(f.payload, index++),
-                                        fmt.scales)
-                      : LoadCell<GHPair>(f.payload, index++);
+    for (uint32_t lr = 0; lr < rph; ++lr) {
+      GHPair* region = hist + lr * kSparseRegionCells;
+      const uint32_t own = RegionBitmap(
+          region, std::min(kSparseRegionCells, cells - lr * kSparseRegionCells));
+      bool peers = false;
+      for (size_t w = 0; w < cursors.size(); ++w) {
+        peers |= w != self && cursors[w].region == base + lr;
+      }
+      // With no peer cell, an f64 region already holds its sum (-0.0 + x
+      // is x); a quantized one is still re-encoded, as its frame would be.
+      if (!peers && (own == 0 || !fmt.quant)) continue;
+      if (fmt.quant) {
+        FoldRegion<int64_t>(parsed, self, cursors.data(), base + lr, region,
+                            own, fmt.scales);
+      } else {
+        FoldRegion<GHPair>(parsed, self, cursors.data(), base + lr, region,
+                           own, fmt.scales);
       }
     }
   });

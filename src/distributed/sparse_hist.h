@@ -28,19 +28,20 @@
 // recovers the integer k bit for bit, and the integer sums dequantize back
 // exactly.
 //
-// Determinism: ReduceSparseHist merges the rank frames with one cursor per
-// rank over its sorted run list and combines each cell in ascending rank
-// order (the first contributor assigns, later ones add), so the reduced
+// Determinism: FoldSparseHist merges the other ranks' frames with one
+// cursor per rank over its sorted run list and combines each cell in
+// ascending rank order (the first contributor assigns, later ones add),
+// reading the folding rank's own cells from its dense histograms, so the
 // result is bitwise identical to the dense rank-ordered reduction whenever
 // skipped cells are exact +0.0 — which this pipeline guarantees (cells
 // with -0.0 bits count as touched and are shipped).
 //
-// Cost: every entry point writes its output once at its exact size. Encode
-// and reduce first compute one occupancy byte per region, then size the
-// frame, then write it; all three functions split their work by histogram
-// over an optional ThreadPool. Each histogram's bytes land at offsets that
-// follow from the occupancy alone, so frames are byte-identical for every
-// thread count.
+// Cost: the encoder writes its frame once at its exact size: it first
+// computes one occupancy byte per region, then sizes the frame, then
+// writes it. The fold writes only the touched cells of the folding rank's
+// histograms. Both split their work by histogram over an optional
+// ThreadPool. Each histogram's bytes land at offsets that follow from the
+// occupancy alone, so frames are byte-identical for every thread count.
 //
 // All parsing entry points validate the frame (magic, version, geometry,
 // run monotonicity, payload size) and throw std::runtime_error on
@@ -97,31 +98,25 @@ struct SparseHistFormat {
 // splits its work by histogram over the pool; the caller must not be
 // inside one of the pool's parallel regions.
 
-// Encodes `num_hists` histograms of `cells` GHPair slots each into *out.
+// Encodes `num_hists` histograms of `cells` GHPair slots each and appends
+// the frame to *out. (The reduce-scatter encodes one frame per owner's
+// cell range, back to back: each histogram pointer offset to the range's
+// first cell, and `cells` its width.)
 void EncodeSparseHist(const GHPair* const* hists, uint32_t num_hists,
                       uint32_t cells, const SparseHistFormat& fmt,
                       std::vector<uint8_t>* out, ThreadPool* pool = nullptr);
 
-// Reduces every rank's frame (in rank order) into the union frame *out.
-// All frames must describe the same geometry/format; throws
-// std::runtime_error on malformed or inconsistent frames.
-void ReduceSparseHist(const Transport::Frames& frames, uint32_t num_hists,
-                      uint32_t cells, const SparseHistFormat& fmt,
-                      std::vector<uint8_t>* out, ThreadPool* pool = nullptr);
-
-// Decodes a frame into dense histograms: untouched cells are zeroed,
-// touched cells are copied (or exactly dequantized). Throws
-// std::runtime_error on malformed frames.
-//
-// With zero_untouched = false the untouched cells are left as they are.
-// That is the same result when `hists` still hold what this rank encoded
-// into one of the frames reduced into `data`: every cell with a nonzero
-// bit is touched in the reduced frame, so every untouched cell already
-// holds +0.0. The exchange decodes this way and skips a dense zero-fill.
-void DecodeSparseHist(const uint8_t* data, size_t bytes,
-                      GHPair* const* hists, uint32_t num_hists,
-                      uint32_t cells, const SparseHistFormat& fmt,
-                      ThreadPool* pool = nullptr, bool zero_untouched = true);
+// Folds every other rank's frame into this rank's histograms, in place:
+// `hists` (`num_hists` of `cells` slots) hold rank `self`'s own
+// contribution, dense, and frames[self] is not read (a rank need not
+// encode its own cells). Afterwards every cell any rank touched holds the
+// rank-ordered sum — quantized cells summed as integers and dequantized
+// exactly — and every other cell keeps its +0.0. All frames must describe
+// the same geometry/format; throws std::runtime_error on malformed or
+// inconsistent frames, before any cell is written.
+void FoldSparseHist(const Transport::Frames& frames, size_t self,
+                    GHPair* const* hists, uint32_t num_hists, uint32_t cells,
+                    const SparseHistFormat& fmt, ThreadPool* pool = nullptr);
 
 // Bytes a dense f64 exchange of the same histograms would ship one way.
 inline int64_t DenseHistBytes(uint32_t num_hists, uint32_t cells) {

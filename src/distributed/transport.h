@@ -4,18 +4,19 @@
 // communication layer (Section VI). The training code talks to that layer
 // through Communicator (stats, typed allreduces, the compressed histogram
 // exchange); Communicator talks to one of the pluggable Transport backends
-// below through their single collective, ReduceBlobs:
+// below through their two collectives, Allgather and ReduceScatter:
 //
 //   InProcessTransport   W worker threads in one process, rendezvous-based
 //                        collectives (the CI-friendly simulated cluster).
 //   SocketTransport      W real processes over loopback TCP with framed
 //                        messages (star topology through rank 0).
 //
-// Both backends present the frames to the reduce in ASCENDING RANK ORDER,
-// and the reduce runs exactly once per collective, so f64 results are
-// bitwise identical on every rank, across runs, and across backends —
-// which is what lets CI diff a multi-process model file against the
-// in-process run byte for byte.
+// Neither collective reduces anything itself: each hands every rank the
+// frames it needs IN ASCENDING RANK ORDER and the caller folds them, on
+// every rank at once. A fold that is a pure function of the frames in rank
+// order therefore gives the same bits on every rank, across runs and
+// across backends — which is what lets CI diff a multi-process model file
+// against the in-process run byte for byte.
 #pragma once
 
 #include <cstddef>
@@ -33,20 +34,22 @@ class Transport {
   virtual int rank() const = 0;
   virtual int world_size() const = 0;
 
-  // Variable-length reduce, the one collective. Every rank contributes one
-  // frame; `reduce` runs exactly once per collective (on the reducing
-  // rank: rank 0 for the socket backend, the last arrival in process) over
-  // all ranks' frames presented in rank order, and fills the result frame,
-  // which every rank then receives in *result. `reduce` must be a pure
-  // function of the frames so the result is identical no matter which
-  // rank runs it, and must overwrite all of its output, which may hold an
-  // earlier result. With one rank it runs on that rank's own frame.
+  // One (pointer, size) view per rank, in rank order. The views stay valid
+  // only while the callback they are passed to runs.
   using Frames = std::vector<std::pair<const uint8_t*, size_t>>;
-  using BlobReduceFn =
-      std::function<void(const Frames&, std::vector<uint8_t>*)>;
-  virtual void ReduceBlobs(const uint8_t* send, size_t send_bytes,
-                           const BlobReduceFn& reduce,
-                           std::vector<uint8_t>* result) = 0;
+  using FramesFn = std::function<void(const Frames&)>;
+
+  // Every rank contributes one frame; `consume` then runs on every rank
+  // over all ranks' frames. With one rank it runs on the rank's own frame.
+  virtual void Allgather(const uint8_t* send, size_t send_bytes,
+                         const FramesFn& consume) = 0;
+
+  // Every rank contributes one frame cut into world_size() consecutive
+  // segments: segment s is [bounds[s], bounds[s + 1]), with bounds[0] = 0
+  // and world_size() + 1 entries. `reduce` then runs on every rank r over
+  // segment r of every rank's frame, so each rank folds only its own share.
+  virtual void ReduceScatter(const uint8_t* send, const size_t* bounds,
+                             const FramesFn& reduce) = 0;
 };
 
 }  // namespace harp

@@ -25,6 +25,7 @@
 #include "core/model_io.h"
 #include "data/synthetic.h"
 #include "distributed/dist_gbdt.h"
+#include "distributed/inprocess_transport.h"
 #include "distributed/socket_transport.h"
 #include "distributed/sparse_hist.h"
 #include "parallel/thread_pool.h"
@@ -125,8 +126,42 @@ std::vector<T> SerialFold(int world, size_t count, Value value, Op op) {
   return acc;
 }
 
-// Every typed allreduce, and the dense histogram exchange folded over a
-// pool, is bitwise the serial rank-ordered fold: however the fold splits
+// Uneven owner cell ranges for histogram reduce-scatter tests: rank r owns
+// about r/W of the cells, and rank 1 owns none from three ranks up.
+std::vector<uint32_t> TestCellBounds(int world, uint32_t cells) {
+  std::vector<uint32_t> bounds;
+  for (int r = 0; r <= world; ++r) {
+    bounds.push_back(static_cast<uint32_t>(static_cast<uint64_t>(cells) * r *
+                                           r / (world * world)));
+  }
+  if (world >= 3) bounds[2] = bounds[1];
+  return bounds;
+}
+
+// After a reduce-scatter, rank `rank`'s cells of each of the `num_hists`
+// histograms of `cells` slots must equal `want` bit for bit, and every
+// other cell must still hold `mine`, the rank's input.
+void ExpectReduceScattered(const std::vector<GHPair>& got,
+                           const std::vector<GHPair>& want,
+                           const std::vector<GHPair>& mine,
+                           const std::vector<uint32_t>& bounds, int rank,
+                           uint32_t num_hists, uint32_t cells,
+                           const std::string& where) {
+  const uint32_t begin = bounds[static_cast<size_t>(rank)];
+  const uint32_t end = bounds[static_cast<size_t>(rank) + 1];
+  for (uint32_t h = 0; h < num_hists; ++h) {
+    for (uint32_t c = 0; c < cells; ++c) {
+      const size_t i = static_cast<size_t>(h) * cells + c;
+      const GHPair& expect = c >= begin && c < end ? want[i] : mine[i];
+      ASSERT_EQ(0, std::memcmp(&got[i], &expect, sizeof(GHPair)))
+          << where << " hist " << h << " cell " << c << " owned ["
+          << begin << ", " << end << ")";
+    }
+  }
+}
+
+// Every typed allreduce, and the dense histogram reduce-scatter folded over
+// a pool, is bitwise the serial rank-ordered fold: however the fold splits
 // its range, each element sees the ranks in order.
 TEST(Communicator, FoldMatchesSerialRankOrder) {
   const auto sum_f64 = [](double& a, double b) { a += b; };
@@ -178,12 +213,17 @@ TEST(Communicator, FoldMatchesSerialRankOrder) {
         for (uint32_t c = 0; c < cells; ++c) {
           hist[c] = GHPair{FoldValue(rank, 2 * c), FoldValue(rank, 2 * c + 1)};
         }
+        const std::vector<GHPair> mine = hist;
+        std::vector<GHPair> want(cells);
+        for (uint32_t c = 0; c < cells; ++c) {
+          want[c] = GHPair{expect_hist[2 * c], expect_hist[2 * c + 1]};
+        }
         GHPair* ptrs[1] = {hist.data()};
         Communicator::HistExchangeOpts opts;
         opts.pool = pool.get();
-        comm.AllreduceHistograms(ptrs, 1, cells, opts);
-        EXPECT_EQ(0, std::memcmp(hist.data(), expect_hist.data(),
-                                 cells * sizeof(GHPair))) << where;
+        const std::vector<uint32_t> bounds = TestCellBounds(world, cells);
+        comm.ReduceScatterHistograms(ptrs, 1, cells, bounds.data(), opts);
+        ExpectReduceScattered(hist, want, mine, bounds, rank, 1, cells, where);
       });
     }
   }
@@ -263,7 +303,8 @@ TEST(Communicator, OneRankHistogramExchangeIsIdentity) {
       GHPair* ptrs[1] = {hist.data()};
       Communicator::HistExchangeOpts opts;
       opts.sparse = sparse;
-      comm.AllreduceHistograms(ptrs, 1, 24, opts);
+      const uint32_t bounds[] = {0, 24};
+      comm.ReduceScatterHistograms(ptrs, 1, 24, bounds, opts);
       EXPECT_EQ(0, std::memcmp(hist.data(), before.data(),
                                hist.size() * sizeof(GHPair)))
           << "sparse=" << sparse;
@@ -275,33 +316,97 @@ TEST(Communicator, OneRankHistogramExchangeIsIdentity) {
   EXPECT_EQ(stats.hist_dense_bytes, 0);
 }
 
-// The pooled sparse exchange sums like the dense one, and each rank times
-// its exchanges.
+// The pooled sparse reduce-scatter sums like the dense one at every world
+// size (with an owner of no cells from three ranks up), and each rank times
+// its exchanges and their parts.
 TEST(Communicator, PooledSparseExchangeMatchesDense) {
   const uint32_t num_hists = 3;
   const uint32_t cells = 37;
-  const int world = 3;
-  const auto hists = RankHists(world, num_hists, cells);
-  const std::vector<GHPair> expect = DenseRankOrderedSum(hists);
-  for (const bool sparse : {false, true}) {
+  for (const int world : {2, 3, 4}) {
+    const auto hists = RankHists(world, num_hists, cells);
+    const std::vector<GHPair> expect = DenseRankOrderedSum(hists);
+    const std::vector<uint32_t> bounds = TestCellBounds(world, cells);
+    for (const bool sparse : {false, true}) {
+      SimulatedCluster cluster(world);
+      cluster.Run([&](Communicator& comm) {
+        ThreadPool pool(2);
+        const size_t rank = static_cast<size_t>(comm.rank());
+        std::vector<GHPair> mine = hists[rank];
+        std::vector<GHPair*> ptrs(num_hists);
+        for (uint32_t h = 0; h < num_hists; ++h) {
+          ptrs[h] = mine.data() + static_cast<size_t>(h) * cells;
+        }
+        Communicator::HistExchangeOpts opts;
+        opts.sparse = sparse;
+        opts.quant = true;
+        opts.scales = QuantFormat().scales;
+        opts.pool = &pool;
+        comm.ReduceScatterHistograms(ptrs.data(), num_hists, cells,
+                                     bounds.data(), opts);
+        const std::string where = "world " + std::to_string(world) +
+                                  " sparse=" + std::to_string(sparse) +
+                                  " rank " + std::to_string(rank);
+        ExpectReduceScattered(mine, expect, hists[rank], bounds,
+                              comm.rank(), num_hists, cells, where);
+        const CommStats& stats = comm.stats();
+        EXPECT_GT(stats.hist_exchange_ns, 0) << where;
+        EXPECT_GE(stats.HistTransportNs(), 0) << where;
+        EXPECT_EQ(stats.hist_fold_ns > 0, bounds[rank + 1] > bounds[rank])
+            << where;
+        // This rank's traffic: the dense f64 segments it sends (the cells
+        // others own) and receives (its own, from each peer).
+        const int64_t own =
+            DenseHistBytes(num_hists, bounds[rank + 1] - bounds[rank]);
+        EXPECT_EQ(stats.hist_dense_bytes,
+                  DenseHistBytes(num_hists, cells) - own + (world - 1) * own)
+            << where;
+        if (!sparse) {
+          EXPECT_EQ(stats.hist_wire_bytes, stats.hist_dense_bytes) << where;
+        }
+      });
+    }
+  }
+}
+
+// The best-split allreduce merges in rank order with BetterThan: the
+// higher gain wins, and among equal gains the lower feature, so its
+// result does not depend on which rank held which candidate.
+TEST(Communicator, AllreduceBestSplitsMergesByBetterThan) {
+  const auto split = [](double gain, uint32_t feature, uint32_t bin) {
+    SplitInfo s;
+    s.gain = gain;
+    s.feature = feature;
+    s.bin = bin;
+    s.default_left = feature % 2 == 1;
+    s.left_sum = GHPair{gain, 1.0 + feature};
+    s.right_sum = GHPair{-gain, 2.0 + bin};
+    return s;
+  };
+  for (const int world : {1, 2, 3}) {
     SimulatedCluster cluster(world);
     cluster.Run([&](Communicator& comm) {
-      ThreadPool pool(2);
-      std::vector<GHPair> mine = hists[static_cast<size_t>(comm.rank())];
-      std::vector<GHPair*> ptrs(num_hists);
-      for (uint32_t h = 0; h < num_hists; ++h) {
-        ptrs[h] = mine.data() + static_cast<size_t>(h) * cells;
+      const uint32_t r = static_cast<uint32_t>(comm.rank());
+      // Node 0: every rank ties on gain, the lowest feature wins. Node 1:
+      // the last rank's gain wins. Node 2: no rank has a valid split.
+      std::vector<SplitInfo> splits = {split(2.0, 10 + r, 3), split(1.0 + r, r, 1),
+                                       SplitInfo{}};
+      comm.AllreduceBestSplits(splits.data(), splits.size());
+      const SplitInfo want[] = {split(2.0, 10, 3),
+                                split(world, static_cast<uint32_t>(world - 1), 1),
+                                SplitInfo{}};
+      for (size_t i = 0; i < splits.size(); ++i) {
+        const std::string where = "world " + std::to_string(world) + " rank " +
+                                  std::to_string(r) + " node " +
+                                  std::to_string(i);
+        EXPECT_EQ(splits[i].gain, want[i].gain) << where;
+        EXPECT_EQ(splits[i].feature, want[i].feature) << where;
+        EXPECT_EQ(splits[i].bin, want[i].bin) << where;
+        EXPECT_EQ(splits[i].default_left, want[i].default_left) << where;
+        EXPECT_EQ(splits[i].left_sum.g, want[i].left_sum.g) << where;
+        EXPECT_EQ(splits[i].left_sum.h, want[i].left_sum.h) << where;
+        EXPECT_EQ(splits[i].right_sum.g, want[i].right_sum.g) << where;
+        EXPECT_EQ(splits[i].right_sum.h, want[i].right_sum.h) << where;
       }
-      Communicator::HistExchangeOpts opts;
-      opts.sparse = sparse;
-      opts.quant = true;
-      opts.scales = QuantFormat().scales;
-      opts.pool = &pool;
-      comm.AllreduceHistograms(ptrs.data(), num_hists, cells, opts);
-      EXPECT_EQ(0, std::memcmp(mine.data(), expect.data(),
-                               mine.size() * sizeof(GHPair)))
-          << "sparse=" << sparse << " rank " << comm.rank();
-      EXPECT_GT(comm.stats().hist_exchange_ns, 0);
     });
   }
 }
@@ -311,48 +416,59 @@ class SparseHistCodec : public ::testing::TestWithParam<bool> {};
 INSTANTIATE_TEST_SUITE_P(Formats, SparseHistCodec,
                          ::testing::Values(false, true));
 
-// Encodes each rank's `num_hists` x `cells` histograms, reduces the frames
-// and decodes the result, which must equal the dense rank-ordered sum bit
-// for bit. Returns the reduced frame's size.
+// Rank `self`'s fold of every rank's frame into `own`, its own
+// histograms (`num_hists` x `cells`), which it returns.
+std::vector<GHPair> FoldAt(const std::vector<std::vector<uint8_t>>& frames,
+                           size_t self, std::vector<GHPair> own,
+                           uint32_t num_hists, uint32_t cells,
+                           const SparseHistFormat& fmt,
+                           ThreadPool* pool = nullptr) {
+  Transport::Frames views;
+  for (const auto& frame : frames) views.emplace_back(frame.data(), frame.size());
+  std::vector<GHPair*> ptrs(num_hists);
+  for (uint32_t h = 0; h < num_hists; ++h) {
+    ptrs[h] = own.data() + static_cast<size_t>(h) * cells;
+  }
+  FoldSparseHist(views, self, ptrs.data(), num_hists, cells, fmt, pool);
+  return own;
+}
+
+// Encodes each rank's `num_hists` x `cells` histograms and folds the
+// frames at every rank, which must give the dense rank-ordered sum bit for
+// bit. Returns the largest frame's size.
 size_t ExpectCodecMatchesDense(const std::vector<std::vector<GHPair>>& hists,
                                uint32_t num_hists, uint32_t cells,
                                const SparseHistFormat& fmt) {
   std::vector<std::vector<uint8_t>> frames(hists.size());
-  Transport::Frames views;
   std::vector<const GHPair*> ptrs(num_hists);
+  size_t largest = 0;
   for (size_t r = 0; r < hists.size(); ++r) {
     for (uint32_t h = 0; h < num_hists; ++h) {
       ptrs[h] = hists[r].data() + static_cast<size_t>(h) * cells;
     }
     EncodeSparseHist(ptrs.data(), num_hists, cells, fmt, &frames[r]);
-    views.emplace_back(frames[r].data(), frames[r].size());
+    largest = std::max(largest, frames[r].size());
   }
-  std::vector<uint8_t> reduced;
-  ReduceSparseHist(views, num_hists, cells, fmt, &reduced);
-
-  std::vector<GHPair> decoded(static_cast<size_t>(num_hists) * cells,
-                              GHPair{1.0, 1.0});  // must be overwritten
-  std::vector<GHPair*> out_ptrs(num_hists);
-  for (uint32_t h = 0; h < num_hists; ++h) {
-    out_ptrs[h] = decoded.data() + static_cast<size_t>(h) * cells;
-  }
-  DecodeSparseHist(reduced.data(), reduced.size(), out_ptrs.data(), num_hists,
-                   cells, fmt);
   const std::vector<GHPair> expect = DenseRankOrderedSum(hists);
-  EXPECT_EQ(0, std::memcmp(decoded.data(), expect.data(),
-                           decoded.size() * sizeof(GHPair)));
-  return reduced.size();
+  for (size_t self = 0; self < hists.size(); ++self) {
+    const std::vector<GHPair> folded =
+        FoldAt(frames, self, hists[self], num_hists, cells, fmt);
+    EXPECT_EQ(0, std::memcmp(folded.data(), expect.data(),
+                             folded.size() * sizeof(GHPair)))
+        << "fold at rank " << self;
+  }
+  return largest;
 }
 
-TEST_P(SparseHistCodec, EncodeReduceDecodeMatchesDenseRankOrderBitwise) {
+TEST_P(SparseHistCodec, EncodeFoldMatchesDenseRankOrderBitwise) {
   SparseHistFormat fmt = QuantFormat();
   fmt.quant = GetParam();
   const uint32_t num_hists = 2;
   const uint32_t cells = 37;  // partial last region
-  const size_t reduced = ExpectCodecMatchesDense(
+  const size_t largest = ExpectCodecMatchesDense(
       RankHists(/*world=*/3, num_hists, cells), num_hists, cells, fmt);
-  // Compression: the frame must beat the dense payload on this data.
-  EXPECT_LT(reduced, static_cast<size_t>(DenseHistBytes(num_hists, cells)));
+  // Compression: every frame must beat the dense payload on this data.
+  EXPECT_LT(largest, static_cast<size_t>(DenseHistBytes(num_hists, cells)));
 }
 
 TEST_P(SparseHistCodec, AllZeroHistogramsShipHeaderOnlyFrames) {
@@ -365,19 +481,16 @@ TEST_P(SparseHistCodec, AllZeroHistogramsShipHeaderOnlyFrames) {
   std::vector<uint8_t> frame;
   EncodeSparseHist(ptrs, 1, cells, fmt, &frame);
   EXPECT_EQ(frame.size(), sizeof(SparseHistHeader));
+  // Encoding appends: a second frame lands after the first.
+  EncodeSparseHist(ptrs, 1, cells, fmt, &frame);
+  EXPECT_EQ(frame.size(), 2 * sizeof(SparseHistHeader));
+  frame.resize(sizeof(SparseHistHeader));
 
-  // Reducing three empty frames yields an empty frame; decoding it zeroes
-  // the output.
-  Transport::Frames views(
-      3, std::make_pair(static_cast<const uint8_t*>(frame.data()),
-                        frame.size()));
-  std::vector<uint8_t> reduced;
-  ReduceSparseHist(views, 1, cells, fmt, &reduced);
-  EXPECT_EQ(reduced.size(), sizeof(SparseHistHeader));
-  std::vector<GHPair> decoded(cells, GHPair{3.0, 3.0});
-  GHPair* out_ptrs[1] = {decoded.data()};
-  DecodeSparseHist(reduced.data(), reduced.size(), out_ptrs, 1, cells, fmt);
-  for (const GHPair& cell : decoded) {
+  // Folding three empty frames leaves zero histograms zero.
+  const std::vector<std::vector<uint8_t>> frames(3, frame);
+  const std::vector<GHPair> folded = FoldAt(frames, 1, zero, 1, cells, fmt);
+  for (const GHPair& cell : folded) {
+    EXPECT_FALSE(std::signbit(cell.g));
     EXPECT_EQ(cell.g, 0.0);
     EXPECT_EQ(cell.h, 0.0);
   }
@@ -410,10 +523,10 @@ TEST(SparseHistCodecEdge, NegativeZeroCountsAsTouched) {
   std::vector<uint8_t> frame;
   EncodeSparseHist(ptrs, 1, 8, fmt, &frame);
   EXPECT_GT(frame.size(), sizeof(SparseHistHeader));
-  std::vector<GHPair> decoded(8, GHPair{1.0, 1.0});
-  GHPair* out_ptrs[1] = {decoded.data()};
-  DecodeSparseHist(frame.data(), frame.size(), out_ptrs, 1, 8, fmt);
-  EXPECT_TRUE(std::signbit(decoded[3].g));
+  // Rank 1 holds nothing; rank 0's -0.0 reaches it.
+  const std::vector<GHPair> folded =
+      FoldAt({frame, {}}, 1, std::vector<GHPair>(8), 1, 8, fmt);
+  EXPECT_TRUE(std::signbit(folded[3].g));
 }
 
 TEST(SparseHistCodecEdge, MalformedFramesRejected) {
@@ -422,11 +535,23 @@ TEST(SparseHistCodecEdge, MalformedFramesRejected) {
   const GHPair* ptrs[1] = {hists[0].data()};
   std::vector<uint8_t> frame;
   EncodeSparseHist(ptrs, 1, 16, fmt, &frame);
-  std::vector<GHPair> out(16);
-  GHPair* out_ptrs[1] = {out.data()};
-  const auto decode = [&](const std::vector<uint8_t>& f) {
-    DecodeSparseHist(f.data(), f.size(), out_ptrs, 1, 16, fmt);
+  const std::vector<GHPair> mine(16, GHPair{0.5, 0.25});
+  // Rank 1 folds rank 0's frame; a rejected frame must leave its cells
+  // untouched.
+  const auto fold = [&](const std::vector<uint8_t>& f,
+                        const SparseHistFormat& format) {
+    std::vector<GHPair> out = mine;
+    GHPair* out_ptrs[1] = {out.data()};
+    const Transport::Frames views = {{f.data(), f.size()}, {nullptr, 0}};
+    try {
+      FoldSparseHist(views, 1, out_ptrs, 1, 16, format);
+    } catch (const std::runtime_error&) {
+      EXPECT_EQ(0, std::memcmp(out.data(), mine.data(),
+                               mine.size() * sizeof(GHPair)));
+      throw;
+    }
   };
+  const auto decode = [&](const std::vector<uint8_t>& f) { fold(f, fmt); };
   ASSERT_NO_THROW(decode(frame));
 
   {
@@ -478,15 +603,8 @@ TEST(SparseHistCodecEdge, MalformedFramesRejected) {
     f[sizeof(h) + h.num_runs * sizeof(SparseHistRun)] = 0;
     EXPECT_THROW(decode(f), std::runtime_error);
   }
-  {
-    std::vector<uint8_t> f = frame;  // format mismatch (quant flag)
-    SparseHistFormat qfmt = QuantFormat();
-    std::vector<GHPair> q(16);
-    GHPair* qptrs[1] = {q.data()};
-    EXPECT_THROW(
-        DecodeSparseHist(f.data(), f.size(), qptrs, 1, 16, qfmt),
-        std::runtime_error);
-  }
+  // Format mismatch (quant flag).
+  EXPECT_THROW(fold(frame, QuantFormat()), std::runtime_error);
 }
 
 // ---------- codec oracle ----------
@@ -730,7 +848,8 @@ std::vector<const GHPair*> HistPtrs(const std::vector<GHPair>& hists,
 }
 
 // W x {f64, quant}: every geometry below must give the oracle's frames and
-// decodes, byte for byte, with no pool and with pools of 1, 2 and 3 threads.
+// reduced decodes, byte for byte, with no pool and with pools of 1, 2 and 3
+// threads.
 class SparseHistOracle
     : public ::testing::TestWithParam<std::tuple<int, bool>> {
  protected:
@@ -755,36 +874,21 @@ class SparseHistOracle
           what + " threads=" +
           std::to_string(pool != nullptr ? pool->num_threads() : 0);
       std::vector<std::vector<uint8_t>> frames(ranks.size());
-      Transport::Frames views;
       for (size_t r = 0; r < ranks.size(); ++r) {
         EncodeSparseHist(HistPtrs(ranks[r], num_hists, cells).data(),
                          num_hists, cells, fmt, &frames[r], pool);
         EXPECT_EQ(frames[r], want_frames[r]) << where << " rank " << r;
-        views.emplace_back(frames[r].data(), frames[r].size());
       }
-      std::vector<uint8_t> reduced = {0xEE};  // must be overwritten
-      ReduceSparseHist(views, num_hists, cells, fmt, &reduced, pool);
-      EXPECT_EQ(reduced, want_reduced) << where;
-
-      std::vector<GHPair> decoded(want_decoded.size(), GHPair{7.0, 7.0});
-      std::vector<GHPair*> out(num_hists);
-      for (uint32_t h = 0; h < num_hists; ++h) {
-        out[h] = decoded.data() + static_cast<size_t>(h) * cells;
-      }
-      DecodeSparseHist(reduced.data(), reduced.size(), out.data(), num_hists,
-                       cells, fmt, pool);
-      EXPECT_EQ(0, std::memcmp(decoded.data(), want_decoded.data(),
-                               decoded.size() * sizeof(GHPair)))
-          << where;
-      // Decoding over a rank's own encoded input needs no zero-fill.
-      for (size_t r = 0; r < ranks.size(); ++r) {
-        std::copy(ranks[r].begin(), ranks[r].end(), decoded.begin());
-        DecodeSparseHist(reduced.data(), reduced.size(), out.data(),
-                         num_hists, cells, fmt, pool,
-                         /*zero_untouched=*/false);
-        EXPECT_EQ(0, std::memcmp(decoded.data(), want_decoded.data(),
-                                 decoded.size() * sizeof(GHPair)))
-            << where << " in place, rank " << r;
+      // Every rank's fold over its own dense cells gives the oracle's
+      // reduce-then-decode; its own frame is never read.
+      for (size_t self = 0; self < ranks.size(); ++self) {
+        std::vector<std::vector<uint8_t>> peers = frames;
+        peers[self] = {0xEE};
+        const std::vector<GHPair> folded =
+            FoldAt(peers, self, ranks[self], num_hists, cells, fmt, pool);
+        EXPECT_EQ(0, std::memcmp(folded.data(), want_decoded.data(),
+                                 folded.size() * sizeof(GHPair)))
+            << where << " fold at rank " << self;
       }
     }
   }
@@ -866,7 +970,7 @@ TEST_P(SparseHistOracle, WideBatchGeometry) {
 // Seeded mutations of valid frames — bit flips, truncations, appended
 // bytes, boundary values in header, run and bitmap fields, and
 // size-preserving shifts of runs and bitmap bits. Every
-// mutated frame must either decode or throw std::runtime_error: never
+// mutated frame must either fold or throw std::runtime_error: never
 // crash, CHECK-abort or read out of bounds (the ASan/UBSan job runs this).
 std::vector<uint8_t> MutateFrame(std::vector<uint8_t> f, std::mt19937& rng) {
   SparseHistHeader h;
@@ -954,24 +1058,21 @@ TEST(SparseHistCodecEdge, MutatedFramesThrowOrDecode) {
     for (int iter = 0; iter < 600; ++iter) {
       const std::vector<uint8_t> bad = MutateFrame(frame, rng);
       ThreadPool* p = iter % 2 == 0 ? &pool : nullptr;
+      // Rank 2, which holds nothing, folds a good frame and the bad one.
+      for (auto& hist : out) std::fill(hist.begin(), hist.end(), GHPair{});
+      const Transport::Frames views = {{frame.data(), frame.size()},
+                                       {bad.data(), bad.size()},
+                                       {nullptr, 0}};
       try {
-        DecodeSparseHist(bad.data(), bad.size(), out_ptrs.data(), g.num_hists,
-                         g.cells, fmt, p);
+        FoldSparseHist(views, 2, out_ptrs.data(), g.num_hists, g.cells, fmt,
+                       p);
         ++decoded;
       } catch (const std::runtime_error&) {
         ++rejected;
       }
-      // A bad frame among good ones fails the whole reduce the same way.
-      const Transport::Frames views = {{frame.data(), frame.size()},
-                                       {bad.data(), bad.size()}};
-      std::vector<uint8_t> reduced;
-      try {
-        ReduceSparseHist(views, g.num_hists, g.cells, fmt, &reduced, p);
-      } catch (const std::runtime_error&) {
-      }
     }
   }
-  // Both outcomes occur: payload bit flips still decode, header damage
+  // Both outcomes occur: payload bit flips still fold, header damage
   // does not.
   EXPECT_GT(decoded, 0);
   EXPECT_GT(rejected, 0);
@@ -1138,7 +1239,7 @@ TEST(DistributedGbdt, QuantizedModelIsWorkerCountInvariant) {
     for (bool subtraction : {false, true}) {
       TrainParams p = IdentityParams(mode, subtraction, /*quant=*/true);
       const std::string one = ShardedModel(data, 1, p);
-      for (int workers : {2, 3}) {
+      for (int workers : {2, 3, 4, 5}) {
         for (const char* compress : {"dense", "sparse"}) {
           p.comm_compress = compress;
           EXPECT_EQ(one, ShardedModel(data, workers, p))
@@ -1147,6 +1248,132 @@ TEST(DistributedGbdt, QuantizedModelIsWorkerCountInvariant) {
       }
     }
   }
+}
+
+// Owner-computes split finding at every worker count from 1 to 5 (a rank
+// per feature range, merged by BetterThan): with quantized histograms
+// (exact sums) every count, encoding and subtraction setting writes the
+// single-process model; with f64 histograms the sparse encoding writes the
+// dense oracle's model at every count.
+TEST(DistributedGbdt, OwnerComputesMatchesEveryEncodingAndWorkerCount) {
+  const Dataset data = TrainData(1500);
+  for (bool subtraction : {false, true}) {
+    for (bool quant : {false, true}) {
+      TrainParams p = IdentityParams(ParallelMode::kSYNC, subtraction, quant);
+      const std::string single = SingleProcessModel(data, p);
+      for (int workers = 1; workers <= 5; ++workers) {
+        p.comm_compress = "dense";
+        const std::string dense = ShardedModel(data, workers, p);
+        p.comm_compress = "sparse";
+        const std::string sparse = ShardedModel(data, workers, p);
+        const std::string where =
+            CaseName(p) + " workers=" + std::to_string(workers);
+        EXPECT_EQ(dense, sparse) << where;
+        if (quant || workers == 1) {
+          EXPECT_EQ(single, dense) << where;
+        }
+      }
+    }
+  }
+}
+
+// Every feature duplicated, the copies appended: the owner boundary at two
+// ranks falls exactly between the originals and the copies, so every
+// split ties across ranks and the merge must keep the lower feature, as
+// one scan does.
+TEST(DistributedGbdt, TiesAcrossOwnersKeepTheLowerFeature) {
+  const Dataset base = TrainData(1500);
+  const uint32_t nf = base.num_features();
+  std::vector<float> values;
+  for (uint32_t r = 0; r < base.num_rows(); ++r) {
+    for (uint32_t copy = 0; copy < 2; ++copy) {
+      for (uint32_t f = 0; f < nf; ++f) values.push_back(base.At(r, f));
+    }
+  }
+  const Dataset data = Dataset::FromDense(base.num_rows(), 2 * nf,
+                                          std::move(values), base.labels());
+  const BinnedMatrix matrix =
+      BinnedMatrix::Build(data, QuantileCuts::Compute(data, 256));
+  ASSERT_EQ(FeatureOwnerBounds(matrix.BinOffsetsData(), 2 * nf, 2),
+            (std::vector<uint32_t>{0, nf, 2 * nf}));
+  for (bool quant : {false, true}) {
+    TrainParams p = IdentityParams(ParallelMode::kSYNC, true, quant);
+    const std::string single = SingleProcessModel(data, p);
+    for (int workers : {2, 3, 4}) {
+      for (const char* compress : {"dense", "sparse"}) {
+        p.comm_compress = compress;
+        const DistributedResult result =
+            DistributedGbdt::Train(data, workers, p, kWorkerThreads);
+        const std::string where = CaseName(p) + " workers=" +
+                                  std::to_string(workers) + " " + compress;
+        if (quant) {
+          EXPECT_EQ(single, SerializeModel(result.model)) << where;
+        }
+        for (const RegTree& tree : result.model.trees()) {
+          for (int i = 0; i < tree.num_nodes(); ++i) {
+            if (!tree.node(i).IsLeaf()) {
+              EXPECT_LT(tree.node(i).split_feature, nf) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// More workers than features: some ranks own no feature, scan nothing and
+// still take part in every collective.
+TEST(DistributedGbdt, WorkersWithoutFeatures) {
+  SyntheticSpec spec;
+  spec.rows = 1200;
+  spec.features = 3;
+  spec.density = 0.9;
+  spec.margin_scale = 3.0;
+  spec.seed = 1103;
+  const Dataset data = GenerateSynthetic(spec);
+  TrainParams p = IdentityParams(ParallelMode::kSYNC, true, /*quant=*/true);
+  const std::string single = SingleProcessModel(data, p);
+  for (int workers : {4, 6}) {
+    for (const char* compress : {"dense", "sparse"}) {
+      p.comm_compress = compress;
+      EXPECT_EQ(single, ShardedModel(data, workers, p))
+          << "workers=" << workers << " " << compress;
+    }
+  }
+}
+
+TEST(FeatureOwnerBounds, BalancesCellsWithContiguousRanges) {
+  const uint32_t even[] = {0, 10, 20, 30, 40};
+  EXPECT_EQ(FeatureOwnerBounds(even, 4, 1), (std::vector<uint32_t>{0, 4}));
+  EXPECT_EQ(FeatureOwnerBounds(even, 4, 2), (std::vector<uint32_t>{0, 2, 4}));
+  EXPECT_EQ(FeatureOwnerBounds(even, 4, 4),
+            (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+  // Five ranks over four features: one owns none.
+  EXPECT_EQ(FeatureOwnerBounds(even, 4, 5),
+            (std::vector<uint32_t>{0, 1, 2, 2, 3, 4}));
+  // One wide feature: the boundary nearest each share's end.
+  const uint32_t wide[] = {0, 100, 101, 102};
+  EXPECT_EQ(FeatureOwnerBounds(wide, 3, 2), (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(FeatureOwnerBounds(wide, 3, 3),
+            (std::vector<uint32_t>{0, 0, 1, 3}));
+  // Ties go to the lower boundary: cell 4 is as far from 2 as from 6.
+  const uint32_t tie[] = {0, 2, 6};
+  EXPECT_EQ(FeatureOwnerBounds(tie, 2, 3),
+            (std::vector<uint32_t>{0, 1, 1, 2}));
+}
+
+TEST(DistributedGbdt, ShardingErrorNamesWhatCannotBeHonoured) {
+  const Dataset data = TrainData(4);
+  const TrainParams p = DistParams(1);
+  EXPECT_EQ(ShardingError(data, p, 4), "");
+  EXPECT_NE(ShardingError(data, p, 0).find("at least 1, got 0"),
+            std::string::npos);
+  EXPECT_NE(ShardingError(data, p, -3).find("got -3"), std::string::npos);
+  EXPECT_NE(ShardingError(data, p, 5).find("5 workers need at least 5 rows"),
+            std::string::npos);
+  TrainParams bad = p;
+  bad.tree_size = 99;
+  EXPECT_EQ(ShardingError(data, bad, 2), bad.Check());
 }
 
 // The sharded trainer builds its objective from every TrainParams field:
@@ -1176,9 +1403,9 @@ TEST(DistributedGbdt, SubtractionExchangesOneChildPerSplit) {
   const Dataset data = TrainData(2500);
   const int64_t cells =
       BinnedMatrix::Build(data, QuantileCuts::Compute(data, 256)).TotalBins();
-  // Each exchanged histogram counts once sent and once received.
-  const int64_t per_hist =
-      2 * DenseHistBytes(1, static_cast<uint32_t>(cells));
+  // At two ranks each exchanged histogram moves once per rank: the cells
+  // the peer owns are sent, and the rank's own cells are received.
+  const int64_t per_hist = DenseHistBytes(1, static_cast<uint32_t>(cells));
   std::string models[2];
   for (bool subtraction : {false, true}) {
     TrainParams p =
@@ -1376,8 +1603,87 @@ TEST(SocketTransport, CollectivesMatchInProcessSemantics) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// Ranks that disagree on an allreduce's count all throw: the root checks
-// every frame's size, and its closing sockets release the waiting clients.
+// Both collectives of one rank: rank r's frame holds segment s as bytes
+// 10r + s, repeated r + s + 1 times, except that segment 1 is empty. Rank
+// r must receive segment r of every rank's frame, and every rank's whole
+// frame, in rank order. Returns the number of mismatches.
+int CheckCollectives(Transport& transport) {
+  const int world = transport.world_size();
+  const int rank = transport.rank();
+  const auto segment = [](int r, int seg) {
+    return seg == 1 ? std::vector<uint8_t>{}
+                    : std::vector<uint8_t>(static_cast<size_t>(r + seg + 1),
+                                           static_cast<uint8_t>(10 * r + seg));
+  };
+  std::vector<uint8_t> frame;
+  std::vector<size_t> bounds = {0};
+  for (int seg = 0; seg < world; ++seg) {
+    const std::vector<uint8_t> bytes = segment(rank, seg);
+    frame.insert(frame.end(), bytes.begin(), bytes.end());
+    bounds.push_back(frame.size());
+  }
+  int mismatches = 0;
+  transport.ReduceScatter(
+      frame.data(), bounds.data(), [&](const Transport::Frames& frames) {
+        mismatches += static_cast<int>(frames.size()) != world;
+        for (size_t w = 0; w < frames.size(); ++w) {
+          const std::vector<uint8_t> want = segment(static_cast<int>(w), rank);
+          mismatches += std::vector<uint8_t>(frames[w].first,
+                                             frames[w].first +
+                                                 frames[w].second) != want;
+        }
+      });
+  transport.Allgather(frame.data(), frame.size(),
+                      [&](const Transport::Frames& frames) {
+                        mismatches += static_cast<int>(frames.size()) != world;
+                        for (size_t w = 0; w < frames.size(); ++w) {
+                          std::vector<uint8_t> want;
+                          for (int seg = 0; seg < world; ++seg) {
+                            const auto bytes = segment(static_cast<int>(w), seg);
+                            want.insert(want.end(), bytes.begin(), bytes.end());
+                          }
+                          mismatches += std::vector<uint8_t>(
+                                            frames[w].first,
+                                            frames[w].first + frames[w].second) !=
+                                        want;
+                        }
+                      });
+  return mismatches;
+}
+
+TEST(SocketTransport, CollectivesRouteFramesInRankOrder) {
+  for (const int world : {1, 2, 3}) {
+    const int port = TestPort(40 + world);
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int rank = 0; rank < world; ++rank) {
+      threads.emplace_back([&, rank] {
+        try {
+          auto transport = SocketTransport::Create(rank, world, port);
+          failures += CheckCollectives(*transport);
+        } catch (const std::exception&) {
+          ++failures;
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0) << "world " << world;
+
+    InProcessCluster cluster(world);
+    std::atomic<int> inproc_failures{0};
+    threads.clear();
+    for (int rank = 0; rank < world; ++rank) {
+      threads.emplace_back([&, rank] {
+        inproc_failures += CheckCollectives(cluster.transport(rank));
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(inproc_failures.load(), 0) << "in process, world " << world;
+  }
+}
+
+// Ranks that disagree on an allreduce's count all throw: every rank
+// receives every frame and checks every frame's size.
 TEST(SocketTransport, MismatchedAllreduceCountsThrowOnEveryRank) {
   const int world = 3;
   int offset = 30;

@@ -359,10 +359,15 @@ TEST(TreeBuilder, StatsArePopulated) {
 
 // ---------- histogram-reduce seam ----------
 
-// A one-shard reducer: leaves every value as it is and counts what a real
-// reducer would put on the wire.
+// A one-shard reducer: owns every feature, leaves every value as it is
+// and counts what a real reducer would put on the wire.
 class CountingReducer final : public HistReducer {
  public:
+  explicit CountingReducer(uint32_t num_features)
+      : num_features_(num_features) {}
+  std::pair<uint32_t, uint32_t> OwnedFeatures() const override {
+    return {0, num_features_};
+  }
   void ReduceQuantStats(QuantStats*) override { ++quant_stats; }
   void ReduceSums(GHPair*, size_t count) override { sums += count; }
   void ReduceCounts(int64_t*, size_t count) override { counts += count; }
@@ -371,8 +376,12 @@ class CountingReducer final : public HistReducer {
     hists += num_hists;
     quant_hists = quant != nullptr;
   }
-  int64_t quant_stats = 0, sums = 0, counts = 0, hists = 0;
+  void ReduceSplits(SplitInfo*, size_t count) override { splits += count; }
+  int64_t quant_stats = 0, sums = 0, counts = 0, hists = 0, splits = 0;
   bool quant_hists = false;
+
+ private:
+  uint32_t num_features_;
 };
 
 TEST(TreeBuilder, IdentityReducerSeesOneExchangePerBuiltHistogram) {
@@ -388,7 +397,7 @@ TEST(TreeBuilder, IdentityReducerSeesOneExchangePerBuiltHistogram) {
         const RegTree expect = BuildWith(env, p, 3);
 
         ThreadPool pool(3);
-        CountingReducer reducer;
+        CountingReducer reducer(env.matrix.num_features());
         HarpTreeBuilder builder(env.matrix, p, pool, &reducer);
         TrainStats stats;
         const RegTree tree = builder.BuildTree(env.gh, &stats);
@@ -412,6 +421,8 @@ TEST(TreeBuilder, IdentityReducerSeesOneExchangePerBuiltHistogram) {
           EXPECT_EQ(stats.hist_builds, 1 + 2 * splits) << where;
         }
         EXPECT_EQ(reducer.counts, 1 + 2 * splits) << where;
+        // One merged split per node searched: the root and every child.
+        EXPECT_EQ(reducer.splits, 1 + 2 * splits) << where;
         EXPECT_EQ(reducer.sums, 1) << where;
         EXPECT_EQ(reducer.quant_stats, quant ? 1 : 0) << where;
         EXPECT_EQ(reducer.quant_hists, quant) << where;
@@ -425,7 +436,7 @@ TEST(TreeBuilderDeath, ReducerRejectsAsync) {
   TrainParams p = BaseParams(GrowPolicy::kTopK);
   p.mode = ParallelMode::kASYNC;
   ThreadPool pool(2);
-  CountingReducer reducer;
+  CountingReducer reducer(env.matrix.num_features());
   EXPECT_DEATH(HarpTreeBuilder(env.matrix, p, pool, &reducer),
                "ASYNC mode cannot train sharded");
 }
