@@ -37,20 +37,22 @@ T Load(const uint8_t* bytes, size_t i) {
 }
 
 // A SplitInfo on the wire: its fields, packed, so no padding byte is sent.
+// Scalars only: a packed member of class type (GHPair) would be constructed
+// at a misaligned address.
 #pragma pack(push, 1)
 struct SplitRecord {
   double gain;
   uint32_t feature;
   uint32_t bin;
   uint8_t default_left;
-  GHPair left_sum;
-  GHPair right_sum;
+  double left_g, left_h, right_g, right_h;
 };
 #pragma pack(pop)
 
 SplitRecord ToRecord(const SplitInfo& s) {
-  return SplitRecord{s.gain,         s.feature,  s.bin,
-                     s.default_left, s.left_sum, s.right_sum};
+  return SplitRecord{s.gain,         s.feature,    s.bin,
+                     s.default_left, s.left_sum.g, s.left_sum.h,
+                     s.right_sum.g,  s.right_sum.h};
 }
 
 SplitInfo FromRecord(const SplitRecord& r) {
@@ -59,8 +61,8 @@ SplitInfo FromRecord(const SplitRecord& r) {
   s.feature = r.feature;
   s.bin = r.bin;
   s.default_left = r.default_left != 0;
-  s.left_sum = r.left_sum;
-  s.right_sum = r.right_sum;
+  s.left_sum = GHPair{r.left_g, r.left_h};
+  s.right_sum = GHPair{r.right_g, r.right_h};
   return s;
 }
 

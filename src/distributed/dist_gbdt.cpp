@@ -1,6 +1,7 @@
 #include "distributed/dist_gbdt.h"
 
 #include <algorithm>
+#include <latch>
 #include <sstream>
 #include <string>
 
@@ -170,12 +171,19 @@ DistributedResult DistributedGbdt::Train(const Dataset& dataset, int workers,
                                          const TrainParams& params,
                                          int worker_threads) {
   CheckShardable(dataset, params, workers);
-  QuantileCuts cuts;
-  {
-    // The ranks have not started yet, so the cut pass gets all their threads.
-    ThreadPool pool(std::max(1, workers * worker_threads));
-    cuts = QuantileCuts::Compute(dataset, params.max_bins, &pool);
-  }
+  // The ranks have not started yet, so the cut pass gets all their threads.
+  //
+  // Thread lifetimes are ordered so that repeated calls keep their memory:
+  // glibc gives each thread a malloc arena, hands a finished thread's arena
+  // to the next new thread, and keeps what was freed in it (up to its trim
+  // threshold, megabytes here). So the cut pool lives until the ranks are
+  // done, and every rank's pool exits before any rank does; each call's
+  // rank threads then take the arenas the last call's ranks filled, instead
+  // of a pool thread taking one and a rank growing a fresh one. Without
+  // this, repeated dist_sparse trainings peaked 10-70 MB higher at random.
+  ThreadPool cut_pool(std::max(1, workers * worker_threads));
+  const QuantileCuts cuts =
+      QuantileCuts::Compute(dataset, params.max_bins, &cut_pool);
 
   DistributedResult result;
   result.workers = workers;
@@ -185,12 +193,19 @@ DistributedResult DistributedGbdt::Train(const Dataset& dataset, int workers,
 
   const Stopwatch watch;
   SimulatedCluster cluster(workers);
+  std::latch pools_gone(workers);
   cluster.Run([&](Communicator& comm) {
     const size_t rank = static_cast<size_t>(comm.rank());
-    ThreadPool pool(std::max(1, worker_threads));
-    models[rank] = TrainOnShard(dataset, cuts, comm, params, pool,
-                                &result.rank_stats[rank]);
-    result.per_rank[rank] = comm.stats();
+    try {
+      ThreadPool pool(std::max(1, worker_threads));
+      models[rank] = TrainOnShard(dataset, cuts, comm, params, pool,
+                                  &result.rank_stats[rank]);
+      result.per_rank[rank] = comm.stats();
+    } catch (...) {
+      pools_gone.count_down();
+      throw;
+    }
+    pools_gone.arrive_and_wait();
   });
   result.seconds = watch.ElapsedSec();
   result.comm = cluster.TotalStats();
